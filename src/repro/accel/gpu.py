@@ -11,22 +11,14 @@ few wavefronts) cannot — reproducing the sensitivity split in Fig. 4.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Generator, Iterable, List, Optional, Sequence, Tuple
 
 from repro.accel.base import AcceleratorBase
-from repro.mem.address import BLOCK_MASK, BLOCK_SIZE, PAGE_SHIFT
-from repro.sim import batch as _batch
+from repro.mem.address import BLOCK_SIZE
 from repro.sim.clock import Clock
-from repro.sim.engine import (
-    _KIND_CALL_VALUE,
-    BandwidthServer,
-    Engine,
-    Event,
-    Process,
-)
+from repro.sim.engine import BandwidthServer, Engine, Process
 from repro.sim.clock import TICKS_PER_SECOND
 from repro.sim.stats import StatDomain
 
@@ -67,17 +59,6 @@ class KernelTrace:
     name: str
     cu_wavefronts: List[List[List[Op]]]  # [cu][wavefront][op]
     footprint_pages: int = 0
-    # Structure-of-arrays mirror of ``cu_wavefronts`` for the vector
-    # execution tier (``repro.sim.batch.TraceSoA`` per wavefront), built
-    # lazily from — and therefore bit-identical to — the tuple streams.
-    # ``None`` until requested, or when numpy is unavailable.
-    soa: Optional[list] = field(default=None, repr=False, compare=False)
-
-    def ensure_soa(self) -> Optional[list]:
-        """Materialize (once) the SoA mirror of the op streams."""
-        if self.soa is None:
-            self.soa = _batch.build_trace_soa(self.cu_wavefronts)
-        return self.soa
 
     @property
     def num_cus(self) -> int:
@@ -140,13 +121,6 @@ class GPU(AcceleratorBase):
         self._inflight: int = 0
         self._quiesce_depth: int = 0
         self._resume_event = engine.event()
-        # Vector-tier state (rebound on every launch; see launch()).
-        self._vec_on: bool = False
-        self._vec_tlbs = None
-        self._vec_caches = None
-        self._vec_table = None
-        self._vec_bcc = None
-        self._vec_dispatchers = None
 
     # -- execution --------------------------------------------------------
 
@@ -170,48 +144,12 @@ class GPU(AcceleratorBase):
                 f"trace uses {trace.num_cus} CUs; GPU has {self.geometry.num_cus}"
             )
         self._kernels.inc()
-        # The REPRO_VECTOR gate is re-read on every launch so a warm-reused
-        # System honors mode flips between runs. The flattened read path
-        # and the batch drain both need the per-CU L1 structures.
-        batch_context = getattr(self.path, "batch_context", None)
-        self._vec_on = (
-            _batch.vector_enabled()
-            # Subclasses that customize per-op semantics (e.g. the chaos
-            # harness's HangingAccelerator counts ops toward a wedge in
-            # _do_op) must see every op; the flattened hit path would
-            # bypass their hook. Such devices run the scalar oracle.
-            and type(self)._do_op is GPU._do_op
-            and batch_context is not None
-            and getattr(self.path, "fast_read", None) is not None
-        )
-        soa = None
-        if self._vec_on:
-            # The table is the defense-in-depth permission gate for the
-            # batch drain (None when the safety mode carries none).
-            (
-                self._vec_tlbs,
-                self._vec_caches,
-                self._vec_table,
-                self._vec_bcc,
-            ) = batch_context()
-            soa = trace.ensure_soa()
-            self._vec_dispatchers = [
-                self._make_vec_dispatch(cu, asid)
-                for cu in range(min(trace.num_cus, self.geometry.num_cus))
-            ]
-        else:
-            self._vec_dispatchers = None
         wavefront_procs = []
         for cu_index, wavefronts in enumerate(trace.cu_wavefronts):
-            for wf_index, wf_ops in enumerate(wavefronts):
+            for wf_ops in wavefronts:
                 wavefront_procs.append(
                     self.engine.process(
-                        self._run_wavefront(
-                            asid,
-                            cu_index,
-                            wf_ops,
-                            soa[cu_index][wf_index] if soa is not None else None,
-                        ),
+                        self._run_wavefront(asid, cu_index, wf_ops),
                         name=f"{self.accel_id}-cu{cu_index}-wf",
                     )
                 )
@@ -239,32 +177,23 @@ class GPU(AcceleratorBase):
         asid: int,
         cu_index: int,
         ops: Sequence[Op],
-        soa=None,
     ) -> Generator:
         issue = self._issue_ports[cu_index]
         clock = self.clock
         engine = self.engine
         queue = engine._queue
         ready = engine._ready
-        ready_append = ready.append
         period = clock.period_ticks
         mlp = max(1, self.geometry.mlp)
-        # Mixed FIFO of in-flight work: live op Processes (or flattened op
-        # Events) plus integer completion-time tokens left behind by
-        # batched fast-forwarding. A token ``t`` stands for an op that is
-        # known to complete at tick ``t``; waiting on it is a plain timer
-        # sleep to ``t``.
+        # Mixed FIFO of in-flight work: live op Processes plus integer
+        # completion-time tokens left behind by batched fast-forwarding. A
+        # token ``t`` stands for an op that is known to complete at tick
+        # ``t``; waiting on it is a plain timer sleep to ``t``.
         outstanding: deque = deque()
         fast_read = getattr(self.path, "fast_read", None)
         hit_latency = (
             self.path.fast_read_latency(cu_index) if fast_read is not None else 0
         )
-        vec_on = (
-            self._vec_on
-            and fast_read is not None
-            and self._vec_dispatchers is not None
-        )
-        vec_dispatch = self._vec_dispatchers[cu_index] if vec_on else None
         ops_counter = self._ops
         loads = self._loads
         stores = self._stores
@@ -297,16 +226,10 @@ class GPU(AcceleratorBase):
                 and self.enabled
                 and self._quiesce_depth == 0
             ):
-                if vec_on and soa is not None:
-                    i, target = self._batch_drain(
-                        ops, soa, i, asid, cu_index, issue, clock,
-                        outstanding, mlp, hit_latency,
-                    )
-                else:
-                    i, target = self._fast_forward(
-                        ops, i, asid, cu_index, issue, clock, outstanding,
-                        mlp, fast_read, hit_latency,
-                    )
+                i, target = self._fast_forward(
+                    ops, i, asid, cu_index, issue, clock, outstanding,
+                    mlp, fast_read, hit_latency,
+                )
                 if target > engine.now:
                     yield target - engine.now
                 if i >= n:
@@ -359,28 +282,11 @@ class GPU(AcceleratorBase):
             ops_counter.value += 1
             if write:
                 stores.value += 1
-                outstanding.append(
-                    spawn(self._do_op(cu_index, asid, vaddr, True), name=op_name)
-                )
             else:
                 loads.value += 1
-                if vec_on:
-                    # Flattened read: no Process, no generator chain. The
-                    # dispatch entry lands at the exact ready position the
-                    # spawned op's first step would take, and every later
-                    # push happens at the same global (when, seq) rank —
-                    # see _make_vec_dispatch for the step-by-step mapping.
-                    evt = Event.__new__(Event)
-                    evt._engine = engine
-                    evt._waiters = None
-                    evt.triggered = False
-                    evt.value = None
-                    ready_append((_KIND_CALL_VALUE, vec_dispatch, (vaddr, evt)))
-                    outstanding.append(evt)
-                else:
-                    outstanding.append(
-                        spawn(self._do_op(cu_index, asid, vaddr, False), name=op_name)
-                    )
+            outstanding.append(
+                spawn(self._do_op(cu_index, asid, vaddr, write), name=op_name)
+            )
         for pending in outstanding:
             if pending.__class__ is int:
                 if pending > engine.now:
@@ -499,279 +405,6 @@ class GPU(AcceleratorBase):
             i += 1
         return i, t
 
-    # -- flattened vector-tier read path ----------------------------------
-    #
-    # Under REPRO_VECTOR=1 a read op does not spawn a Process at all. The
-    # scalar pipeline for an L1-hit read is:
-    #
-    #   t2 (ready drain): _do_op first step — TLB lookup, paddr/size,
-    #       cache.access prologue, ``yield hit_latency`` (one heap push);
-    #   t3 (heap pop): hit/miss decision — on a hit, recency + counter
-    #       commit, StopIteration, Process.succeed wakes the wavefront.
-    #
-    # The flattened path replays that schedule with bare engine entries:
-    # a dispatch entry at the same ready position (t2) does the TLB work
-    # and pushes a commit entry at the same heap position (t3); the commit
-    # entry makes the hit/miss decision *at t3*, exactly where the scalar
-    # oracle makes it, so interleaved evictions/fills between t2 and t3
-    # are observed identically. Every push happens at the same global
-    # (when, seq) rank as its scalar counterpart, so same-tick tie-breaks
-    # cannot flip. Misses (TLB at t2, cache at t3) fall back to the scalar
-    # generators *from the same queue position*, reusing the very code
-    # objects of the oracle path.
-
-    def _make_vec_dispatch(self, cu_index: int, asid: int):
-        """Build this CU's flattened-op dispatch entry point.
-
-        All per-op state — TLB entry dict, cache sets, counters, engine
-        queue internals — is bound into the closure once per launch, so
-        the per-op path is pure local-variable work.
-        """
-        tlb = self._vec_tlbs[cu_index]
-        cache = self._vec_caches[cu_index]
-        entries = tlb._entries
-        entries_get = entries.get
-        entries_move = entries.move_to_end
-        tlb_hits = tlb._hits
-        engine = self.engine
-        queue = engine._queue
-        ready_append = engine._ready.append
-        seqnext = engine._seq.__next__
-        push = heapq.heappush
-        sets = cache._sets
-        cache_hits = cache._hits
-        block_mask_inv = ~cache._block_mask
-        block_size = cache._block_size
-        shift = cache._block_shift
-        nsets = cache._num_sets
-        lat = cache._hit_latency
-        stats = _batch.STATS
-        gpu = self
-
-        def commit(payload) -> None:
-            # At t3, the exact heap-pop position of the scalar op's
-            # post-latency resume: the hit/miss decision happens HERE,
-            # exactly where Cache._after_latency makes it.
-            block_addr, offset, size, evt = payload
-            cache_set = sets[(block_addr >> shift) % nsets]
-            line = cache_set.get(block_addr)
-            if line is not None:
-                # The hit path of Cache._after_latency, inlined.
-                cache_set.move_to_end(block_addr)
-                cache_hits.value += 1
-                gpu._inflight -= 1
-                evt.succeed(line)
-                return
-            # The line left the cache between dispatch and the
-            # hit-latency boundary (eviction, flush, downgrade, reset).
-            # Run the scalar post-latency path — the same code object the
-            # oracle runs — from this exact queue position.
-            gpu._vec_spawn_inline(
-                gpu._vec_late(cache, block_addr, offset, size, evt)
-            )
-
-        def dispatch(payload) -> None:
-            # At t2, the exact ready-drain position of the scalar op's
-            # first step (_do_op): TLB work + the t3 heap push.
-            vaddr, evt = payload
-            vpn = vaddr >> PAGE_SHIFT
-            key = (asid, vpn, False)
-            entry = entries_get(key)
-            if entry is None:
-                key = (asid, vpn & ~0x1FF, True)
-                entry = entries_get(key)
-                if entry is None:
-                    # TLB miss: the full scalar op runs from this exact
-                    # queue position (its lookup() counts the miss once).
-                    gpu._vec_spawn_inline(
-                        gpu._vec_full(cu_index, asid, vaddr, evt)
-                    )
-                    return
-            paddr = ((entry.ppn + vpn - entry.vpn) << PAGE_SHIFT) | (vaddr & 0xFFF)
-            size = BLOCK_SIZE - (paddr & BLOCK_MASK)
-            block_addr = paddr & block_mask_inv
-            offset = paddr - block_addr
-            if offset + size > block_size:
-                # Block-geometry mismatch: the scalar path raises (or
-                # handles) it exactly as the oracle would.
-                gpu._vec_spawn_inline(gpu._vec_full(cu_index, asid, vaddr, evt))
-                return
-            # Commit the TLB hit (recency + counter), exactly lookup()'s
-            # hit path, at the same instant the scalar op commits it.
-            entries_move(key)
-            tlb_hits.value += 1
-            gpu._inflight += 1
-            stats.ops_flattened += 1
-            if lat:
-                push(
-                    queue,
-                    (
-                        engine.now + lat,
-                        seqnext(),
-                        _KIND_CALL_VALUE,
-                        commit,
-                        (block_addr, offset, size, evt),
-                    ),
-                )
-            else:
-                # hit_latency 0 == the scalar ``yield 0``: a ready entry.
-                ready_append(
-                    (_KIND_CALL_VALUE, commit, (block_addr, offset, size, evt))
-                )
-
-        return dispatch
-
-    def _vec_spawn_inline(self, gen: Generator) -> None:
-        """Start ``gen`` as a process and run its first step *now*.
-
-        The scalar path's first step runs at the current dispatch
-        position (its spawn entry is what the flattened entry replaced),
-        so stepping synchronously preserves the global entry order.
-        """
-        proc = Process.__new__(Process)
-        proc._engine = self.engine
-        proc._waiters = None
-        proc.triggered = False
-        proc.value = None
-        proc._gen = gen
-        proc.name = f"{self.accel_id}-op"
-        proc._step(None)
-
-    def _vec_full(self, cu_index: int, asid: int, vaddr: int, evt: Event) -> Generator:
-        result = yield from self._do_op(cu_index, asid, vaddr, False)
-        evt.succeed(result)
-
-    def _vec_late(self, cache, block_addr, offset, size, evt) -> Generator:
-        try:
-            result = yield from cache._after_latency(
-                block_addr, offset, size, False, None
-            )
-        finally:
-            self._inflight -= 1
-        if result is None:
-            self._blocked.inc()
-        evt.succeed(result)
-
-    # -- vectorized batch drain -------------------------------------------
-
-    _BATCH_WINDOW = 512
-
-    def _batch_drain(
-        self,
-        ops: Sequence[Op],
-        soa,
-        i: int,
-        asid: int,
-        cu_index: int,
-        issue: BandwidthServer,
-        clock: Clock,
-        outstanding: deque,
-        mlp: int,
-        hit_latency: int,
-    ) -> Tuple[int, int]:
-        """Vectorized :meth:`_fast_forward`: one classification pass, then
-        an exact integer-arithmetic commit loop.
-
-        Instead of probing TLB and L1 per op, a whole window of upcoming
-        ops is classified in single numpy passes over memoized residency
-        snapshots (see :mod:`repro.sim.batch`). This is observation-safe
-        under the same horizon guard as the scalar fast path, with one
-        addition: because a batch consists only of L1 read hits, residency
-        cannot change mid-batch, so a snapshot taken at batch entry is
-        valid for the whole run. Recency touches and hit counters are
-        committed in bulk (last-touch order — equivalent to the per-op
-        sequence); per-op *timing* stays exact scalar integer arithmetic
-        (issue-port previews, completion tokens, the guard check).
-        """
-        engine = self.engine
-        guard = engine.next_event_time()
-        stats = _batch.STATS
-        stats.batches_attempted += 1
-        fallbacks = stats.fallbacks
-        n = len(ops)
-        end = i + self._BATCH_WINDOW
-        if end > n:
-            end = n
-        window_vaddrs = soa.vaddrs[i:end]
-        window_writes = soa.is_write[i:end]
-        tlb = self._vec_tlbs[cu_index]
-        cache = self._vec_caches[cu_index]
-        batchable, blocks, small_hit, perm_ok = _batch.classify_window(
-            tlb,
-            cache,
-            asid,
-            window_vaddrs,
-            bcc=self._vec_bcc,
-            table=self._vec_table,
-        )
-        run = _batch.batchable_run_length(batchable, window_writes)
-        if run < len(window_vaddrs):
-            # Attribute the abort before (maybe) committing the prefix.
-            if window_writes[run]:
-                fallbacks["write"] += 1
-            elif not perm_ok[run]:
-                fallbacks["perm"] += 1
-            else:
-                fallbacks["miss"] += 1
-        t = engine.now
-        stall = self._stall_until
-        period = clock.period_ticks
-        j = 0
-        while j < run:
-            gap, vaddr, _write = ops[i + j]
-            if gap:
-                t1 = t + (
-                    gap * period
-                    if gap.__class__ is int
-                    else clock.cycles_to_ticks(gap)
-                )
-            else:
-                t1 = t
-            if vaddr is None:
-                if guard is not None and t1 >= guard:
-                    fallbacks["horizon"] += 1
-                    break
-                t = t1
-                j += 1
-                continue
-            if len(outstanding) >= mlp:
-                head = outstanding[0]
-                if head.__class__ is int:
-                    if head > t1:
-                        t1 = head
-                elif not head.triggered:
-                    fallbacks["mlp"] += 1
-                    break  # live op still in flight: the real wait happens
-            if stall > t1:
-                t1 = stall
-            delay, free = issue.preview(t1, 1)
-            t2 = t1 + delay
-            t3 = t2 + hit_latency
-            if guard is not None and t3 >= guard:
-                fallbacks["horizon"] += 1
-                break
-            # The op is taken (classification proved the hit): commit the
-            # timing side exactly as the per-op path would.
-            if len(outstanding) >= mlp:
-                outstanding.popleft()
-            issue.commit(free, 1)
-            outstanding.append(t3)
-            t = t2
-            j += 1
-        if j:
-            consumed = window_vaddrs[:j]
-            mem_mask = consumed >= 0
-            m = int(mem_mask.sum())
-            if m:
-                vpns = (consumed >> PAGE_SHIFT)[mem_mask]
-                _batch.commit_tlb_hits(tlb, asid, vpns, small_hit[:j][mem_mask], m)
-                _batch.commit_cache_hits(cache, blocks[:j][mem_mask], m)
-                self._ops.value += m
-                self._loads.value += m
-                stats.ops_batched += m
-            stats.batches_committed += 1
-        return i + j, t
-
     def _do_op(self, cu_index: int, asid: int, vaddr: int, write: bool) -> Generator:
         self._inflight += 1
         try:
@@ -848,14 +481,6 @@ class GPU(AcceleratorBase):
         self.epoch = 0
         self.asids.clear()
         self.sandboxes.clear()
-        # Vector-tier bindings are per-launch; a warm-reused GPU must not
-        # carry batch state (snapshots die with their structures' reset()).
-        self._vec_on = False
-        self._vec_tlbs = None
-        self._vec_caches = None
-        self._vec_table = None
-        self._vec_bcc = None
-        self._vec_dispatchers = None
 
     # -- reporting ---------------------------------------------------------
 

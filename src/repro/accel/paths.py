@@ -132,23 +132,6 @@ class CachedHierarchyPath:
         cache.commit_read_hit(line)
         return line
 
-    def batch_context(self):
-        """The structures the vectorized tier classifies against.
-
-        Returns ``(l1_tlbs, l1_caches, table, bcc)`` where ``table`` is
-        the authoritative Protection Table guarding this path's border
-        port (``None`` when the configured safety mode has none — e.g.
-        ATS-only) and ``bcc`` the Border Control Cache, if any. Path
-        adapters without per-CU structures simply do not define this
-        method, which disables the vector tier.
-        """
-        port = getattr(self.l2_cache, "downstream", None)
-        bc = getattr(port, "bc", None)
-        table = getattr(bc, "table", None)
-        if not hasattr(table, "base_paddr"):
-            table = None
-        return self.l1_tlbs, self.l1_caches, table, getattr(bc, "bcc", None)
-
     # -- maintenance ------------------------------------------------------
 
     def shootdown(self, asid: int, vpn: Optional[int] = None) -> None:

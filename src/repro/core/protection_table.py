@@ -50,10 +50,6 @@ class ProtectionTable:
         self.size_bytes = align_up(
             (covered_pages + PAGES_PER_BYTE - 1) // PAGES_PER_BYTE, PAGE_SIZE
         )
-        # Permission-bit version for the vector tier's memoized snapshot
-        # (repro.sim.batch.readable_snapshot): bumped on every mutation.
-        self.version = 0
-        self._vec_snap = None
         if not phys.contains(base_paddr, self.size_bytes):
             raise ConfigurationError("protection table does not fit in memory")
 
@@ -115,7 +111,6 @@ class ProtectionTable:
         byte = self.phys.read(addr, 1)[0]
         byte = (byte & ~(0x3 << shift)) | (int(perms) << shift)
         self.phys.write(addr, bytes([byte]))
-        self.version += 1
 
     def grant(self, ppn: int, perms: Perm) -> bool:
         """OR permissions into a page's field (insertion is monotonic up,
@@ -162,8 +157,6 @@ class ProtectionTable:
     def zero(self) -> None:
         """Zero the whole table — revoking every permission (§3.2.4-5)."""
         self.phys.zero_range(self.base_paddr, self.size_bytes)
-        self.version += 1
-        self._vec_snap = None
 
     def populated(self) -> Iterator[Tuple[int, Perm]]:
         """Iterate (ppn, perms) for pages with any permission set."""

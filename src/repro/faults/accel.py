@@ -25,7 +25,13 @@ __all__ = ["HangingAccelerator"]
 
 
 class HangingAccelerator(GPU):
-    """A GPU that stops servicing its memory queue after N operations."""
+    """A GPU that stops servicing its memory queue after N operations.
+
+    ``hang_after_ops`` counts only ops that reach :meth:`_do_op`. L1 TLB +
+    L1 cache read hits served by the wavefront fast path
+    (:meth:`GPU._fast_forward`) never leave the compute unit and never
+    call ``_do_op``, so they do not count toward the hang.
+    """
 
     def __init__(self, *args, hang_after_ops: int = 50, **kwargs) -> None:
         super().__init__(*args, **kwargs)

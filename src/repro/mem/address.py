@@ -16,9 +16,6 @@ __all__ = [
     "PAGES_PER_LARGE_PAGE",
     "BLOCK_SHIFT",
     "BLOCK_SIZE",
-    "BLOCK_MASK",
-    "PAGE_MASK",
-    "LARGE_VPN_BASE_MASK",
     "align_down",
     "align_up",
     "block_of",
@@ -40,14 +37,6 @@ PAGES_PER_LARGE_PAGE = LARGE_PAGE_SIZE // PAGE_SIZE  # 512
 
 BLOCK_SHIFT = 7
 BLOCK_SIZE = 1 << BLOCK_SHIFT  # 128-byte memory blocks (paper §3.1.2)
-
-# Masks precomputed for the hot paths (scalar fast-reads and the
-# vectorized batch tier share this arithmetic).
-BLOCK_MASK = BLOCK_SIZE - 1
-PAGE_MASK = PAGE_SIZE - 1
-# A 2 MB large-page TLB entry is 512-page aligned; ANDing a VPN with this
-# mask yields the entry's base VPN.
-LARGE_VPN_BASE_MASK = ~(PAGES_PER_LARGE_PAGE - 1)
 
 
 def ppn_of(paddr: int) -> int:

@@ -103,12 +103,6 @@ class Cache(MemoryPort):
             OrderedDict() for _ in range(config.num_sets)
         ]
         self._pending: Dict[int, Event] = {}  # block addr -> fill completion
-        # Residency version for the vector tier's memoized snapshots
-        # (repro.sim.batch): bumped whenever the set of resident blocks
-        # changes. Recency-only touches (hits) do not bump it — snapshot
-        # consumers only classify hit/miss, never recency order.
-        self.version = 0
-        self._vec_snap = None
         self._stats = stats
         self._hits = stats.counter("hits")
         self._misses = stats.counter("misses")
@@ -172,26 +166,6 @@ class Cache(MemoryPort):
                 f"{self.name}: access [{addr:#x}, +{size}) straddles a block"
             )
         yield self._hit_latency
-        return (
-            yield from self._after_latency(block_addr, offset, size, write, data)
-        )
-
-    def _after_latency(
-        self,
-        block_addr: int,
-        offset: int,
-        size: int,
-        write: bool,
-        data: Optional[bytes],
-    ) -> Generator:
-        """The post-hit-latency half of :meth:`access`.
-
-        Split out so the vector tier's flattened read path — which probes
-        at dispatch time and re-validates at the hit-latency boundary —
-        can replay exactly this code when the line turned out not to be
-        resident: the hit/miss decision is made *here*, at the same
-        simulated instant the scalar path makes it.
-        """
         cache_set = self._sets[(block_addr >> self._block_shift) % self._num_sets]
         line = cache_set.get(block_addr)
         if line is not None:
@@ -277,7 +251,6 @@ class Cache(MemoryPort):
         if len(cache_set) >= self.config.associativity:
             _addr, victim = cache_set.popitem(last=False)  # LRU
         cache_set[line.block_addr] = line
-        self.version += 1
         return victim
 
     def _write_back(self, line: Line) -> Generator:
@@ -290,7 +263,6 @@ class Cache(MemoryPort):
 
     def _invalidate_line(self, block_addr: int) -> None:
         self._set_for(block_addr).pop(block_addr, None)
-        self.version += 1
 
     # -- maintenance operations --------------------------------------------------
 
@@ -304,7 +276,6 @@ class Cache(MemoryPort):
         number of lines written back.
         """
         self._flushes.inc()
-        self.version += 1
         pending = []
         for cache_set in self._sets:
             lines = list(cache_set.values())
@@ -323,7 +294,6 @@ class Cache(MemoryPort):
     def flush_page(self, ppn: int) -> Generator:
         """Selective flush: write back and invalidate lines of one page."""
         self._flushes.inc()
-        self.version += 1
         pending = []
         for cache_set in self._sets:
             doomed = [
@@ -354,7 +324,6 @@ class Cache(MemoryPort):
                 if line.dirty:
                     lost += 1
             cache_set.clear()
-        self.version += 1
         return lost
 
     def reset(self) -> None:
@@ -367,8 +336,6 @@ class Cache(MemoryPort):
         for cache_set in self._sets:
             cache_set.clear()
         self._pending.clear()
-        self.version += 1
-        self._vec_snap = None  # warm reuse must carry no batch state
 
     # -- introspection ------------------------------------------------------
 

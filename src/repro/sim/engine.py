@@ -271,25 +271,6 @@ class Engine:
     def _schedule_call(self, fn: Callable[[Any], None], value: Any) -> None:
         self._ready.append((_KIND_CALL_VALUE, fn, value))
 
-    def call_at(self, when: int, fn: Callable[[Any], None], value: Any) -> None:
-        """Schedule ``fn(value)`` at absolute time ``when`` (>= now).
-
-        This is the flattened-actor primitive the vector execution tier
-        uses for per-access commit entries: unlike a generator resume it
-        carries no process, so a dispatch costs one tuple and one direct
-        call. Entries keep global ``(when, seq)`` order exactly like
-        process resumes — a ``when == now`` entry goes to the ready deque.
-        """
-        when = int(when)
-        if when < self.now:
-            raise SimulationError(f"cannot schedule in the past ({when} < {self.now})")
-        if when > self.now:
-            heapq.heappush(
-                self._queue, (when, next(self._seq), _KIND_CALL_VALUE, fn, value)
-            )
-        else:
-            self._ready.append((_KIND_CALL_VALUE, fn, value))
-
     # -- processes -------------------------------------------------------
 
     def process(self, gen: Generator, name: str = "") -> Process:

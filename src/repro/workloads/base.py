@@ -47,8 +47,8 @@ BLOCKS_PER_PAGE = PAGE_SIZE // BLOCK_SIZE  # 32
 # (spec, threading, seed, ops_scale, large_pages, base_vaddr): the RNG is
 # seeded fresh below and never observes any other state. Sweeps and
 # benchmarks run the same cell many times (every safety mode shares one
-# trace), so reusing the materialized stream — and its lazily built SoA
-# mirror — removes the whole generation phase from repeat runs. The mmap
+# trace), so reusing the materialized stream removes the whole generation
+# phase from repeat runs. The mmap
 # + CPU-touch side effects above the cache lookup still replay per run.
 _TRACE_CACHE: "OrderedDict[tuple, KernelTrace]" = OrderedDict()
 _TRACE_CACHE_MAX = 8

@@ -108,34 +108,6 @@ class TestWarmRegistry:
         assert stats["hits"] >= len(cells)
         assert stats["size"] > 0
 
-    def test_warm_reuse_with_vector_tier_bit_identical(self, monkeypatch):
-        """A warm-reused System running the vectorized tier (PR 10) must
-        carry no batch state across runs: snapshots, SoA bindings, and
-        per-launch dispatchers die with reset_for_reuse, so the reused
-        run is bit-identical to a fresh build in either mode."""
-        from repro.sim import batch
-
-        if not batch.numpy_available():  # pragma: no cover
-            pytest.skip("numpy unavailable; vector tier cannot engage")
-        cell = _cell(safety=SafetyMode.BC_BCC)
-        monkeypatch.setenv("REPRO_VECTOR", "0")
-        scalar_fresh = _fields(_run(cell))
-
-        monkeypatch.setenv("REPRO_VECTOR", "1")
-        vector_fresh = _fields(_run(cell))
-        assert vector_fresh == scalar_fresh
-
-        monkeypatch.setenv("REPRO_WARM", "1")
-        clear_warm_registry()
-        batch.reset_stats()
-        first = _fields(_run(cell))
-        second = _fields(_run(cell))  # reused System, batch state reset
-        assert warm_registry_stats()["hits"] >= 1
-        assert first == scalar_fresh
-        assert second == scalar_fresh
-        # The vector tier really ran on the warm path (not silently off).
-        assert batch.STATS.as_dict()["ops_flattened"] > 0
-
     def test_trace_hooks_do_not_leak_across_reuse(self, monkeypatch):
         plain = _cell(safety=SafetyMode.BC_BCC)
         traced = _cell(safety=SafetyMode.BC_BCC, record_border=True)
