@@ -35,8 +35,9 @@ Subcommands:
 ``report``, ``export``, ``fig4``-``fig7``, ``chaos``, ``recovery``, and
 ``sweep`` all take ``--workers N`` (``--workers 0`` = one per core).
 They also take ``--run-id``/``--resume`` (journaled checkpoint/resume:
-an interrupted run exits 130 with a resume hint, and ``--resume
-<run-id>`` skips every journal-complete cell) and — except
+an interrupted run exits 130 with a resume hint, a failed cell exits 1
+with one line per failure, and ``--resume <run-id>`` skips every
+journal-complete cell) and — except
 ``sweep``/``chaos``/``recovery`` — take ``--allow-partial`` to render
 explicit gaps for failed cells instead of aborting.
 """
@@ -47,6 +48,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.errors import SweepError
 from repro.sim.config import GPUThreading, SafetyMode
 
 __all__ = ["main"]
@@ -144,6 +146,16 @@ def _interrupted(journal) -> int:
         print("\ninterrupted (no journal; rerun with --run-id to make "
               "runs resumable)", file=sys.stderr)
     return 130
+
+
+def _cells_failed(exc: SweepError, journal) -> int:
+    """Exit path for failed campaign cells: one line per failure, exit 1."""
+    for failure in exc.failures:
+        print(f"FAIL {failure.splitlines()[0]}", file=sys.stderr)
+    if journal is not None:
+        print(f"completed cells are journaled — rerun the failed ones with "
+              f"--resume {journal.run_id}", file=sys.stderr)
+    return 1
 
 
 def _run_sweep_command(
@@ -738,6 +750,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _dispatch(parser, args, ops_scale, journal)
     except KeyboardInterrupt:
         return _interrupted(journal)
+    except SweepError as exc:
+        return _cells_failed(exc, journal)
     finally:
         if journal is not None:
             journal.close()
@@ -834,54 +848,35 @@ def _dispatch(
         )
         return 0
 
-    if args.command == "chaos":
-        from repro.faults import FaultKind
-        from repro.sim.runner import run_chaos_campaign
-
-        kinds = None
-        if args.fault_types:
-            try:
-                kinds = [FaultKind(name) for name in args.fault_types]
-            except ValueError as exc:
-                parser.error(str(exc))
-        report = run_chaos_campaign(
+    if args.command in ("chaos", "recovery"):
+        campaign_args = dict(
             workloads=args.workloads,
-            kinds=kinds,
             seed=args.seed,
             ops_scale=ops_scale,
             quick=args.quick,
             workers=_workers(args),
             journal=journal,
         )
-        if args.json:
-            import json
+        if args.command == "chaos":
+            from repro.faults import FaultKind
+            from repro.sim.runner import run_chaos_campaign
 
-            print(json.dumps(report.to_dict(), indent=2))
+            try:
+                kinds = [FaultKind(name) for name in args.fault_types or []]
+            except ValueError as exc:
+                parser.error(str(exc))
+            report = run_chaos_campaign(kinds=kinds or None, **campaign_args)
         else:
-            print(report.render())
-        return 0 if report.ok else 1
+            from repro.recovery import RECOVERY_SCENARIOS, run_recovery_campaign
 
-    if args.command == "recovery":
-        from repro.recovery import RECOVERY_SCENARIOS, run_recovery_campaign
-
-        scenarios = None
-        if args.scenarios:
-            unknown = [s for s in args.scenarios if s not in RECOVERY_SCENARIOS]
+            scenarios = args.scenarios or []
+            unknown = [s for s in scenarios if s not in RECOVERY_SCENARIOS]
             if unknown:
                 parser.error(
                     f"unknown recovery scenario(s) {unknown}; "
                     f"choose from {list(RECOVERY_SCENARIOS)}"
                 )
-            scenarios = args.scenarios
-        report = run_recovery_campaign(
-            workloads=args.workloads,
-            scenarios=scenarios,
-            seed=args.seed,
-            ops_scale=ops_scale,
-            quick=args.quick,
-            workers=_workers(args),
-            journal=journal,
-        )
+            report = run_recovery_campaign(scenarios=scenarios or None, **campaign_args)
         if args.json:
             import json
 

@@ -132,13 +132,13 @@ class TransientCellError(ReproError):
 
 
 class SweepError(ReproError):
-    """One or more cells of a parallel sweep failed.
+    """One or more cells of a campaign (sweep, chaos or recovery) failed.
 
-    ``outcomes`` (when provided) carries the per-cell outcomes of the
-    whole sweep — including every *successful* cell — so callers can
-    salvage partial results instead of losing the run. The element type
-    depends on the producer: :class:`repro.sweep.CellOutcome` for grid
-    sweeps, supervisor task outcomes for chaos campaigns.
+    ``failures`` holds one ``"<cell label>: <error>"`` string per failed
+    cell. ``outcomes`` (when provided) is every cell's
+    :class:`repro.sweep.CellOutcome` in grid order — the *successful*
+    ones included, each with its kind's result object as ``result`` —
+    so callers can salvage partial results instead of losing the run.
     """
 
     def __init__(self, failures, outcomes=None) -> None:
@@ -205,10 +205,12 @@ class FleetError(ReproError):
 class JobCancelled(ReproError):
     """A campaign was cancelled cooperatively between cells.
 
-    Raised by the chaos/recovery campaign loops when their
-    ``should_abort`` callback turns true (job cancellation, server
-    drain, or a per-job deadline). Cells completed before the abort are
-    already journaled, so a resumed run re-executes only the remainder.
+    Raised by :meth:`repro.sweep.SweepReport.raise_failures` — and so
+    by ``run_chaos_campaign`` and ``run_recovery_campaign`` — when their
+    ``should_abort`` callback turned true (job cancellation, server
+    drain, or a per-job deadline) before every cell ran. Cells completed
+    before the abort are already journaled, so a resumed run
+    re-executes only the remainder.
     """
 
     def __init__(self, reason: str = "cancelled") -> None:

@@ -57,8 +57,8 @@ from repro.faults.plan import FaultPlan
 from repro.fleet import protocol
 from repro.fleet.transport import FaultyTransport, FrameTransport
 from repro.service.wire import WireError
-from repro.supervisor import ERROR_CRASH, ERROR_TRANSIENT
-from repro.sweep import Cell
+from repro.supervisor import ERROR_CRASH, ERROR_TRANSIENT, TaskOutcome
+from repro.sweep import SWEEP_CAMPAIGN, Cell, journal_entry
 
 __all__ = ["FleetCoordinator"]
 
@@ -456,23 +456,18 @@ class FleetCoordinator:
             # The fleet's poison quarantine: a cell that keeps taking
             # workers (or links) down with it is finalized, not retried
             # forever — the termination bound of the whole campaign.
+            error = (
+                f"FleetError: lease expired {charge} times "
+                f"(last: {reason}); cell abandoned as poison"
+            )
             self._finalize(
                 camp,
                 lease.index,
-                {
-                    "label": camp.cells[lease.index].label,
-                    "ok": False,
-                    "error": (
-                        f"FleetError: lease expired {charge} times "
-                        f"(last: {reason}); cell abandoned as poison"
-                    ),
-                    "error_kind": ERROR_CRASH,
-                    "wall_seconds": 0.0,
-                    "attempts": charge,
-                    "cacheable": camp.cells[lease.index].cacheable,
-                    "cache_hit": False,
-                    "result": None,
-                },
+                journal_entry(
+                    SWEEP_CAMPAIGN,
+                    camp.cells[lease.index],
+                    TaskOutcome(None, error, 0.0, charge, ERROR_CRASH),
+                ),
             )
         else:
             self.stats["reassigned"] += 1

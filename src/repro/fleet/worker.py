@@ -47,8 +47,8 @@ from repro.fleet import protocol
 from repro.fleet.transport import FrameTransport
 from repro.journal import JournalShard
 from repro.service.wire import WireError
-from repro.supervisor import ERROR_CRASH, traced_call
-from repro.sweep import Cell, _run_cell, _worker_init
+from repro.supervisor import ERROR_CRASH, TaskOutcome, traced_call
+from repro.sweep import SWEEP_CAMPAIGN, Cell, _run_cell, _worker_init, journal_entry
 
 __all__ = ["FleetWorker", "sanitize_worker_id"]
 
@@ -345,23 +345,9 @@ class FleetWorker:
             return
         value, error, wall, kind = outcome
         cell = self._cells[index]
-        result_payload = None
-        cache_hit = False
-        if error is None and value is not None and cell.cacheable:
-            result_payload = common._result_to_dict(value[0])
-            cache_hit = bool(value[1])
-        entry = {
-            "label": cell.label,
-            "ok": error is None,
-            "error": error,
-            "error_kind": kind,
-            "wall_seconds": round(wall, 6),
-            "attempts": 1,
-            "cacheable": cell.cacheable,
-            "cache_hit": cache_hit,
-            "result": result_payload,
-            "worker": self.worker_id,
-        }
+        out = TaskOutcome(value, error, wall, 1, kind)
+        entry = journal_entry(SWEEP_CAMPAIGN, cell, out)
+        entry["worker"] = self.worker_id
         key = cell.journal_key()
         seq = None
         if self._shard is not None:

@@ -26,9 +26,10 @@ subsystem adds the *recover* and *degrade* stages of the pipeline:
 
 The campaign (:func:`run_recovery_campaign`) sweeps scenarios —
 ``hang``, ``rogue-write``, ``reset-replay``, ``storm`` — across
-workloads with per-cell sub-seeds, mirroring the chaos campaign's
-determinism contract: the same seed reproduces the same
-:meth:`RecoveryReport.signature`, serial or parallel.
+workloads with per-cell sub-seeds, through the same campaign driver as
+the chaos campaign (:func:`repro.sweep.run_campaign`): the same seed
+reproduces the same :meth:`RecoveryReport.signature`, serial or
+parallel.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ from repro.osmodel.kernel import ViolationPolicy
 from repro.sim.config import GPUThreading, SafetyMode, SystemConfig
 from repro.sim.runner import _SECRET, RunResult, collect_result
 from repro.sim.system import GPU_ID, System
+from repro.supervisor import CampaignKind
+from repro.sweep import run_campaign
 from repro.workloads.base import WorkloadSpec, generate_trace
 from repro.workloads.registry import get_workload
 
@@ -65,6 +68,7 @@ __all__ = [
     "trace_to_cpu_program",
     "run_recovery_single",
     "run_recovery_campaign",
+    "RECOVERY_CAMPAIGN",
     "recovery_grid",
     "recovery_cell_key",
     "recovery_result_to_dict",
@@ -761,21 +765,14 @@ def _recovery_cell(kwargs: Dict[str, object]) -> RecoveryRunResult:
     return run_recovery_single(**kwargs)  # type: ignore[arg-type]
 
 
-def recovery_cell_key(cell: Dict[str, object]) -> str:
-    """Stable journal/bundle key for one recovery grid cell."""
-    import hashlib
-    import json
-
-    blob = json.dumps(
-        {
-            "workload": cell["workload"],
-            "scenario": cell["scenario"],
-            "seed": cell["seed"],
-            "ops_scale": cell["ops_scale"],
-        },
-        sort_keys=True,
-    )
-    return "recovery-" + hashlib.sha256(blob.encode()).hexdigest()[:24]
+def _recovery_recipe(cell: Dict[str, object]) -> Dict[str, object]:
+    """The JSON replay recipe of one recovery grid cell (``replay-cell``)."""
+    return {
+        "workload": cell["workload"],
+        "scenario": cell["scenario"],
+        "seed": cell["seed"],
+        "ops_scale": cell["ops_scale"],
+    }
 
 
 def _recovery_cell_label(cell: Dict[str, object]) -> str:
@@ -844,19 +841,17 @@ def recovery_result_from_dict(data: Dict[str, object]) -> RecoveryRunResult:
     )
 
 
-def _describe_recovery_task(cell) -> Optional[Dict[str, object]]:
-    """Repro-bundle recipe for a recovery cell (``replay-cell`` consumes it)."""
-    if not isinstance(cell, dict):
-        return None
-    return {
-        "kind": "recovery",
-        "cell": {
-            "workload": cell["workload"],
-            "scenario": cell["scenario"],
-            "seed": cell["seed"],
-            "ops_scale": cell["ops_scale"],
-        },
-    }
+#: Recovery campaigns as plain data for :func:`repro.sweep.run_campaign`.
+RECOVERY_CAMPAIGN = CampaignKind(
+    name="recovery",
+    cell_fn=_recovery_cell,
+    label_of=_recovery_cell_label,
+    recipe_of=_recovery_recipe,
+    to_dict=recovery_result_to_dict,
+    from_dict=recovery_result_from_dict,
+)
+#: Stable journal key for one recovery grid cell (its recipe's hash).
+recovery_cell_key = RECOVERY_CAMPAIGN.journal_key
 
 
 def run_recovery_campaign(
@@ -873,13 +868,11 @@ def run_recovery_campaign(
 ) -> RecoveryReport:
     """Sweep recovery scenarios across workloads; returns the report.
 
-    Mirrors :func:`repro.sim.runner.run_chaos_campaign`: per-cell
-    sub-seeding makes the report signature-identical whatever the
-    execution order or worker count; with a ``journal`` every finished
-    run is checkpointed and an interrupted campaign resumes with zero
-    re-execution. ``policy`` here is the *supervisor* policy forwarded
-    to :func:`repro.sweep.fan_out` (the recovery retry policy is a
-    per-run :class:`RecoveryPolicy`).
+    The :func:`recovery_grid` cells run through
+    :func:`repro.sweep.run_campaign` under the same contract as
+    :func:`repro.sim.runner.run_chaos_campaign`. ``policy`` is the
+    *supervisor* policy; the recovery retry policy is a per-run
+    :class:`RecoveryPolicy`.
     """
     cells = recovery_grid(
         workloads, scenarios, seed=seed, ops_scale=ops_scale, quick=quick
@@ -887,80 +880,12 @@ def run_recovery_campaign(
     if config is not None:
         for cell in cells:
             cell["config"] = config
-    report = RecoveryReport(seed=seed)
-
-    runs: List[Optional[RecoveryRunResult]] = [None] * len(cells)
-    pending: List[int] = []
-    for i, cell in enumerate(cells):
-        entry = journal.completed(recovery_cell_key(cell)) if journal else None
-        if entry is not None and entry.get("result") is not None:
-            runs[i] = recovery_result_from_dict(entry["result"])
-        else:
-            pending.append(i)
-
-    def record(task_index: int, ok: bool, error, wall: float, result) -> None:
-        if journal is None:
-            return
-        cell = cells[pending[task_index]]
-        journal.record(
-            recovery_cell_key(cell),
-            {
-                "label": _recovery_cell_label(cell),
-                "ok": ok,
-                "error": error,
-                "wall_seconds": round(wall, 6),
-                "cacheable": False,
-                "result": recovery_result_to_dict(result) if ok else None,
-            },
-        )
-
-    if workers is not None and workers <= 1:
-        import time as _time
-
-        from repro.errors import JobCancelled
-
-        for task_index, i in enumerate(pending):
-            if should_abort is not None and should_abort():
-                raise JobCancelled("recovery campaign aborted between cells")
-            t0 = _time.perf_counter()
-            result = _recovery_cell(cells[i])
-            runs[i] = result
-            record(task_index, True, None, _time.perf_counter() - t0, result)
-        report.runs.extend(runs)  # type: ignore[arg-type]
-        return report
-    from repro.sweep import SweepError, fan_out  # local: avoids cycle
-
-    def on_outcome(task_index: int, out) -> None:
-        record(task_index, out.ok, out.error, out.wall_seconds, out.value)
-
-    def dispatch():
-        return fan_out(
-            _recovery_cell,
-            [cells[i] for i in pending],
-            workers=workers,
-            label_of=_recovery_cell_label,
-            policy=policy,
-            describe_task=_describe_recovery_task,
-            on_outcome=on_outcome,
-            should_abort=should_abort,
-        )
-
-    if pending:
-        if journal is not None:
-            with journal.signal_guard():
-                outcomes, _mode = dispatch()
-        else:
-            outcomes, _mode = dispatch()
-        for i, out in zip(pending, outcomes):
-            runs[i] = out.value
-        if should_abort is not None and should_abort():
-            from repro.errors import JobCancelled
-
-            raise JobCancelled("recovery campaign aborted mid-sweep")
-        failures = [out.error for out in outcomes if out.error]
-        if failures:
-            raise SweepError(
-                failures, outcomes=[run for run in runs if run is not None]
-            )
-    report.runs.extend(runs)  # type: ignore[arg-type]
-    return report
+    report = run_campaign(
+        cells,
+        RECOVERY_CAMPAIGN,
+        workers=workers,
+        policy=policy,
+        journal=journal,
+        should_abort=should_abort,
+    )
+    return RecoveryReport(seed=seed, runs=report.results)

@@ -2,8 +2,8 @@
 
 The scheduler owns the *run* half of a job's life: it picks which
 queued job starts next, executes it on a bounded thread pool (each job
-in turn drives the existing supervised process pool via
-:func:`repro.sweep.run_sweep` and friends), enforces per-job deadlines,
+in turn drives the supervised process pool through
+:func:`repro.sweep.run_campaign`), enforces per-job deadlines,
 and services cancellation — all cooperatively, through the
 ``should_abort`` hook PR'd into :mod:`repro.supervisor`, so an aborted
 job's completed cells are already journaled and nothing is lost.
@@ -60,6 +60,35 @@ MAX_EVENTS_PER_JOB = 1000
 # ---------------------------------------------------------------------------
 
 
+def _report_payload(kind, report, key_of) -> Dict[str, Any]:
+    """The job result fields every campaign kind reports, cell by cell."""
+    return {
+        "kind": kind.name,
+        "cells": [
+            {
+                "label": out.label,
+                "key": key_of(out.cell),
+                "ok": out.ok,
+                "error": out.error,
+                "error_kind": out.error_kind,
+                "cache_hit": out.cache_hit,
+                "resumed": out.resumed,
+                "attempts": out.attempts,
+                "wall_seconds": round(out.wall_seconds, 6),
+                "result": None if out.result is None else kind.to_dict(out.result),
+            }
+            for out in report.outcomes
+        ],
+        "completion_rate": report.completion_rate,
+        "resumed_cells": report.resumed_cells,
+        "wall_seconds": round(report.wall_seconds, 6),
+        "mode": report.mode,
+        "workers": report.workers,
+        "supervisor": report.stats.as_dict(),
+        "failures": report.failures(),
+    }
+
+
 def _execute_sweep(
     job: Job,
     journal: RunJournal,
@@ -68,7 +97,6 @@ def _execute_sweep(
     fleet=None,
 ) -> Dict[str, Any]:
     from repro import sweep
-    from repro.experiments import common
 
     params = job.spec.params
     cells: List[sweep.Cell]
@@ -99,84 +127,56 @@ def _execute_sweep(
         should_abort=should_abort,
         fleet=fleet,
     )
-    return {
-        "kind": "sweep",
-        "cells": [
-            {
-                "label": out.cell.label,
-                "key": out.cell.key(),
-                "ok": out.ok,
-                "error": out.error,
-                "error_kind": out.error_kind,
-                "cache_hit": out.cache_hit,
-                "resumed": out.resumed,
-                "attempts": out.attempts,
-                "wall_seconds": round(out.wall_seconds, 6),
-                "result": (
-                    common._result_to_dict(out.result)
-                    if out.result is not None
-                    else None
-                ),
-            }
-            for out in report.outcomes
-        ],
-        "completion_rate": report.completion_rate,
-        "cache_hit_rate": report.cache_hit_rate,
-        "resumed_cells": report.resumed_cells,
-        "wall_seconds": round(report.wall_seconds, 6),
-        "mode": report.mode,
-        "workers": report.workers,
-        "supervisor": report.stats.as_dict(),
-        "fleet": report.fleet,
-        "failures": report.failures(),
-    }
-
-
-def _execute_chaos(
-    job: Job, journal: RunJournal, should_abort: Callable[[], bool]
-) -> Dict[str, Any]:
-    from repro.faults import FaultKind
-    from repro.sim.runner import run_chaos_campaign
-
-    params = job.spec.params
-    kinds = None
-    if params.get("fault_types"):
-        kinds = [FaultKind(name) for name in params["fault_types"]]
-    report = run_chaos_campaign(
-        workloads=params.get("workloads"),
-        kinds=kinds,
-        seed=int(params.get("seed", 1234)),
-        ops_scale=float(params.get("ops_scale", 1.0)),
-        quick=bool(params.get("quick", False)),
-        workers=job.spec.workers,
-        journal=journal,
-        should_abort=should_abort,
-    )
-    payload = report.to_dict()
-    payload["kind"] = "chaos"
-    payload["failures"] = report.invariant_failures()
+    payload = _report_payload(sweep.SWEEP_CAMPAIGN, report, sweep.Cell.key)
+    payload.update(cache_hit_rate=report.cache_hit_rate, fleet=report.fleet)
     return payload
 
 
-def _execute_recovery(
-    job: Job, journal: RunJournal, should_abort: Callable[[], bool]
+def _execute_campaign(
+    job: Job,
+    journal: RunJournal,
+    should_abort: Callable[[], bool],
+    progress: Optional[Callable[[int, int, str, Optional[str]], None]],
 ) -> Dict[str, Any]:
-    from repro.recovery import run_recovery_campaign
+    """Chaos and recovery jobs: the kind's grid through ``run_campaign``.
+
+    Like a sweep job, the payload lists every cell and reports failed
+    cells instead of raising, so ``allow_partial`` keeps the survivors.
+    """
+    from repro import sweep
 
     params = job.spec.params
-    report = run_recovery_campaign(
+    seed = int(params.get("seed", 1234))
+    grid_args = dict(
         workloads=params.get("workloads"),
-        scenarios=params.get("scenarios"),
-        seed=int(params.get("seed", 1234)),
+        seed=seed,
         ops_scale=float(params.get("ops_scale", 1.0)),
         quick=bool(params.get("quick", False)),
+    )
+    if job.spec.kind == "chaos":
+        from repro.faults import FaultKind
+        from repro.sim import runner
+
+        kinds = [FaultKind(name) for name in params.get("fault_types") or []]
+        cells = runner.chaos_grid(kinds=kinds or None, **grid_args)
+        kind, verdicts = runner.CHAOS_CAMPAIGN, runner.ChaosReport(seed)
+    else:
+        from repro import recovery
+
+        cells = recovery.recovery_grid(scenarios=params.get("scenarios"), **grid_args)
+        kind, verdicts = recovery.RECOVERY_CAMPAIGN, recovery.RecoveryReport(seed)
+    report = sweep.run_campaign(
+        cells,
+        kind,
         workers=job.spec.workers,
         journal=journal,
+        progress=progress,
         should_abort=should_abort,
     )
-    payload = report.to_dict()
-    payload["kind"] = "recovery"
-    payload["failures"] = report.invariant_failures()
+    verdicts.runs = [out.result for out in report.outcomes if out.ok]
+    payload = _report_payload(kind, report, kind.journal_key)
+    failures = payload["failures"] + verdicts.invariant_failures()
+    payload.update(verdicts.to_dict(), ok=not failures, failures=failures)
     return payload
 
 
@@ -221,10 +221,8 @@ def execute_job(
     try:
         if job.spec.kind == "sweep":
             return _execute_sweep(job, journal, should_abort, progress, fleet=fleet)
-        if job.spec.kind == "chaos":
-            return _execute_chaos(job, journal, should_abort)
-        if job.spec.kind == "recovery":
-            return _execute_recovery(job, journal, should_abort)
+        if job.spec.kind in ("chaos", "recovery"):
+            return _execute_campaign(job, journal, should_abort, progress)
         raise ValueError(f"unknown job kind {job.spec.kind!r}")
     finally:
         journal.close()

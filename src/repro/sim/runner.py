@@ -36,6 +36,7 @@ from repro.osmodel.kernel import ViolationPolicy
 from repro.sim.config import GPUThreading, SafetyMode, SystemConfig
 from repro.sim.engine import TIMEOUT
 from repro.sim.system import GPU_ID, System
+from repro.supervisor import CampaignKind
 from repro.workloads.base import WorkloadSpec, generate_trace
 from repro.workloads.registry import get_workload
 
@@ -46,6 +47,7 @@ __all__ = [
     "run_single",
     "run_chaos_single",
     "run_chaos_campaign",
+    "CHAOS_CAMPAIGN",
     "chaos_cell_key",
     "chaos_grid",
     "chaos_result_from_dict",
@@ -835,21 +837,14 @@ def _chaos_cell(kwargs: Dict[str, object]) -> ChaosRunResult:
     return run_chaos_single(**kwargs)  # type: ignore[arg-type]
 
 
-def chaos_cell_key(cell: Dict[str, object]) -> str:
-    """Stable journal/bundle key for one chaos grid cell."""
-    import hashlib
-    import json
-
-    blob = json.dumps(
-        {
-            "workload": cell["workload"],
-            "kinds": [k.value for k in cell["kinds"]],  # type: ignore[union-attr]
-            "seed": cell["seed"],
-            "ops_scale": cell["ops_scale"],
-        },
-        sort_keys=True,
-    )
-    return "chaos-" + hashlib.sha256(blob.encode()).hexdigest()[:24]
+def _chaos_recipe(cell: Dict[str, object]) -> Dict[str, object]:
+    """The JSON replay recipe of one chaos grid cell (``replay-cell``)."""
+    return {
+        "workload": cell["workload"],
+        "kinds": [k.value for k in cell["kinds"]],  # type: ignore[union-attr]
+        "seed": cell["seed"],
+        "ops_scale": cell["ops_scale"],
+    }
 
 
 def _chaos_cell_label(cell: Dict[str, object]) -> str:
@@ -908,19 +903,17 @@ def chaos_result_from_dict(data: Dict[str, object]) -> ChaosRunResult:
     )
 
 
-def _describe_chaos_task(cell) -> Optional[Dict[str, object]]:
-    """Repro-bundle recipe for a chaos cell (``replay-cell`` consumes it)."""
-    if not isinstance(cell, dict):
-        return None
-    return {
-        "kind": "chaos",
-        "cell": {
-            "workload": cell["workload"],
-            "kinds": [k.value for k in cell["kinds"]],
-            "seed": cell["seed"],
-            "ops_scale": cell["ops_scale"],
-        },
-    }
+#: Chaos campaigns as plain data for :func:`repro.sweep.run_campaign`.
+CHAOS_CAMPAIGN = CampaignKind(
+    name="chaos",
+    cell_fn=_chaos_cell,
+    label_of=_chaos_cell_label,
+    recipe_of=_chaos_recipe,
+    to_dict=chaos_result_to_dict,
+    from_dict=chaos_result_from_dict,
+)
+#: Stable journal key for one chaos grid cell (its recipe's hash).
+chaos_cell_key = CHAOS_CAMPAIGN.journal_key
 
 
 def run_chaos_campaign(
@@ -938,27 +931,19 @@ def run_chaos_campaign(
 ) -> ChaosReport:
     """Sweep fault kinds across workloads; returns the invariant report.
 
-    The grid comes from :func:`chaos_grid`; with ``workers > 1`` the
-    cells fan out across a supervised process pool (``workers=None``
-    uses every core) via :func:`repro.sweep.fan_out` — a crashed or
-    hung pool worker is recovered without poisoning sibling cells.
-    Chaos results are never disk-cached, and per-run sub-seeding makes
-    the report identical whatever the execution order: the same seed
-    reproduces the same :meth:`ChaosReport.signature`.
-
-    With a ``journal`` (:class:`repro.journal.RunJournal`) every
-    finished run is checkpointed as it lands and an interrupted
-    campaign resumed with the same journal re-executes only the missing
-    cells — the rehydrated report is signature-identical to an
-    uninterrupted one. On failures a
-    :class:`~repro.errors.SweepError` is raised with the surviving
-    :class:`ChaosRunResult` objects attached as ``outcomes``.
-
-    ``should_abort`` (a cheap thread-safe callable) enables cooperative
-    cancellation between cells: once true the campaign stops and raises
-    :class:`~repro.errors.JobCancelled`; everything already journaled
-    stays resumable.
+    The :func:`chaos_grid` cells run through
+    :func:`repro.sweep.run_campaign` — in-process for ``workers <= 1``,
+    on a supervised pool otherwise (``None`` = every core). Per-run
+    sub-seeding makes the report identical whatever the execution order:
+    the same seed reproduces the same :meth:`ChaosReport.signature`.
+    With a ``journal`` every finished run is checkpointed as it lands,
+    and a resumed campaign re-executes only the missing cells. A failed
+    cell raises :class:`~repro.errors.SweepError` (every cell's outcome
+    attached) once the others have run, and a ``should_abort`` that
+    turns true raises :class:`~repro.errors.JobCancelled`.
     """
+    from repro.sweep import run_campaign  # local: repro.sweep imports this module
+
     cells = chaos_grid(
         workloads, kinds, seed=seed, ops_scale=ops_scale,
         per_kind=per_kind, quick=quick,
@@ -966,80 +951,12 @@ def run_chaos_campaign(
     if config is not None:
         for cell in cells:
             cell["config"] = config
-    report = ChaosReport(seed=seed)
-
-    runs: List[Optional[ChaosRunResult]] = [None] * len(cells)
-    pending: List[int] = []
-    for i, cell in enumerate(cells):
-        entry = journal.completed(chaos_cell_key(cell)) if journal else None
-        if entry is not None and entry.get("result") is not None:
-            runs[i] = chaos_result_from_dict(entry["result"])
-        else:
-            pending.append(i)
-
-    def record(task_index: int, ok: bool, error, wall: float, result) -> None:
-        if journal is None:
-            return
-        cell = cells[pending[task_index]]
-        journal.record(
-            chaos_cell_key(cell),
-            {
-                "label": _chaos_cell_label(cell),
-                "ok": ok,
-                "error": error,
-                "wall_seconds": round(wall, 6),
-                "cacheable": False,
-                "result": chaos_result_to_dict(result) if ok else None,
-            },
-        )
-
-    if workers is not None and workers <= 1:
-        import time as _time
-
-        from repro.errors import JobCancelled
-
-        for task_index, i in enumerate(pending):
-            if should_abort is not None and should_abort():
-                raise JobCancelled("chaos campaign aborted between cells")
-            start = _time.perf_counter()
-            result = _chaos_cell(cells[i])
-            runs[i] = result
-            record(task_index, True, None, _time.perf_counter() - start, result)
-        report.runs.extend(runs)  # type: ignore[arg-type]
-        return report
-    from repro.sweep import SweepError, fan_out  # local: avoids cycle
-
-    def on_outcome(task_index: int, out) -> None:
-        record(task_index, out.ok, out.error, out.wall_seconds, out.value)
-
-    def dispatch():
-        return fan_out(
-            _chaos_cell,
-            [cells[i] for i in pending],
-            workers=workers,
-            label_of=_chaos_cell_label,
-            policy=policy,
-            describe_task=_describe_chaos_task,
-            on_outcome=on_outcome,
-            should_abort=should_abort,
-        )
-
-    if pending:
-        if journal is not None:
-            with journal.signal_guard():
-                outcomes, _mode = dispatch()
-        else:
-            outcomes, _mode = dispatch()
-        for i, out in zip(pending, outcomes):
-            runs[i] = out.value
-        if should_abort is not None and should_abort():
-            from repro.errors import JobCancelled
-
-            raise JobCancelled("chaos campaign aborted mid-sweep")
-        failures = [out.error for out in outcomes if out.error]
-        if failures:
-            raise SweepError(
-                failures, outcomes=[run for run in runs if run is not None]
-            )
-    report.runs.extend(runs)  # type: ignore[arg-type]
-    return report
+    report = run_campaign(
+        cells,
+        CHAOS_CAMPAIGN,
+        workers=workers,
+        policy=policy,
+        journal=journal,
+        should_abort=should_abort,
+    )
+    return ChaosReport(seed=seed, runs=report.results)

@@ -64,6 +64,7 @@ from repro.faults.plan import derive_seed
 
 __all__ = [
     "BUNDLE_SCHEMA",
+    "CampaignKind",
     "ERROR_ABORTED",
     "ERROR_CRASH",
     "ERROR_DEADLINE",
@@ -189,6 +190,51 @@ class TaskOutcome(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.error is None
+
+
+@dataclass(frozen=True)
+class CampaignKind:
+    """One campaign kind as plain data for :func:`repro.sweep.run_campaign`.
+
+    ``cell_fn`` is the picklable worker entry point, ``label_of`` names a
+    cell, ``recipe_of`` is its JSON replay recipe (poison bundles embed
+    it) and ``to_dict``/``from_dict`` is the lossless result codec the
+    journal stores. The journal key is ``key_of(cell)`` when given, else
+    ``"<name>-"`` plus a hash of the recipe.
+
+    ``cacheable`` is set only for kinds backed by the result cache
+    (sweeps): their ``cell_fn`` returns ``(result, cache_hit)``, and a
+    cell it rejects is a trace cell — journaled without a result, never
+    resumed and never sent to the fleet.
+    """
+
+    name: str
+    cell_fn: Callable[[Any], Any]
+    label_of: Callable[[Any], str]
+    recipe_of: Callable[[Any], Dict[str, Any]]
+    to_dict: Callable[[Any], Dict[str, Any]]
+    from_dict: Callable[[Dict[str, Any]], Any]
+    key_of: Optional[Callable[[Any], str]] = None
+    cacheable: Optional[Callable[[Any], bool]] = None
+
+    def journal_key(self, cell: Any) -> str:
+        if self.key_of is not None:
+            return self.key_of(cell)
+        blob = json.dumps(self.recipe_of(cell), sort_keys=True)
+        return f"{self.name}-{hashlib.sha256(blob.encode()).hexdigest()[:24]}"
+
+    def describe(self, cell: Any) -> Dict[str, Any]:
+        return {"kind": self.name, "cell": self.recipe_of(cell)}
+
+    def resumable(self, cell: Any) -> bool:
+        """Is this cell's result journaled, so a later run can resume it?"""
+        return self.cacheable is None or self.cacheable(cell)
+
+    def split(self, value: Any) -> Tuple[Any, bool]:
+        """``(result, cache_hit)`` of one ``cell_fn`` return value."""
+        if self.cacheable is None or value is None:
+            return value, False
+        return value
 
 
 def traced_call(fn: Callable, task: Any) -> Tuple[Any, Optional[str], float, Optional[str]]:

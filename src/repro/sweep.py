@@ -1,52 +1,47 @@
-"""``repro.sweep`` — parallel fan-out of deterministic simulation cells.
+"""``repro.sweep`` — the campaign driver, and sweeps of simulation cells.
 
-Every paper figure and chaos campaign is a grid of independent
-(workload × safety × threading × seed) *cells*, and each cell is a pure
-function of its parameters. This module runs such grids across cores:
+Every paper figure, chaos campaign and recovery campaign is a grid of
+independent *cells*, each a pure function of its parameters:
 
+* :func:`run_campaign` — the one driver all campaign kinds share. A
+  kind is plain data (:class:`repro.supervisor.CampaignKind`); the
+  driver resumes journaled cells, journals each new one as it lands
+  (:func:`journal_entry`), holds the journal's signal guard, places
+  cells on a fleet when given one, and runs the rest through
+  :func:`fan_out` — in-process for one worker, a supervised pool
+  otherwise. A failing cell is reported alike for every worker count.
 * :class:`Cell` — one declarative simulation point. The figure drivers
   (:mod:`repro.experiments.fig4` … ``fig7``, ``workload_table``) each
   expose a ``grid(...)`` returning their cells; their ``run(...)``
   entry points stay serial consumers of the shared result cache.
-* :func:`run_sweep` — dispatch cells to a supervised process pool
-  (:mod:`repro.supervisor`), collect per-cell wall times / failures /
-  cache hits, and adopt results into the parent's caches. Results are
+* :func:`run_sweep` — :func:`run_campaign` over :class:`Cell` grids,
+  adopting the results into the parent's caches. Results are
   **bit-identical** to serial execution: workers run the same
   deterministic ``run_single`` and ship the ``RunResult`` back whole.
-  One crashed or wedged worker no longer poisons sibling cells: the
-  supervisor rebuilds the pool, resubmits only the affected cells, and
-  retries transient failures with bounded backoff. Workers are *warm*:
-  the grid is pickled once into the pool initializer (tasks are bare
-  indexes), each worker is pinned to the parent's resolved cache dir,
-  and a per-worker registry reuses constructed ``System`` instances
-  between cells via in-place reset instead of rebuilding them.
-* :func:`fan_out` — the generic ordered fan-out primitive
-  (``run_chaos_campaign`` uses it for :class:`ChaosRunResult` cells,
-  which bypass the disk cache).
-* **Checkpoint/resume** — pass a :class:`repro.journal.RunJournal` and
-  every completed cell is persisted as it lands; a later run with the
-  same journal rehydrates those outcomes instead of recomputing them
-  (``border-control sweep --resume <run-id>``). SIGINT/SIGTERM are
-  converted into a clean unwind so an interrupted run is always
-  resumable.
+  Workers are *warm*: the grid is pickled once into the pool
+  initializer (tasks are bare indexes), each worker is pinned to the
+  parent's resolved cache dir, and a per-worker registry reuses
+  constructed ``System`` instances between cells.
+* **Checkpoint/resume** — with a :class:`repro.journal.RunJournal`,
+  a later run rehydrates completed cells instead of recomputing them
+  (``--resume <run-id>``); SIGINT/SIGTERM unwind cleanly, so an
+  interrupted run is always resumable.
 * :func:`verify_identical` — re-run a grid serially with every cache
   bypassed and field-compare against the parallel results.
-* :class:`SweepReport` / :func:`write_bench` — perf accounting
-  (sims/minute, speedup, cache hit rate, supervisor recovery counters)
-  and the ``BENCH_sweep.json`` snapshot the CI trajectory tracks,
-  written atomically so a killed run never leaves a truncated snapshot.
+* :class:`SweepReport` / :func:`write_bench` — per-cell outcomes and
+  perf accounting (sims/minute, speedup, cache hit rate, supervisor
+  recovery counters), and the atomically written ``BENCH_sweep.json``
+  snapshot the CI trajectory tracks.
 
-Workers share the repaired atomic disk cache (see
-:func:`repro.experiments.common.cached_run`): entries are published via
-temp-file + ``os.replace``, so concurrent writers never expose a
-truncated JSON document to readers. Cache-hit accounting is the
-provenance fact returned by
+Cache-hit accounting is the provenance fact returned by
 :func:`repro.experiments.common.cached_run_ex` — never a separate
-file-existence probe, which races against concurrent publishers.
+file-existence probe, which races against concurrent publishers of the
+atomic disk cache.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -67,7 +62,7 @@ from typing import (
     Union,
 )
 
-from repro.errors import SweepError
+from repro.errors import JobCancelled, SweepError
 from repro.experiments import common
 from repro.faults.plan import derive_seed
 from repro.journal import RunJournal
@@ -77,6 +72,8 @@ if TYPE_CHECKING:  # repro.fleet imports this module; no runtime cycle
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.sim.runner import RunResult, clear_warm_registry, run_single
 from repro.supervisor import (
+    ERROR_ABORTED,
+    CampaignKind,
     SupervisorPolicy,
     SupervisorStats,
     TaskOutcome,
@@ -88,15 +85,18 @@ __all__ = [
     "Cell",
     "CellOutcome",
     "GRID_NAMES",
+    "SWEEP_CAMPAIGN",
     "SupervisorPolicy",
     "SupervisorStats",
     "SweepReport",
     "dedup_cells",
     "fan_out",
     "grid_cells",
+    "journal_entry",
     "parallel_measurement_validity",
     "prewarm",
     "resolve_workers",
+    "run_campaign",
     "run_sweep",
     "verify_identical",
     "write_bench",
@@ -104,9 +104,9 @@ __all__ = [
 
 BENCH_SCHEMA = "repro-sweep-bench-v3"
 
-#: Grids :func:`grid_cells` knows how to build (``chaos`` is separate —
-#: see :func:`repro.sim.runner.run_chaos_campaign`, which takes
-#: ``workers`` directly).
+#: Grids :func:`grid_cells` knows how to build. Chaos and recovery
+#: campaigns build their own grids and run them through the same
+#: :func:`run_campaign`.
 GRID_NAMES = ("fig4", "fig5", "fig6", "fig7", "workloads")
 
 ProgressFn = Callable[[int, int, str, Optional[str]], None]
@@ -178,16 +178,27 @@ class Cell:
 
 @dataclass
 class CellOutcome:
-    """What happened to one cell: its result or a formatted failure."""
+    """What happened to one campaign cell: its result or a formatted failure.
 
-    cell: Cell
-    result: Optional[RunResult]
+    ``cell`` is a sweep :class:`Cell` or a chaos/recovery grid dict, and
+    ``result`` that kind's result object (``RunResult``,
+    ``ChaosRunResult`` or ``RecoveryRunResult``). ``label`` defaults to
+    the sweep cell's own.
+    """
+
+    cell: Any
+    result: Any
     error: Optional[str]
     wall_seconds: float
     cache_hit: bool
     attempts: int = 1
     error_kind: Optional[str] = None
     resumed: bool = False
+    label: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.label:
+            self.label = self.cell.label
 
     @property
     def ok(self) -> bool:
@@ -196,7 +207,12 @@ class CellOutcome:
 
 @dataclass
 class SweepReport:
-    """Results plus the perf accounting for one sweep invocation."""
+    """One campaign's outcomes, in grid order, plus its perf accounting.
+
+    :func:`run_campaign` returns it for every campaign kind; the cache
+    and rendering helpers (``cache_hit_rate``, ``render``) are for
+    sweeps of :class:`Cell` grids.
+    """
 
     outcomes: List[CellOutcome]
     workers: int
@@ -207,23 +223,23 @@ class SweepReport:
     fleet: Optional[Dict[str, int]] = None
 
     @property
-    def results(self) -> List[RunResult]:
+    def results(self) -> List[Any]:
         """Per-cell results in grid order (raises if any cell failed)."""
         self.raise_failures()
-        return [out.result for out in self.outcomes]  # type: ignore[misc]
+        return [out.result for out in self.outcomes]
 
     @property
     def ok(self) -> bool:
         return all(out.ok for out in self.outcomes)
 
     def failures(self) -> List[str]:
-        return [
-            f"{out.cell.label}: {out.error}"
-            for out in self.outcomes
-            if not out.ok
-        ]
+        return [f"{out.label}: {out.error}" for out in self.outcomes if not out.ok]
 
     def raise_failures(self) -> None:
+        """:class:`~repro.errors.JobCancelled` if cells were aborted, else
+        :class:`~repro.errors.SweepError` carrying every outcome."""
+        if any(out.error_kind == ERROR_ABORTED for out in self.outcomes):
+            raise JobCancelled("campaign aborted before every cell ran")
         if not self.ok:
             raise SweepError(self.failures(), outcomes=self.outcomes)
 
@@ -286,7 +302,7 @@ class SweepReport:
 
         rows = [
             [
-                out.cell.label,
+                out.label,
                 f"{out.wall_seconds:.2f}s",
                 cache_col(out),
                 ("ok" if out.ok else "FAIL")
@@ -474,26 +490,6 @@ def _run_cell(task: Union[int, Tuple[Cell, bool, bool]]) -> Tuple[RunResult, boo
     return result, source != "computed"
 
 
-def _describe_cell_task(task: Any) -> Optional[Dict[str, Any]]:
-    """Repro-bundle recipe for a sweep task (``replay-cell`` consumes it).
-
-    Bundles always embed the full cell parameters — int tasks are
-    resolved through the installed grid context so a quarantined cell
-    stays replayable long after the sweep (and its context) is gone.
-    """
-    if isinstance(task, int) and _grid_context is not None:
-        cells = _grid_context[0]
-        if 0 <= task < len(cells):
-            return {"kind": "sweep", "cell": cells[task].to_dict()}
-    if (
-        isinstance(task, tuple)
-        and len(task) == 3
-        and isinstance(task[0], Cell)
-    ):
-        return {"kind": "sweep", "cell": task[0].to_dict()}
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the fan-out core
 # ---------------------------------------------------------------------------
@@ -523,40 +519,24 @@ def fan_out(
     grid: Optional[Tuple[Sequence[Cell], bool, bool]] = None,
     should_abort: Optional[Callable[[], bool]] = None,
 ) -> Tuple[List[TaskOutcome], str]:
-    """Run ``fn`` over ``tasks`` on a supervised process pool, in order.
+    """Run ``fn`` over ``tasks`` under :func:`repro.supervisor.supervised_map`.
 
     ``fn`` and every task must be picklable. Returns ``(outcomes,
-    mode)`` where each outcome is a
-    :class:`~repro.supervisor.TaskOutcome` in task order and ``mode``
-    is ``"parallel"`` or ``"serial"`` (the serial path is taken
-    in-process for ``workers <= 1`` or a single task — no pool
-    overhead, bit-identical results).
+    mode)``: one :class:`~repro.supervisor.TaskOutcome` per task, in
+    task order, and ``"serial"`` (in-process, for ``workers <= 1`` or a
+    single task) or ``"parallel"``. Workers are pinned to the parent's
+    *resolved* cache dir; crash containment, retries and poison
+    quarantine (repro bundles under ``<cache-dir>/quarantine/``) follow
+    :mod:`repro.supervisor`.
 
-    Workers are always pinned to the parent's *resolved* cache dir (the
-    initializer receives it explicitly — a worker never falls back to
-    its own environment or working directory).
-
-    ``grid=(cells, use_disk, fresh)`` ships the sweep's cell list to
-    the workers **once**, pickled into the pool initializer, and turns
-    on per-worker warm ``System`` reuse; ``fn``'s tasks can then be
-    bare int indexes into that list. On the in-process serial path the
-    same context is installed directly (pool initializers never run
-    there) — but warm reuse stays *off* in the parent, so a serial
-    reference run (``verify_identical``) is always an independent
-    fresh-construction build.
-
-    Supervision (see :mod:`repro.supervisor`): a dead worker fails only
-    the cells it was actually running — with the real exception type in
-    the outcome — and the pool is rebuilt for the rest; transient
-    failures retry with bounded backoff; repeating deterministic
-    failures are quarantined as poison with a replayable repro bundle
-    under ``<cache-dir>/quarantine/``. ``SupervisorPolicy(retries=0)``
-    disables retries but keeps the crash containment. Replacement
-    workers re-run the initializer, so the shipped grid and warm
-    registry re-establish themselves lazily after every rebuild.
-
-    ``progress(done, total, label, error)`` fires as each cell's fate
-    is sealed, in completion order.
+    ``grid=(cells, use_disk, fresh)`` ships a sweep's cells to the
+    workers **once**, pickled into the pool initializer (which rebuilt
+    pools re-run), and turns on per-worker warm ``System`` reuse; the
+    tasks are then int indexes into it. The serial path installs the
+    same context in-process but never warms, so a serial reference run
+    (``verify_identical``) is an independent fresh-construction build.
+    ``progress(done, total, label, error)`` fires as each task's fate is
+    sealed, in completion order.
     """
     workers = resolve_workers(workers)
     cache_dir = str(Path(common._cache_dir()).resolve())
@@ -590,6 +570,207 @@ def fan_out(
     )
 
 
+#: Sweeps as a campaign kind: :class:`Cell` grids on the result cache.
+SWEEP_CAMPAIGN = CampaignKind(
+    name="sweep",
+    cell_fn=_run_cell,
+    label_of=lambda cell: cell.label,
+    recipe_of=Cell.to_dict,
+    to_dict=common._result_to_dict,
+    from_dict=common._result_from_dict,
+    key_of=Cell.journal_key,
+    cacheable=lambda cell: cell.cacheable,
+)
+
+
+def journal_entry(kind: CampaignKind, cell: Any, out: TaskOutcome) -> Dict[str, Any]:
+    """The journal entry for one cell whose fate ``out`` sealed.
+
+    Every campaign kind journals this shape and fleet workers shard it.
+    Failures and trace cells carry no result, so they never resume.
+    Entries from older runs may lack ``attempts`` and ``error_kind``.
+    """
+    result, hit = kind.split(out.value)
+    keep = kind.resumable(cell)
+    return {
+        "label": kind.label_of(cell),
+        "ok": out.ok,
+        "error": out.error,
+        "error_kind": out.error_kind,
+        "wall_seconds": round(out.wall_seconds, 6),
+        "attempts": out.attempts,
+        "cacheable": kind.cacheable is not None and keep,
+        "cache_hit": hit,
+        "result": kind.to_dict(result) if result is not None and keep else None,
+    }
+
+
+def run_campaign(
+    cells: Sequence[Any],
+    kind: CampaignKind,
+    workers: Optional[int] = None,
+    policy: Optional[SupervisorPolicy] = None,
+    journal: Optional[RunJournal] = None,
+    progress: Optional[ProgressFn] = None,
+    should_abort: Optional[Callable[[], bool]] = None,
+    fresh: bool = False,
+    use_disk: bool = True,
+    fleet: Optional["FleetCoordinator"] = None,
+) -> SweepReport:
+    """Run one campaign's cells: the driver every campaign kind shares.
+
+    Returns one outcome per cell in grid order. Failures are collected,
+    not raised (:meth:`SweepReport.raise_failures` raises), so a failing
+    cell is journaled and reported alike for every worker count while
+    every other cell still runs. Cells run through :func:`fan_out`:
+    in-process for ``workers <= 1``, on a supervised pool otherwise.
+
+    With a ``journal``: worker shards are merged first; retry jitter is
+    seeded from the run id, so a resumed run replays identical delays;
+    cells with a successful entry come back ``resumed`` without running
+    (``fresh=True`` skips this scan; trace cells are never resumed); and
+    each new cell is journaled as it lands, under the journal's signal
+    guard, so SIGINT/SIGTERM unwind into a resumable run.
+
+    ``fleet`` (a started :class:`repro.fleet.FleetCoordinator`; sweep
+    cells only) runs pending cells on remote workers first, journaling
+    each result as it arrives; trace cells, whose payload the wire does
+    not carry, and whatever the fleet could not place run locally.
+    ``should_abort`` stops dispatch cooperatively: unfinished cells come
+    back as ``aborted`` failures, completed ones stay journaled.
+    """
+    start = time.perf_counter()
+    stats = SupervisorStats()
+    outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
+
+    if journal is not None:
+        try:
+            journal.merge_shards()
+        except OSError:  # shard dir unreadable — recompute instead
+            pass
+        if policy is None or (policy.jitter > 0 and policy.jitter_seed == 0):
+            policy = dataclasses.replace(
+                policy or SupervisorPolicy(),
+                jitter_seed=derive_seed(0, journal.run_id),
+            )
+
+    def outcome(i: int, result: Any, entry: Dict[str, Any], **extra: Any) -> None:
+        outcomes[i] = CellOutcome(
+            cells[i],
+            result,
+            entry.get("error"),
+            float(entry.get("wall_seconds", 0.0)),
+            attempts=int(entry.get("attempts", 1)),
+            error_kind=entry.get("error_kind"),
+            label=kind.label_of(cells[i]),
+            **extra,
+        )
+
+    pending: List[int] = []
+    for i, cell in enumerate(cells):
+        entry = None
+        if journal is not None and not fresh and kind.resumable(cell):
+            entry = journal.completed(kind.journal_key(cell))
+        if entry is not None and entry.get("result") is not None:
+            result = kind.from_dict(entry["result"])
+            outcome(i, result, entry, cache_hit=True, resumed=True)
+            stats.resumed_cells += 1
+        else:
+            pending.append(i)
+
+    mode = "serial"
+    fleet_stats: Optional[Dict[str, int]] = None
+    fleet_pending = [
+        i for i in pending if fleet is not None and kind.resumable(cells[i])
+    ]
+    if fleet is not None and fleet_pending:
+        fleet_cells = [cells[i] for i in fleet_pending]
+        done_lock = threading.Lock()
+        done_boxed = [len(cells) - len(pending)]
+
+        def on_entry(local_index: int, entry: dict) -> None:
+            # Runs on the coordinator thread as each RESULT lands:
+            # journal immediately (record is thread-safe) so a killed
+            # run resumes from everything the fleet finished.
+            cell = fleet_cells[local_index]
+            if journal is not None:
+                journal.record(kind.journal_key(cell), entry)
+            with done_lock:
+                done_boxed[0] += 1
+                done_now = done_boxed[0]
+            if progress is not None:
+                progress(done_now, len(cells), kind.label_of(cell), entry.get("error"))
+
+        placed, leftovers = fleet.map_cells(
+            fleet_cells,
+            use_disk=use_disk,
+            fresh=fresh,
+            run_id=journal.run_id if journal is not None else None,
+            journal_dir=journal.path.parent if journal is not None else None,
+            on_entry=on_entry,
+            should_abort=should_abort,
+        )
+        for local_index, entry in placed.items():
+            payload, hit = entry.get("result"), bool(entry.get("cache_hit"))
+            result = None if payload is None else kind.from_dict(payload)
+            outcome(fleet_pending[local_index], result, entry, cache_hit=hit)
+        if placed:
+            mode = "fleet"
+        fleet_stats = fleet.stats_snapshot()
+        pending = sorted(
+            [i for i in pending if not kind.resumable(cells[i])]
+            + [fleet_pending[j] for j in leftovers]
+        )
+
+    if pending:
+        task_cells = [cells[i] for i in pending]
+        grid: Optional[Tuple[Sequence[Cell], bool, bool]] = None
+        tasks: List[Any] = task_cells
+        if kind.cacheable is not None:
+            # Result-cache cells are pickled once into the worker
+            # initializer; the tasks themselves are bare indexes.
+            grid = (task_cells, use_disk, fresh)
+            tasks = list(range(len(task_cells)))
+
+        def cell_of(task: Any) -> Any:
+            return task_cells[task] if grid is not None else task
+
+        def on_outcome(task_index: int, out: TaskOutcome) -> None:
+            if journal is not None:
+                cell = task_cells[task_index]
+                journal.record(kind.journal_key(cell), journal_entry(kind, cell, out))
+
+        guard = contextlib.nullcontext() if journal is None else journal.signal_guard()
+        with guard:
+            raw, local_mode = fan_out(
+                kind.cell_fn,
+                tasks,
+                workers=workers,
+                progress=progress,
+                label_of=lambda task: kind.label_of(cell_of(task)),
+                policy=policy,
+                stats=stats,
+                describe_task=lambda task: kind.describe(cell_of(task)),
+                on_outcome=on_outcome,
+                grid=grid,
+                should_abort=should_abort,
+            )
+        if mode != "fleet":  # fleet placements outrank the local tail
+            mode = local_mode
+        for i, out in zip(pending, raw):
+            result, hit = kind.split(out.value)
+            # A TaskOutcome carries the same fields as a journal entry.
+            outcome(i, result, out._asdict(), cache_hit=hit)
+    return SweepReport(
+        outcomes=[out for out in outcomes if out is not None],
+        workers=resolve_workers(workers),
+        wall_seconds=time.perf_counter() - start,
+        mode=mode,
+        stats=stats,
+        fleet=fleet_stats,
+    )
+
+
 def run_sweep(
     cells: Sequence[Cell],
     workers: Optional[int] = None,
@@ -601,235 +782,34 @@ def run_sweep(
     should_abort: Optional[Callable[[], bool]] = None,
     fleet: Optional["FleetCoordinator"] = None,
 ) -> SweepReport:
-    """Run a grid of cells, in parallel when ``workers`` allows.
+    """Run a :class:`Cell` grid through :func:`run_campaign`.
 
-    Worker results are adopted into the calling process's memory cache
-    (and the shared disk cache), so a subsequent serial consumer — a
-    figure driver's ``run()`` — sees exactly the worker-computed
-    ``RunResult`` objects. ``fresh=True`` bypasses every cache layer
-    (each cell recomputed from scratch); :func:`verify_identical` uses
-    it to build an independent serial reference.
-
-    Parallel workers build their interpreter/import/System state once:
-    each keeps a warm registry of constructed ``System`` instances
-    (keyed by config) and resets one in place between cells instead of
-    re-constructing — construction reuse, not result caching, and
-    proven bit-identical to fresh builds by :func:`verify_identical`.
-    The parent process never warms, so serial runs (and the verify
-    reference) stay independent fresh-construction builds.
-
-    With a ``journal``, cells whose key already has a successful entry
-    are rehydrated from it (``resumed`` outcomes — zero recompute), and
-    every newly executed cell is journaled as it lands, making the run
-    resumable after any interruption. Trace-recording cells are never
-    resumed (their payload is deliberately not persisted).
-
-    ``should_abort`` enables cooperative cancellation (see
-    :func:`repro.supervisor.supervised_map`): once it turns true the
-    sweep stops dispatching, in-flight workers are killed, and the
-    unfinished cells come back as ``aborted`` failures — already
-    completed cells stay journaled, so a resume runs only the rest.
-
-    ``fleet`` (a started :class:`repro.fleet.FleetCoordinator`) fans
-    pending cells out to remote workers first; whatever the fleet could
-    not place — no workers connected, a mid-campaign abort — runs on
-    the local supervised pool, so a workerless fleet degrades to
-    exactly the single-host behavior. Trace-recording (non-cacheable)
-    cells always stay on the local pool: their payloads are not
-    serialized over the wire, and shipping them would silently drop
-    the trace from the report. Fleet results are journaled as
-    they arrive, and any journal shards left by workers of a previous
-    (killed) coordinator are merged before the resume scan, which is
-    what makes coordinator SIGKILL + restart a zero-re-execution event.
+    Every result — computed, fleet-placed or resumed — is adopted into
+    this process's memory cache (and the shared disk cache), so a later
+    serial consumer such as a figure driver's ``run()`` reads exactly
+    those ``RunResult`` objects. ``fresh=True`` bypasses every cache
+    layer; :func:`verify_identical` uses it for an independent serial
+    reference. Pool workers reuse warm ``System`` instances between
+    cells (proven bit-identical to fresh builds); the parent never
+    warms, so serial runs stay fresh-construction builds.
     """
-    start = time.perf_counter()
-    stats = SupervisorStats()
-    total = len(cells)
-    outcomes: List[Optional[CellOutcome]] = [None] * total
-
-    if journal is not None:
-        # Fold in worker shards (no-op without any): cells a fleet
-        # worker completed while the coordinator was dead rehydrate
-        # below exactly like locally journaled ones.
-        try:
-            journal.merge_shards()
-        except OSError:  # shard dir unreadable — recompute instead
-            pass
-        # Retry backoff jitter is seeded from the run id so a resumed
-        # run replays identical delays while runs decorrelate.
-        if policy is None or (policy.jitter > 0 and policy.jitter_seed == 0):
-            policy = dataclasses.replace(
-                policy or SupervisorPolicy(),
-                jitter_seed=derive_seed(0, journal.run_id),
-            )
-
-    pending: List[int] = []
-    for i, cell in enumerate(cells):
-        entry = None
-        if journal is not None and cell.cacheable and not fresh:
-            entry = journal.completed(cell.journal_key())
-        if entry is not None and entry.get("result") is not None:
-            result = common._result_from_dict(entry["result"])
-            outcomes[i] = CellOutcome(
-                cell,
-                result,
-                None,
-                float(entry.get("wall_seconds", 0.0)),
-                cache_hit=True,
-                attempts=int(entry.get("attempts", 1)),
-                resumed=True,
-            )
-            stats.resumed_cells += 1
-            common.store_result(cell.key(), result, use_disk=use_disk)
-        else:
-            pending.append(i)
-
-    def on_outcome(task_index: int, out: TaskOutcome) -> None:
-        cell = cells[pending[task_index]]
-        if journal is None:
-            return
-        result_payload = None
-        cache_hit = False
-        if out.ok and out.value is not None and cell.cacheable:
-            result_payload = common._result_to_dict(out.value[0])
-            cache_hit = bool(out.value[1])
-        journal.record(
-            cell.journal_key(),
-            {
-                "label": cell.label,
-                "ok": out.ok,
-                "error": out.error,
-                "wall_seconds": round(out.wall_seconds, 6),
-                "attempts": out.attempts,
-                "cacheable": cell.cacheable,
-                "cache_hit": cache_hit,
-                "result": result_payload,
-            },
-        )
-
-    mode = "serial"
-    fleet_stats: Optional[Dict[str, int]] = None
-    # Trace-recording (non-cacheable) cells never ride the fleet: their
-    # result payload is deliberately not serialized over the wire (or
-    # into journals), so a remote execution would come back as a silent
-    # ``result=None``. They always run on the local pool instead.
-    fleet_pending = (
-        [i for i in pending if cells[i].cacheable] if fleet is not None else []
+    report = run_campaign(
+        cells,
+        SWEEP_CAMPAIGN,
+        workers=workers,
+        policy=policy,
+        journal=journal,
+        progress=progress,
+        should_abort=should_abort,
+        fresh=fresh,
+        use_disk=use_disk,
+        fleet=fleet,
     )
-    if fleet is not None and fleet_pending:
-        local_only = [i for i in pending if not cells[i].cacheable]
-        fleet_cells = [cells[i] for i in fleet_pending]
-        done_lock = threading.Lock()
-        done_boxed = [total - len(pending)]
-
-        def on_entry(local_index: int, entry: dict) -> None:
-            # Runs on the coordinator thread as each RESULT lands:
-            # journal immediately (record is thread-safe) so a killed
-            # run resumes from everything the fleet finished.
-            cell = fleet_cells[local_index]
-            if journal is not None:
-                journal.record(cell.journal_key(), entry)
-            with done_lock:
-                done_boxed[0] += 1
-                done_now = done_boxed[0]
-            if progress is not None:
-                progress(done_now, total, cell.label, entry.get("error"))
-
-        placed, leftovers = fleet.map_cells(
-            fleet_cells,
-            use_disk=use_disk,
-            fresh=fresh,
-            run_id=journal.run_id if journal is not None else None,
-            journal_dir=(
-                journal.path.parent if journal is not None else None
-            ),
-            on_entry=on_entry,
-            should_abort=should_abort,
-        )
-        for local_index, entry in placed.items():
-            i = fleet_pending[local_index]
-            cell = cells[i]
-            result = None
-            if entry.get("result") is not None:
-                result = common._result_from_dict(entry["result"])
-            outcomes[i] = CellOutcome(
-                cell,
-                result,
-                entry.get("error"),
-                float(entry.get("wall_seconds", 0.0)),
-                cache_hit=bool(entry.get("cache_hit")),
-                attempts=int(entry.get("attempts", 1)),
-                error_kind=entry.get("error_kind"),
-            )
-            if result is not None and cell.cacheable and not fresh:
-                common.store_result(cell.key(), result, use_disk=use_disk)
-        if placed:
-            mode = "fleet"
-        fleet_stats = fleet.stats_snapshot()
-        # Whatever the fleet could not place degrades to the local
-        # pool, alongside the trace cells that never left.
-        pending = sorted(local_only + [fleet_pending[j] for j in leftovers])
-    if pending:
-        # Tasks are bare indexes; the cells themselves are pickled once
-        # into the worker initializer (and installed around the serial
-        # path), not re-shipped per task.
-        task_cells = [cells[i] for i in pending]
-        tasks = list(range(len(task_cells)))
-
-        def label_of(task: Any) -> str:
-            return task_cells[task].label if isinstance(task, int) else str(task)
-
-        def describe_task(task: Any) -> Optional[Dict[str, Any]]:
-            if isinstance(task, int):
-                return {"kind": "sweep", "cell": task_cells[task].to_dict()}
-            return _describe_cell_task(task)
-
-        def guarded() -> Tuple[List[TaskOutcome], str]:
-            return fan_out(
-                _run_cell,
-                tasks,
-                workers=workers,
-                progress=progress,
-                label_of=label_of,
-                policy=policy,
-                stats=stats,
-                describe_task=describe_task,
-                on_outcome=on_outcome,
-                grid=(task_cells, use_disk, fresh),
-                should_abort=should_abort,
-            )
-
-        if journal is not None:
-            with journal.signal_guard():
-                raw, local_mode = guarded()
-        else:
-            raw, local_mode = guarded()
-        if mode != "fleet":  # fleet placements outrank the local tail
-            mode = local_mode
-        for i, out in zip(pending, raw):
-            cell = cells[i]
-            result, hit = (None, False) if out.value is None else out.value
-            outcomes[i] = CellOutcome(
-                cell,
-                result,
-                out.error,
-                out.wall_seconds,
-                hit,
-                attempts=out.attempts,
-                error_kind=out.error_kind,
-            )
-            if result is not None and cell.cacheable and not fresh:
-                common.store_result(cell.key(), result, use_disk=use_disk)
-    wall = time.perf_counter() - start
-    assert all(out is not None for out in outcomes)
-    return SweepReport(
-        outcomes=[out for out in outcomes if out is not None],
-        workers=resolve_workers(workers),
-        wall_seconds=wall,
-        mode=mode,
-        stats=stats,
-        fleet=fleet_stats,
-    )
+    if not fresh:
+        for out in report.outcomes:
+            if out.result is not None and out.cell.cacheable:
+                common.store_result(out.cell.key(), out.result, use_disk=use_disk)
+    return report
 
 
 def prewarm(
@@ -1072,7 +1052,7 @@ def write_bench(
         "supervisor": supervisor,
         "cells_detail": [
             {
-                "label": out.cell.label,
+                "label": out.label,
                 "wall_seconds": round(out.wall_seconds, 4),
                 "cache_hit": out.cache_hit,
                 "ok": out.ok,

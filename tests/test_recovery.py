@@ -336,47 +336,8 @@ def test_same_seed_reproduces_the_exact_recovery_signature():
 
 
 # ---------------------------------------------------------------------------
-# Campaign: parity, journaling, serialization
+# Campaign serialization (worker-count parity and resume: test_campaign.py)
 # ---------------------------------------------------------------------------
-
-
-def test_parallel_campaign_signature_matches_serial():
-    kwargs = dict(
-        workloads=["bfs"],
-        scenarios=["rogue-write", "storm"],
-        ops_scale=0.1,
-        seed=17,
-    )
-    serial = run_recovery_campaign(workers=1, **kwargs)
-    parallel = run_recovery_campaign(workers=2, **kwargs)
-    assert serial.signature() == parallel.signature()
-    assert parallel.ok
-    assert [r.outcome for r in serial.runs] == ["retried", "killed"]
-
-
-def test_campaign_resumes_from_journal_without_reexecution(monkeypatch):
-    from repro import recovery
-    from repro.journal import RunJournal
-
-    kwargs = dict(
-        workloads=["bfs"], scenarios=["rogue-write"], ops_scale=0.1, seed=23
-    )
-    with RunJournal.create("recovery-resume-test") as journal:
-        first = run_recovery_campaign(workers=1, journal=journal, **kwargs)
-
-    executed = []
-    real_cell = recovery._recovery_cell
-
-    def spying_cell(cell):
-        executed.append(cell)
-        return real_cell(cell)
-
-    monkeypatch.setattr(recovery, "_recovery_cell", spying_cell)
-    with RunJournal.open("recovery-resume-test") as journal:
-        resumed = run_recovery_campaign(workers=1, journal=journal, **kwargs)
-    assert executed == []  # every cell rehydrated from the journal
-    assert resumed.signature() == first.signature()
-    assert resumed.ok == first.ok
 
 
 def test_recovery_result_round_trips_through_json():

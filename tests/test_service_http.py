@@ -410,3 +410,55 @@ def test_restart_recovers_queued_job_and_finishes_it(tmp_path):
 
     job_id = asyncio.run(first_incarnation())
     asyncio.run(second_incarnation(job_id))
+
+
+#: Two- and three-cell bfs campaigns for the chaos and recovery jobs.
+CAMPAIGN_PARAMS = {
+    "chaos": {"workloads": ["bfs"], "fault_types": ["drop", "delay"], "ops_scale": 0.1},
+    "recovery": {
+        "workloads": ["bfs"],
+        "scenarios": ["rogue-write", "storm"],
+        "ops_scale": 0.1,
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CAMPAIGN_PARAMS))
+def test_campaign_job_reports_progress_resume_and_partial(kind):
+    """Chaos and recovery jobs report cells the way sweep jobs do."""
+
+    async def run_job(port: int, params: Dict[str, Any], **over) -> Dict[str, Any]:
+        body = {"tenant": "alice", "kind": kind, "params": params, **over}
+        status, out = await http(port, "POST", "/v1/jobs", body)
+        assert status == 201, out
+        return await wait_terminal(port, out["job"]["id"])
+
+    async def go():
+        svc = await start_service()
+        try:
+            params = CAMPAIGN_PARAMS[kind]
+            first = await run_job(svc.port, params)
+            assert first["state"] == "done", first["error"]
+            labels = [cell["label"] for cell in first["result"]["cells"]]
+            _, events = await http(svc.port, "GET", f"/v1/jobs/{first['id']}/events")
+            progress = [e["label"] for e in events if e["event"] == "cell"]
+            assert progress == labels  # one event per cell, in grid order
+
+            again = await run_job(svc.port, params)
+            assert again["state"] == "done", again["error"]
+            assert again["resumed_cells"] == len(labels)
+            assert all(cell["resumed"] for cell in again["result"]["cells"])
+
+            failing = dict(params, workloads=["nope", "bfs"])
+            partial = await run_job(svc.port, failing, allow_partial=True)
+            assert partial["state"] == "partial", partial["error"]
+            result = partial["result"]
+            survivors = [cell for cell in result["cells"] if cell["ok"]]
+            assert [cell["label"] for cell in survivors] == labels
+            assert all(cell["result"] is not None for cell in survivors)
+            assert len(result["runs"]) == len(labels)
+            assert all(f.startswith("nope[") for f in result["failures"])
+        finally:
+            await svc.stop()
+
+    asyncio.run(go())

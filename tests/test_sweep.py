@@ -296,18 +296,6 @@ class TestSweepMechanics:
         assert payload["speedup_per_worker"] == pytest.approx(1.5)
 
 
-class TestChaosCampaignParallel:
-    def test_parallel_campaign_signature_matches_serial(self):
-        from repro.faults import FaultKind
-        from repro.sim.runner import run_chaos_campaign
-
-        kwargs = dict(workloads=["bfs"], kinds=[FaultKind.DROP], ops_scale=0.1)
-        serial = run_chaos_campaign(workers=1, **kwargs)
-        parallel = run_chaos_campaign(workers=2, **kwargs)
-        assert serial.signature() == parallel.signature()
-        assert parallel.ok
-
-
 # ---------------------------------------------------------------------------
 # crash tolerance: injected worker faults, end to end through run_sweep
 # ---------------------------------------------------------------------------
@@ -635,30 +623,6 @@ class TestChaosJournal:
         assert chaos_result_to_dict(clone) == chaos_result_to_dict(run)
         assert clone.workload == run.workload
         assert clone.plan_signature == run.plan_signature
-
-    def test_chaos_campaign_resumes_signature_identical(self, monkeypatch):
-        from repro.faults import FaultKind
-        from repro.sim import runner
-
-        kwargs = dict(workloads=["bfs"], kinds=[FaultKind.DROP], ops_scale=0.1)
-        with RunJournal.create("chaos-resume") as journal:
-            first = runner.run_chaos_campaign(workers=1, journal=journal, **kwargs)
-
-        executed = []
-        real_cell = runner._chaos_cell
-
-        def spying_cell(cell):
-            executed.append(cell)
-            return real_cell(cell)
-
-        monkeypatch.setattr(runner, "_chaos_cell", spying_cell)
-        with RunJournal.open("chaos-resume") as journal:
-            resumed = runner.run_chaos_campaign(
-                workers=1, journal=journal, **kwargs
-            )
-        assert executed == []  # every cell rehydrated from the journal
-        assert resumed.signature() == first.signature()
-        assert resumed.ok == first.ok
 
 
 class TestZeroTickGuard:
