@@ -77,6 +77,41 @@ def test_protection_table_bit_access(benchmark):
     benchmark(run)
 
 
+def test_eager_mmap_throughput(benchmark):
+    """Eager 2048-page ``Kernel.mmap`` into a fresh process: frame
+    allocation, leaf-at-a-time PTE installs and frame zeroing, all in
+    simulated physical memory (what every generated trace pays)."""
+    from repro.osmodel.kernel import Kernel
+
+    def fresh_process():
+        kernel = Kernel(PhysicalMemory(MEM))
+        return (kernel, kernel.create_process("bench")), {}
+
+    def run(kernel, proc):
+        kernel.mmap(proc, 2048)
+
+    benchmark.pedantic(run, setup=fresh_process, rounds=20)
+
+
+def test_page_walk_throughput(benchmark):
+    """``PageTable.walk`` over mapped VPNs: four 8-byte PTE reads from
+    simulated memory per walk (the ATS walker's functional half)."""
+    from repro.osmodel.kernel import Kernel
+
+    kernel = Kernel(PhysicalMemory(MEM))
+    proc = kernel.create_process("bench")
+    start_vpn = kernel.mmap(proc, 2048) >> 12
+    table = proc.page_table
+    rng = random.Random(13)
+    vpns = [start_vpn + rng.randrange(2048) for _ in range(512)]
+
+    def run():
+        for vpn in vpns:
+            table.walk(vpn)
+
+    benchmark(run)
+
+
 def test_event_kernel_dispatch(benchmark):
     def run():
         engine = Engine()

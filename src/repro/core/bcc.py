@@ -18,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
-from repro.core.permissions import Perm
+from repro.core.permissions import PERM_BY_BITS, Perm
 from repro.core.protection_table import ProtectionTable
 from repro.errors import ConfigurationError
 from repro.sim.stats import StatDomain
@@ -71,11 +71,6 @@ class BCCConfig:
         return cls(num_entries=entries, pages_per_entry=pages_per_entry)
 
 
-#: Perm is an enum, so ``Perm(x)`` always returns the same four singletons;
-#: indexing this table skips the enum-constructor call on the hot path.
-_PERM_TABLE = (Perm(0), Perm(1), Perm(2), Perm(3))
-
-
 class BorderControlCache:
     """Functional model of the BCC, backed by a Protection Table."""
 
@@ -119,7 +114,7 @@ class BorderControlCache:
 
     @staticmethod
     def _field(packed: int, slot: int) -> Perm:
-        return _PERM_TABLE[(packed >> (2 * slot)) & 0x3]
+        return PERM_BY_BITS[(packed >> (2 * slot)) & 0x3]
 
     # -- probes (no fill) -----------------------------------------------------------
 
@@ -150,17 +145,17 @@ class BorderControlCache:
             # MRU hit: the group is already at the recency end, so the
             # move_to_end would be a no-op — state is bit-identical.
             self._hits.value += 1
-            return True, _PERM_TABLE[(self._mru_packed >> (2 * slot)) & 0x3]
+            return True, PERM_BY_BITS[(self._mru_packed >> (2 * slot)) & 0x3]
         packed = self._entries.get(group)
         if packed is not None:
             self._entries.move_to_end(group)
             self._hits.value += 1
             self._mru_group = group
             self._mru_packed = packed
-            return True, _PERM_TABLE[(packed >> (2 * slot)) & 0x3]
+            return True, PERM_BY_BITS[(packed >> (2 * slot)) & 0x3]
         self._misses.value += 1
         packed = self._fill(group, table)
-        return False, _PERM_TABLE[(packed >> (2 * slot)) & 0x3]
+        return False, PERM_BY_BITS[(packed >> (2 * slot)) & 0x3]
 
     def insert_permission(
         self, ppn: int, perms: Perm, table: ProtectionTable
@@ -243,7 +238,7 @@ class BorderControlCache:
         for group, packed in self._entries.items():
             base = group * ppe
             for slot in range(ppe):
-                yield base + slot, _PERM_TABLE[(packed >> (2 * slot)) & 0x3]
+                yield base + slot, PERM_BY_BITS[(packed >> (2 * slot)) & 0x3]
 
     @property
     def occupancy(self) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from repro.core.permissions import Perm
+from repro.core.permissions import PERM_BY_BITS, Perm
 from repro.errors import ConfigurationError
 from repro.mem.address import BLOCK_SIZE, PAGE_SHIFT, PAGE_SIZE, align_up
 from repro.mem.phys_memory import PhysicalMemory
@@ -101,7 +101,7 @@ class ProtectionTable:
             return Perm.NONE
         addr, shift = self._field_addr(ppn)
         byte = self.phys.read(addr, 1)[0]
-        return Perm((byte >> shift) & 0x3)
+        return PERM_BY_BITS[(byte >> shift) & 0x3]
 
     def set(self, ppn: int, perms: Perm) -> None:
         """Overwrite the permission field for one physical page."""

@@ -9,12 +9,17 @@ simulated address space costs only what is touched.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Iterator, Tuple
 
 from repro.errors import UnmappedAddressError
 from repro.mem.address import PAGE_SHIFT, PAGE_SIZE, ppn_of
 
 __all__ = ["PhysicalMemory"]
+
+_OFFSET_MASK = PAGE_SIZE - 1
+_U64 = struct.Struct("<Q")
+_U64_MASK = (1 << 64) - 1
 
 
 class PhysicalMemory:
@@ -25,6 +30,12 @@ class PhysicalMemory:
     Accesses beyond ``size`` raise :class:`UnmappedAddressError` — physical
     memory has a hard top, which is what Border Control's bounds register
     checks against.
+
+    Every accessor first tries the common case — a non-empty access inside
+    one frame below ``size``, which covers every 128 B block, 8-byte PTE
+    and Protection Table byte — with one dict lookup. Everything else
+    (frame-crossing, zero-length or out-of-range accesses) takes the
+    general per-frame loop behind :meth:`_check`.
     """
 
     def __init__(self, size: int) -> None:
@@ -52,6 +63,14 @@ class PhysicalMemory:
 
     def read(self, paddr: int, length: int) -> bytes:
         """Read ``length`` bytes starting at physical address ``paddr``."""
+        offset = paddr & _OFFSET_MASK
+        # Inside one frame, ``paddr < size`` bounds the whole access
+        # because ``size`` is a multiple of the frame size.
+        if 0 < length <= PAGE_SIZE - offset and 0 <= paddr < self.size:
+            backing = self._frames.get(paddr >> PAGE_SHIFT)
+            if backing is None:
+                return bytes(length)
+            return bytes(backing[offset : offset + length])
         self._check(paddr, length)
         out = bytearray(length)
         pos = 0
@@ -69,34 +88,59 @@ class PhysicalMemory:
 
     def write(self, paddr: int, data: bytes) -> None:
         """Write ``data`` starting at physical address ``paddr``."""
-        self._check(paddr, len(data))
+        length = len(data)
+        offset = paddr & _OFFSET_MASK
+        if 0 < length <= PAGE_SIZE - offset and 0 <= paddr < self.size:
+            self._backing(paddr >> PAGE_SHIFT)[offset : offset + length] = data
+            return
+        self._check(paddr, length)
         pos = 0
         addr = paddr
-        length = len(data)
         while pos < length:
             frame = ppn_of(addr)
             offset = addr & (PAGE_SIZE - 1)
             chunk = min(length - pos, PAGE_SIZE - offset)
-            backing = self._frames.get(frame)
-            if backing is None:
-                backing = bytearray(PAGE_SIZE)
-                self._frames[frame] = backing
-            backing[offset : offset + chunk] = data[pos : pos + chunk]
+            self._backing(frame)[offset : offset + chunk] = data[pos : pos + chunk]
             pos += chunk
             addr += chunk
 
     # -- word helpers ---------------------------------------------------------
 
     def read_u64(self, paddr: int) -> int:
+        offset = paddr & _OFFSET_MASK
+        if offset <= PAGE_SIZE - 8 and 0 <= paddr < self.size:
+            backing = self._frames.get(paddr >> PAGE_SHIFT)
+            return 0 if backing is None else _U64.unpack_from(backing, offset)[0]
         return int.from_bytes(self.read(paddr, 8), "little")
 
     def write_u64(self, paddr: int, value: int) -> None:
-        self.write(paddr, (value & (2**64 - 1)).to_bytes(8, "little"))
+        offset = paddr & _OFFSET_MASK
+        if offset <= PAGE_SIZE - 8 and 0 <= paddr < self.size:
+            _U64.pack_into(self._backing(paddr >> PAGE_SHIFT), offset, value & _U64_MASK)
+            return
+        self.write(paddr, (value & _U64_MASK).to_bytes(8, "little"))
 
     # -- frame management -------------------------------------------------------
 
+    def _backing(self, frame: int) -> bytearray:
+        """The frame's backing store, allocated (all zero) on first write."""
+        backing = self._frames.get(frame)
+        if backing is None:
+            backing = self._frames[frame] = bytearray(PAGE_SIZE)
+        return backing
+
     def zero_range(self, paddr: int, length: int) -> None:
         """Zero ``[paddr, paddr+length)``, dropping fully covered frames."""
+        offset = paddr & _OFFSET_MASK
+        if 0 < length <= PAGE_SIZE - offset and 0 <= paddr < self.size:
+            frame = paddr >> PAGE_SHIFT
+            if length == PAGE_SIZE:
+                self._frames.pop(frame, None)
+            else:
+                backing = self._frames.get(frame)
+                if backing is not None:
+                    backing[offset : offset + length] = bytes(length)
+            return
         self._check(paddr, length)
         end = paddr + length
         addr = paddr

@@ -19,7 +19,7 @@ serves both functional tests and the timed Fig. 7 downgrade experiment.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.bcc import BCCConfig
 from repro.core.border_control import BorderControl, ViolationRecord
@@ -172,6 +172,11 @@ class Kernel:
         Frames are allocated eagerly (the Rodinia-style workloads touch
         their data on the CPU before kernel launch); lazy population is
         modeled separately via :meth:`mmap_lazy` + page faults.
+
+        A failure part way (say, out of frames) unmaps and frees every
+        frame this call allocated before the error propagates. Page-table
+        nodes it created stay with the page table, as after
+        :meth:`munmap`, and are freed when the process exits.
         """
         if num_pages <= 0:
             raise MemoryError_("mmap of zero pages")
@@ -179,22 +184,47 @@ class Kernel:
             raise MemoryError_("large mmap must be a multiple of 512 pages")
         align = PAGES_PER_LARGE_PAGE if large else 1
         start_vpn = proc.reserve_vpns(num_pages, alignment_pages=align)
-        if large:
-            for chunk in range(num_pages // PAGES_PER_LARGE_PAGE):
-                base_ppn = self.allocator.alloc_contiguous(
-                    PAGES_PER_LARGE_PAGE, align=PAGES_PER_LARGE_PAGE
-                )
-                vpn = start_vpn + chunk * PAGES_PER_LARGE_PAGE
-                proc.page_table.map(vpn, base_ppn, perms, large=True)
-                for p in range(PAGES_PER_LARGE_PAGE):
-                    self._frame_refs[base_ppn + p] = 1
-        else:
-            for i in range(num_pages):
-                ppn = self.allocator.alloc()
-                proc.page_table.map(start_vpn + i, ppn, perms)
-                self._frame_refs[ppn] = 1
+        frames: List[int] = []  # every frame this call allocated, in order
+
+        def alloc_frames() -> Iterator[int]:
+            # Lazy, so each data frame is allocated just before its page's
+            # table nodes: this order fixes every physical address.
+            for _ in range(num_pages):
+                frames.append(self.allocator.alloc())
+                yield frames[-1]
+
+        try:
+            if large:
+                for chunk in range(num_pages // PAGES_PER_LARGE_PAGE):
+                    base_ppn = self.allocator.alloc_contiguous(
+                        PAGES_PER_LARGE_PAGE, align=PAGES_PER_LARGE_PAGE
+                    )
+                    frames.extend(range(base_ppn, base_ppn + PAGES_PER_LARGE_PAGE))
+                    vpn = start_vpn + chunk * PAGES_PER_LARGE_PAGE
+                    proc.page_table.map(vpn, base_ppn, perms, large=True)
+            else:
+                proc.page_table.map_pages(start_vpn, alloc_frames(), perms)
+        except BaseException:
+            self._rollback_mmap(proc, start_vpn, frames, align)
+            raise
+        for ppn in frames:
+            self._frame_refs[ppn] = 1
         proc.areas[start_vpn] = VMArea(start_vpn, num_pages, perms, large=large)
         return start_vpn << PAGE_SHIFT
+
+    def _rollback_mmap(
+        self, proc: Process, start_vpn: int, frames: List[int], step: int
+    ) -> None:
+        """Undo a failed :meth:`mmap`: page ``i`` maps ``frames[i]`` if it
+        got that far. No time passed since, so no TLB can hold these
+        translations and no shootdown is needed."""
+        page_table = proc.page_table
+        for i in range(0, len(frames), step):
+            translation = page_table.translate_vpn(start_vpn + i)
+            if translation is not None and translation.ppn == frames[i]:
+                page_table.unmap(start_vpn + i)
+        for ppn in frames:
+            self.allocator.free(ppn)
 
     def mmap_lazy(self, proc: Process, num_pages: int, perms: Perm = Perm.RW) -> int:
         """Reserve a region without frames; touches fault them in."""

@@ -18,9 +18,9 @@ PTE format (bits):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
-from repro.core.permissions import Perm
+from repro.core.permissions import PERM_BY_BITS, Perm
 from repro.errors import MemoryError_
 from repro.mem.address import (
     LARGE_PAGE_SIZE,
@@ -71,12 +71,9 @@ def _encode(ppn: int, perms: Perm, large: bool = False) -> int:
 
 
 def _decode_perms(pte: int) -> Perm:
-    perms = Perm.NONE
-    if pte & _FLAG_READ:
-        perms |= Perm.R
-    if pte & _FLAG_WRITE:
-        perms |= Perm.W
-    return perms
+    # The read and write flags (bits 1 and 2) are Perm's R and W bits
+    # shifted up by one.
+    return PERM_BY_BITS[(pte >> 1) & 0x3]
 
 
 class PageTable:
@@ -115,22 +112,49 @@ class PageTable:
         """Install a VPN -> PPN mapping with the given permissions.
 
         Large mappings must be 2 MB-aligned on both sides and install a
-        single level-2 entry covering 512 base pages.
+        single level-2 entry covering 512 base pages; the entry must not
+        be present yet (neither a large page nor a leaf node).
+        """
+        if not large:
+            self.map_pages(vpn, (ppn,), perms)
+            return
+        if perms is Perm.NONE:
+            raise MemoryError_("mapping with no permissions; use unmap instead")
+        if vpn % PAGES_PER_LARGE_PAGE or ppn % PAGES_PER_LARGE_PAGE:
+            raise MemoryError_("large mappings must be 2 MB aligned")
+        idx = self._indices(vpn)
+        node = self._descend_to(idx, depth=2, create=True)
+        if self._read_pte(node, idx[2]) & _FLAG_PRESENT:
+            raise MemoryError_(f"vpn {vpn:#x} already mapped")
+        self._write_pte(node, idx[2], _encode(ppn, perms, large=True))
+
+    def map_pages(self, start_vpn: int, ppns: Iterable[int], perms: Perm) -> None:
+        """Map 4 KB pages ``start_vpn, start_vpn + 1, ...`` to ``ppns`` in order.
+
+        Descends to a leaf node once per 512 pages rather than once per
+        page. Each frame is taken from ``ppns`` before its page's leaf
+        node is created, so a lazy iterable of allocations interleaves
+        data frames and table nodes exactly as a per-page :meth:`map`
+        loop does. Raises on the first page already mapped; the pages
+        before it stay mapped.
         """
         if perms is Perm.NONE:
             raise MemoryError_("mapping with no permissions; use unmap instead")
-        idx = self._indices(vpn)
-        if large:
-            if vpn % PAGES_PER_LARGE_PAGE or ppn % PAGES_PER_LARGE_PAGE:
-                raise MemoryError_("large mappings must be 2 MB aligned")
-            node = self._descend_to(idx, depth=2, create=True)
-            self._write_pte(node, idx[2], _encode(ppn, perms, large=True))
-        else:
-            node = self._descend_to(idx, depth=3, create=True)
-            existing = self._read_pte(node, idx[3])
-            if existing & _FLAG_PRESENT:
+        flags = _encode(0, perms)
+        read_u64 = self.phys.read_u64
+        write_u64 = self.phys.write_u64
+        vpn = start_vpn
+        leaf = -1  # physical address of the current leaf node
+        for ppn in ppns:
+            index = vpn & 0x1FF
+            if leaf < 0 or not index:
+                leaf = self._descend_to(self._indices(vpn), depth=3, create=True)
+                leaf <<= PAGE_SHIFT
+            pte_addr = leaf + index * _PTE_SIZE
+            if read_u64(pte_addr) & _FLAG_PRESENT:
                 raise MemoryError_(f"vpn {vpn:#x} already mapped")
-            self._write_pte(node, idx[3], _encode(ppn, perms))
+            write_u64(pte_addr, flags | ((ppn << _PPN_SHIFT) & _PPN_MASK))
+            vpn += 1
 
     def unmap(self, vpn: int) -> Optional[Translation]:
         """Remove a mapping; returns the old translation (None if absent)."""

@@ -4,9 +4,11 @@ import pytest
 
 from repro.core.permissions import Perm
 from repro.errors import ConfigurationError, MemoryError_, PageFault
-from repro.mem.address import PAGE_SIZE, PAGES_PER_LARGE_PAGE
+from repro.mem.address import PAGE_SHIFT, PAGE_SIZE, PAGES_PER_LARGE_PAGE
+from repro.mem.phys_memory import PhysicalMemory
 from repro.osmodel.kernel import Kernel, ViolationPolicy
 from repro.osmodel.process import ProcessState
+from repro.vm.frame_allocator import OutOfFramesError
 
 
 class TestProcessLifecycle:
@@ -67,6 +69,40 @@ class TestMmap:
         vaddr = kernel.mmap(proc, PAGES_PER_LARGE_PAGE, large=True)
         t = proc.page_table.translate(vaddr)
         assert t.is_large
+
+    def test_failed_mmap_releases_its_frames(self):
+        """Running out of frames part way through an eager mmap unmaps and
+        frees the pages it had mapped; nothing is left for exit to find."""
+        kernel = Kernel(PhysicalMemory(1 << 20))  # 256 frames
+        free_at_start = kernel.allocator.free_frames
+        proc = kernel.create_process("p")
+        # Build the leaf node the failing mmap fills, so the frames it
+        # allocates are all data frames.
+        first_vpn = kernel.mmap(proc, 1) >> PAGE_SHIFT
+        free_before = kernel.allocator.free_frames
+        refs_before = dict(kernel._frame_refs)
+        with pytest.raises(OutOfFramesError):
+            kernel.mmap(proc, 400)
+        assert kernel.allocator.free_frames == free_before
+        assert kernel._frame_refs == refs_before
+        assert all(
+            proc.page_table.translate_vpn(vpn) is None
+            for vpn in range(first_vpn + 1, first_vpn + 401)
+        )
+        kernel.exit_process(proc)
+        assert kernel.allocator.free_frames == free_at_start
+
+    def test_failed_large_mmap_releases_its_frames(self):
+        kernel = Kernel(PhysicalMemory(8 << 20))  # three aligned free 2 MB runs
+        proc = kernel.create_process("p")
+        first_vpn = kernel.mmap(proc, PAGES_PER_LARGE_PAGE, large=True) >> PAGE_SHIFT
+        free_before = kernel.allocator.free_frames
+        with pytest.raises(OutOfFramesError):
+            kernel.mmap(proc, 3 * PAGES_PER_LARGE_PAGE, large=True)
+        assert kernel.allocator.free_frames == free_before
+        start_vpn = first_vpn + PAGES_PER_LARGE_PAGE
+        for vpn in range(start_vpn, start_vpn + 3 * PAGES_PER_LARGE_PAGE, PAGES_PER_LARGE_PAGE):
+            assert proc.page_table.translate_vpn(vpn) is None
 
     def test_proc_read_write(self, kernel):
         proc = kernel.create_process("p")

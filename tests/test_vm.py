@@ -157,6 +157,24 @@ class TestPageTable:
         with pytest.raises(MemoryError_):
             table.map(5, 512, Perm.RW, large=True)
 
+    def test_large_page_over_present_entry_rejected(self, phys, allocator):
+        """A 2 MB mapping may not replace a level-2 entry that already
+        points at a leaf node (4 KB pages) or a large page."""
+        table = PageTable(phys, allocator, asid=1)
+        small = allocator.alloc()
+        table.map(515, small, Perm.RW)
+        base = allocator.alloc_contiguous(PAGES_PER_LARGE_PAGE, align=PAGES_PER_LARGE_PAGE)
+        with pytest.raises(MemoryError_, match="already mapped"):
+            table.map(512, base, Perm.R, large=True)
+        t = table.translate_vpn(515)
+        assert (t.ppn, t.perms, t.page_size) == (small, Perm.RW, PAGE_SIZE)
+
+        table.map(1024, base, Perm.R, large=True)
+        other = allocator.alloc_contiguous(PAGES_PER_LARGE_PAGE, align=PAGES_PER_LARGE_PAGE)
+        with pytest.raises(MemoryError_, match="already mapped"):
+            table.map(1024, other, Perm.RW, large=True)
+        assert table.translate_vpn(1024 + 7).ppn == base
+
     def test_entries_enumeration(self, phys, allocator):
         table = PageTable(phys, allocator, asid=1)
         frames = [allocator.alloc() for _ in range(3)]
