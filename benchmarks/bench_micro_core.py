@@ -209,9 +209,10 @@ def test_event_single_waiter_fast_path(benchmark):
 
 
 def test_wavefront_batched_replay(benchmark):
-    """A pure-L1-hit wavefront stream: exercises the fast-forward path in
-    GPU._run_wavefront (runs of same-latency private-cache hits collapse
-    into one engine wakeup per batch)."""
+    """A mostly L1-hit hotspot cell (BC-BCC, highly threaded): times the
+    per-op wavefront loop in GPU._run_wavefront, which spawns one
+    ``_do_op`` process per memory op. The name is kept so the perf-smoke
+    history stays comparable."""
     from repro.sim.config import GPUThreading, SafetyMode
     from repro.sim.runner import run_single
 

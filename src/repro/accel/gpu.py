@@ -181,25 +181,15 @@ class GPU(AcceleratorBase):
         issue = self._issue_ports[cu_index]
         clock = self.clock
         engine = self.engine
-        queue = engine._queue
-        ready = engine._ready
         period = clock.period_ticks
         mlp = max(1, self.geometry.mlp)
-        # Mixed FIFO of in-flight work: live op Processes plus integer
-        # completion-time tokens left behind by batched fast-forwarding. A
-        # token ``t`` stands for an op that is known to complete at tick
-        # ``t``; waiting on it is a plain timer sleep to ``t``.
+        # FIFO of this wavefront's in-flight op processes.
         outstanding: deque = deque()
-        fast_read = getattr(self.path, "fast_read", None)
-        hit_latency = (
-            self.path.fast_read_latency(cu_index) if fast_read is not None else 0
-        )
         ops_counter = self._ops
         loads = self._loads
         stores = self._stores
         spawn = engine.process
         op_name = f"{self.accel_id}-op"
-        can_batch = fast_read is not None
         # Inlined issue-port constants (BandwidthServer.request(1) — keep
         # in lockstep with that method). ``iss_den == 1`` covers every
         # integral ticks-per-byte rate (the GPU clock configs), where the
@@ -208,34 +198,7 @@ class GPU(AcceleratorBase):
         iss_cost = issue._tick_num
         iss_simple = iss_den == 1
         iss_inv_bpt = 1.0 / issue.bytes_per_tick
-        n = len(ops)
-        i = 0
-        while i < n:
-            # A batch attempt is doomed unless the earliest foreign entry
-            # lies beyond the cheapest possible op completion (now +
-            # hit latency) — skip the preview/probe work entirely when
-            # another actor is due first (the common case under high
-            # wavefront concurrency). ``not ready`` + the heap-head check
-            # is exactly next_event_time() > now + hit_latency: the guard
-            # covers *all* ready actors at the current tick, not just this
-            # wavefront. Conditions ordered cheapest-reject-first.
-            if (
-                not ready
-                and can_batch
-                and (not queue or queue[0][0] > engine.now + hit_latency)
-                and self.enabled
-                and self._quiesce_depth == 0
-            ):
-                i, target = self._fast_forward(
-                    ops, i, asid, cu_index, issue, clock, outstanding,
-                    mlp, fast_read, hit_latency,
-                )
-                if target > engine.now:
-                    yield target - engine.now
-                if i >= n:
-                    break
-            gap, vaddr, write = ops[i]
-            i += 1
+        for gap, vaddr, write in ops:
             if gap:
                 # Trace gaps are integer cycles; gap * period is exactly
                 # cycles_to_ticks(gap) then (int(round()) is identity on
@@ -248,10 +211,7 @@ class GPU(AcceleratorBase):
                 break  # the OS pulled the plug mid-kernel
             if len(outstanding) >= mlp:
                 oldest = outstanding.popleft()
-                if oldest.__class__ is int:
-                    if oldest > engine.now:
-                        yield oldest - engine.now
-                elif not oldest.triggered:
+                if not oldest.triggered:
                     yield oldest
             while self._quiesce_depth > 0:
                 # Held for a permission downgrade: wait for the resume.
@@ -288,122 +248,8 @@ class GPU(AcceleratorBase):
                 spawn(self._do_op(cu_index, asid, vaddr, write), name=op_name)
             )
         for pending in outstanding:
-            if pending.__class__ is int:
-                if pending > engine.now:
-                    yield pending - engine.now
-            elif not pending.triggered:
+            if not pending.triggered:
                 yield pending
-
-    def _fast_forward(
-        self,
-        ops: Sequence[Op],
-        i: int,
-        asid: int,
-        cu_index: int,
-        issue: BandwidthServer,
-        clock: Clock,
-        outstanding: deque,
-        mlp: int,
-        fast_read,
-        hit_latency: int,
-    ) -> Tuple[int, int]:
-        """Batch-replay a run of pure-hit reads in zero engine wakeups.
-
-        Consumes ops starting at ``i`` for as long as each is either a
-        pure compute gap or a read that hits both the L1 TLB and the L1
-        cache, committing the exact side effects the per-op path would
-        (issue-port reservations, TLB/L1 recency + hit counters, op
-        counters) at their exact projected times, and recording each op's
-        completion as an integer token in ``outstanding``. Returns
-        ``(next_unconsumed_index, wavefront_time)``; the caller sleeps to
-        ``wavefront_time`` in a single yield.
-
-        Exactness proof sketch — batching never reorders border-visible
-        events:
-
-        * **Horizon.** ``guard`` is the earliest entry in the engine queue
-          when the batch starts. While the batch runs, no other actor
-          executes, so the queue gains nothing earlier. Every committed
-          effect is timestamped strictly *before* ``guard`` (checked per
-          op via its completion time ``t3 >= guard`` → stop), so no other
-          actor could have observed, or interleaved with, the skipped
-          intermediate states: committing them eagerly is observationally
-          equivalent to the per-op interleaving.
-        * **Program order.** Within the batch, per-op commit times are
-          monotonic per structure (issue reservations at ``t1``, TLB
-          touches at ``t2``, L1 touches at ``t3``), matching per-op
-          execution; commits to *different* structures commute.
-        * **Border invisibility.** A batched op is, by construction, an
-          L1 read hit — it never leaves the CU, so no border-visible
-          event is generated at all; the first op that would cross (any
-          write — the L1s are write-through — or any miss) ends the batch
-          *before* committing anything and replays through the normal
-          generator path.
-        * **State gates.** ``enabled``/``_quiesce_depth``/``_stall_until``
-          can only change from other actors' entries, all ``>= guard``,
-          so checking them once at batch entry is exact; mlp gating that
-          would wait on a *live* op process ends the batch (the normal
-          path performs that wait), while waits on completion tokens are
-          pure ``max`` arithmetic.
-        """
-        engine = self.engine
-        guard = engine.next_event_time()
-        t = engine.now
-        n = len(ops)
-        stall = self._stall_until
-        ops_counter = self._ops
-        loads = self._loads
-        period = clock.period_ticks
-        while i < n:
-            gap, vaddr, write = ops[i]
-            if gap:
-                # Same int fast path as the generator loop — identical ticks.
-                t1 = t + (
-                    gap * period
-                    if gap.__class__ is int
-                    else clock.cycles_to_ticks(gap)
-                )
-            else:
-                t1 = t
-            if vaddr is None:
-                # Pure compute: only time advances. Past the horizon another
-                # actor could change the issue gates before the next op, so
-                # hand back to the generator path without consuming it.
-                if guard is not None and t1 >= guard:
-                    break
-                t = t1
-                i += 1
-                continue
-            if write:
-                break  # write-through L1s: stores always cross downstream
-            if len(outstanding) >= mlp:
-                head = outstanding[0]
-                if head.__class__ is int:
-                    if head > t1:
-                        t1 = head  # wait for the token's known completion
-                elif not head.triggered:
-                    break  # live op still in flight: the real wait happens
-                # a triggered live process is popped with no wait (below)
-            if stall > t1:
-                t1 = stall
-            delay, free = issue.preview(t1, 1)
-            t2 = t1 + delay
-            t3 = t2 + hit_latency
-            if guard is not None and t3 >= guard:
-                break
-            if fast_read(cu_index, asid, vaddr) is None:
-                break  # TLB or L1 miss — nothing committed, full path runs
-            # -- commit: from here the op is taken, exactly as the per-op
-            # path would have taken it at these times.
-            if len(outstanding) >= mlp:
-                outstanding.popleft()
-            issue.commit(free, 1)
-            ops_counter.value += 1
-            loads.value += 1
-            outstanding.append(t3)
-            t = t2
-            i += 1
-        return i, t
 
     def _do_op(self, cu_index: int, asid: int, vaddr: int, write: bool) -> Generator:
         self._inflight += 1
@@ -465,22 +311,6 @@ class GPU(AcceleratorBase):
         if l2 is not None:
             l2.invalidate_all()
         super().reset(epoch)
-
-    def reset_for_reuse(self) -> None:
-        """Warm-reuse reset (not the modeled hardware reset): restore the
-        device to its post-construction state. The engine queue was reset
-        by the owning System, so in-flight wavefronts are already gone."""
-        for port in self._issue_ports:
-            port.reset()
-        self.last_kernel_ticks = 0
-        self._stall_until = 0
-        self._inflight = 0
-        self._quiesce_depth = 0
-        self._resume_event = self.engine.event()
-        self.enabled = True
-        self.epoch = 0
-        self.asids.clear()
-        self.sandboxes.clear()
 
     # -- reporting ---------------------------------------------------------
 

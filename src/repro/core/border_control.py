@@ -340,29 +340,6 @@ class BorderControl:
             return True
         return False
 
-    # -- warm reuse -------------------------------------------------------------
-
-    def reset_for_reuse(self, handlers: Optional[List[ViolationHandler]] = None) -> None:
-        """Return this engine to its post-construction state, in place.
-
-        The owning :class:`System` caches direct references to this
-        instance, so warm reuse must reset rather than replace it. The
-        Protection Table's frames are reclaimed wholesale by the frame
-        allocator's own reset, so the table is simply dropped. ``handlers``
-        restores the violation-handler baseline (the handlers the
-        SandboxManager installs at sandbox creation); hooks added later —
-        verification observers — are discarded.
-        """
-        self.table = None
-        self.bcc = None
-        self.use_count = 0
-        self.asids.clear()
-        self.epoch = 0
-        self.violations.clear()
-        if handlers is not None:
-            self._handlers = list(handlers)
-        self._decision_hooks.clear()
-
     # -- internals ------------------------------------------------------------
 
     def _require_table(self) -> ProtectionTable:

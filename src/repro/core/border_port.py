@@ -96,12 +96,6 @@ class BorderControlPort(MemoryPort):
         # BCC sensitivity sweep to replay real border streams offline.
         self.ppn_recorder: Optional[list] = None
 
-    def reset(self) -> None:
-        """Warm-reuse reset: drop per-run hooks. ``epoch_source`` is kept —
-        it is construction-time system wiring reading live state."""
-        self.pt_fault_hook = None
-        self.ppn_recorder = None
-
     def _check_delay(self, bcc_hit: bool) -> int:
         """Latency of the permission lookup; PT reads also consume DRAM
         bandwidth (the §3.1.2 motivation for having a BCC at all)."""

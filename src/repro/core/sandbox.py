@@ -102,19 +102,6 @@ class SandboxManager:
                 del self._placements[asid]
         return torn_down
 
-    # -- warm reuse ----------------------------------------------------------
-
-    def reset_for_reuse(self) -> None:
-        """Reset every sandbox in place and forget all placements.
-
-        Existing :class:`BorderControl` instances are kept (the System
-        holds direct references into this registry) but restored to their
-        post-construction state, with the manager's own violation-handler
-        baseline re-installed."""
-        for sandbox in self._sandboxes.values():
-            sandbox.reset_for_reuse(self._violation_handlers)
-        self._placements.clear()
-
     # -- fan-out ------------------------------------------------------------
 
     def sandboxes_running(self, asid: int) -> Iterator[BorderControl]:

@@ -1,6 +1,6 @@
 """``repro.fleet`` — a fault-tolerant distributed worker fleet.
 
-PR 7 made one host's sweep workers warm and crash-contained; this
+A single host's sweep workers are crash-contained; this
 package extends :mod:`repro.supervisor` + :mod:`repro.journal` across
 hosts (ROADMAP item 3): an asyncio coordinator fans sweep cells out to
 remote workers over length-prefixed JSON frames (the

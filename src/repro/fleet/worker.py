@@ -4,9 +4,10 @@ A :class:`FleetWorker` dials the coordinator, announces itself
 (HELLO), receives the campaign context (WELCOME), and then executes
 assigned cells in a local :class:`~concurrent.futures.ProcessPoolExecutor`
 — the *same* worker-side entry points as a single-host sweep
-(:func:`repro.sweep._worker_init` warm pinning,
-:func:`repro.sweep._run_cell` execution), so a cell computes
-identically whether it ran locally or across the fleet.
+(:func:`repro.sweep._worker_init` cache pinning, task context and
+owner watch, :func:`repro.sweep._run_cell` execution), so a cell
+computes identically whether it ran locally or across the fleet, and
+the pool's children exit when this worker process dies.
 
 Robustness posture:
 
@@ -242,14 +243,14 @@ class FleetWorker:
         self._running = set()
         self._done = {}
         self._sem = asyncio.Semaphore(self.slots)
-        # Same warm-worker recipe as the single-host sweep: the grid is
+        # Same worker recipe as the single-host sweep: the grid is
         # pickled once into the pool initializer, tasks are bare ints,
         # workers are pinned to this host's resolved cache dir.
         cache_dir = str(Path(common._cache_dir()).resolve())
         grid_blob = pickle.dumps(
             (self._cells, use_disk, fresh), protocol=pickle.HIGHEST_PROTOCOL
         )
-        self._pool_args = (cache_dir, grid_blob, True)
+        self._pool_args = (cache_dir, grid_blob)
         self._pool = self._new_pool()
         run_id = frame.get("run_id")
         journal_directory = frame.get("journal_dir")

@@ -258,22 +258,6 @@ class ATS:
                 # consumes DRAM bandwidth (asynchronously; no stall).
                 self._dram.access(8, write=True)
 
-    # -- warm reuse -------------------------------------------------------------------
-
-    def reset(self) -> None:
-        """Return the ATS to its post-construction state.
-
-        Address spaces, accelerator entitlements, and Border Control
-        wiring are re-established by the next run's attach path; the
-        ``epoch_gate`` is *kept* (it is system wiring installed once at
-        construction and reads live state)."""
-        self.l2_tlb.reset()
-        self._page_tables.clear()
-        self._accel_asids.clear()
-        self._border_controls.clear()
-        self._pending_walks.clear()
-        self.fault_injector = None
-
     # -- introspection ---------------------------------------------------------------
 
     @property

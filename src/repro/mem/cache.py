@@ -122,38 +122,6 @@ class Cache(MemoryPort):
         block_addr = addr & ~self._block_mask
         return self._set_for(block_addr).get(block_addr)
 
-    # -- batched-replay fast path -------------------------------------------
-
-    def probe_read_hit(self, addr: int, size: int) -> Optional[Line]:
-        """Pure probe for the batched-replay fast path.
-
-        Returns the resident line when a read of ``size`` bytes at ``addr``
-        would be a plain hit, with *no* side effects — no recency touch, no
-        counters. A ``None`` return (miss, or a block-straddling access the
-        generator path must reject) leaves the cache untouched, so the
-        caller can fall back to :meth:`access` without double counting.
-        """
-        block_addr = addr & ~self._block_mask
-        if (addr - block_addr) + size > self._block_size:
-            return None
-        return self._sets[(block_addr >> self._block_shift) % self._num_sets].get(
-            block_addr
-        )
-
-    def commit_read_hit(self, line: Line) -> None:
-        """Commit the side effects of a probed read hit.
-
-        Applies exactly what the hit path of :meth:`access` applies — the
-        LRU recency touch and the hit counter — so a batched replay that
-        probed with :meth:`probe_read_hit` leaves the cache in the same
-        state the generator path would have.
-        """
-        block_addr = line.block_addr
-        self._sets[(block_addr >> self._block_shift) % self._num_sets].move_to_end(
-            block_addr
-        )
-        self._hits.value += 1
-
     # -- the port protocol -------------------------------------------------
 
     def access(
@@ -325,17 +293,6 @@ class Cache(MemoryPort):
                     lost += 1
             cache_set.clear()
         return lost
-
-    def reset(self) -> None:
-        """Warm-reuse reset: drop every line and in-flight fill, silently.
-
-        Unlike :meth:`invalidate_all` this is not a modeled hardware
-        operation — it returns the cache to its post-construction state
-        between simulations (counters are zeroed separately through the
-        owning :class:`StatDomain`)."""
-        for cache_set in self._sets:
-            cache_set.clear()
-        self._pending.clear()
 
     # -- introspection ------------------------------------------------------
 

@@ -65,10 +65,6 @@ class DRAM:
     def utilization(self, elapsed_ticks: int) -> float:
         return self._channel.utilization(elapsed_ticks)
 
-    def reset(self) -> None:
-        """Warm-reuse reset: idle channel, as freshly constructed."""
-        self._channel.reset()
-
     @property
     def bytes_served(self) -> int:
         """Data bytes moved (excluding the per-access overhead charge)."""

@@ -156,10 +156,6 @@ class PhysicalMemory:
                     backing[offset : offset + chunk] = bytes(chunk)
             addr += chunk
 
-    def reset(self) -> None:
-        """Warm-reuse reset: drop all backing store (all-zero memory)."""
-        self._frames.clear()
-
     def touched_frames(self) -> Iterator[Tuple[int, bytearray]]:
         """Iterate over (frame number, backing) for frames ever written."""
         return iter(sorted(self._frames.items()))

@@ -709,39 +709,6 @@ class Kernel:
         return True
 
     # ------------------------------------------------------------------
-    # warm reuse
-    # ------------------------------------------------------------------
-
-    def reset_for_reuse(self, shootdown_listeners: Optional[List[object]] = None) -> None:
-        """Return the kernel to its post-construction state, in place.
-
-        Frees are wholesale: the frame allocator and physical memory are
-        reset directly instead of walking every process teardown path.
-        Policy knobs (violation policy, downgrade/quarantine parameters)
-        are configuration and are kept. ``shootdown_listeners`` restores
-        the listener baseline captured by the owning System right after
-        construction (the ATS and the CPU core; accelerators re-register
-        on attach). Counters are zeroed separately through the root
-        StatDomain.
-        """
-        self.processes.clear()
-        self.violation_log.clear()
-        self._next_pid = 1
-        self._next_asid = 1
-        self._accels.clear()
-        if shootdown_listeners is not None:
-            self._shootdown_listeners = list(shootdown_listeners)
-        self._frame_refs.clear()
-        self._swap.clear()
-        self._quarantine_until.clear()
-        self._quarantine_strikes.clear()
-        self._lifecycle_hooks.clear()
-        self.sandboxes.reset_for_reuse()
-        self.allocator.reset()
-        if self.sandboxes.allocator is not self.allocator:
-            self.sandboxes.allocator.reset()
-
-    # ------------------------------------------------------------------
     # process-memory helpers (trusted kernel access, bypassing TLBs)
     # ------------------------------------------------------------------
 

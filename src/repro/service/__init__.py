@@ -13,7 +13,7 @@ The package splits along testable seams:
 * :mod:`repro.service.admission` — per-tenant quotas, token-bucket
   submit rates, bounded queues, explicit 429/503 rejections.
 * :mod:`repro.service.scheduler` — fair-share + priority dispatch onto
-  the supervised warm-worker pool, with deadlines and cooperative
+  the supervised worker pool, with deadlines and cooperative
   cancellation.
 * :mod:`repro.service.server` — the asyncio front: routing, operational
   endpoints (``/healthz``, ``/readyz``, ``/metrics``), job CRUD,

@@ -12,7 +12,7 @@ Endpoints::
     GET  /healthz                liveness + state (ready|draining|...)
     GET  /readyz                 200 only while accepting jobs
     GET  /metrics                per-tenant counters, supervisor stats,
-                                 warm-worker registry, queue depths
+                                 queue depths, retention, fleet
     POST /v1/jobs                submit (idempotent by job key)
     GET  /v1/jobs                list (filter: ?tenant=&state=)
     GET  /v1/jobs/<id>           full record incl. result
@@ -325,8 +325,6 @@ class SimulationService:
     async def _get_metrics(self, writer) -> None:
         assert self.store is not None
         assert self.admission is not None and self.scheduler is not None
-        from repro.sim.runner import warm_registry_stats
-
         tenants: Dict[str, Dict[str, Any]] = {}
         names = set(self.admission.counters()) | set(self.scheduler.tenant_stats)
         names.update(job.tenant for job in self.store.jobs.values())
@@ -347,7 +345,6 @@ class SimulationService:
                 "jobs": self.store.totals(),
                 "scheduler": self.scheduler.snapshot(),
                 "tenants": tenants,
-                "warm_workers": warm_registry_stats(),
                 "retention": dict(self.retention_stats),
                 "fleet": (
                     self.fleet.stats_snapshot() if self.fleet is not None else None

@@ -466,37 +466,9 @@ class Engine:
             raise SimulationError(f"process {proc.name} deadlocked (queue drained)")
         return proc.value
 
-    def reset(self) -> None:
-        """Return the engine to its post-construction state.
-
-        Drops every queued entry (parked processes are abandoned — their
-        generators are simply garbage collected) and rewinds the clock and
-        the sequence counter, so a subsequent run schedules with exactly
-        the same ``(when, seq)`` keys a freshly built engine would.
-        """
-        if self._running:
-            raise SimulationError("cannot reset a running engine")
-        self._queue.clear()
-        self._ready.clear()
-        self._seq = itertools.count()
-        self.now = 0
-
     @property
     def pending_events(self) -> int:
         return len(self._queue) + len(self._ready)
-
-    def next_event_time(self) -> Optional[int]:
-        """Time of the earliest queued entry, or ``None`` if the queue is
-        empty. Used by batched trace replay as a fast-forward horizon: any
-        state mutation committed strictly before this time cannot be
-        observed by (or reordered against) another actor. A pending
-        ready-deque entry runs at the current tick, so it pins the horizon
-        to ``now``.
-        """
-        if self._ready:
-            return self.now
-        queue = self._queue
-        return queue[0][0] if queue else None
 
 
 class Watchdog:
@@ -611,34 +583,6 @@ class BandwidthServer:
         """The channel-free time in (float) ticks, for introspection."""
         return self._free_num / self._tick_den
 
-    def preview(self, now: int, nbytes: int) -> tuple:
-        """Delay and post-request state for a request arriving at ``now``.
-
-        Pure — commits nothing. Returns ``(delay_ticks, free_num)``;
-        pass ``free_num`` to :meth:`commit` to take the reservation.
-        Batched trace replay uses this split to price a request at a
-        projected future time before deciding whether to fast-forward.
-        """
-        den = self._tick_den
-        now_num = now * den
-        free = self._free_num
-        start = free if free > now_num else now_num
-        free = start + nbytes * self._tick_num
-        # Round half-to-even on the exact rational free/den, replicating
-        # Python round() on the (previously float) free time.
-        quot, rem = divmod(free, den)
-        twice = rem * 2
-        if twice > den or (twice == den and (quot & 1)):
-            quot += 1
-        delay = quot - now
-        return (delay if delay > 0 else 0, free)
-
-    def commit(self, free_num: int, nbytes: int) -> None:
-        """Take a reservation previously priced by :meth:`preview`."""
-        self._free_num = free_num
-        self.bytes_served += nbytes
-        self.busy_ticks += nbytes / self.bytes_per_tick
-
     def request(self, nbytes: int) -> int:
         """Reserve the channel for ``nbytes``; returns total delay in ticks.
 
@@ -647,8 +591,8 @@ class BandwidthServer:
         """
         if nbytes < 0:
             raise SimulationError("negative transfer size")
-        # Inlined preview + commit (this is the per-memory-instruction and
-        # per-DRAM-access hot path); keep in lockstep with those methods.
+        # The per-DRAM-access hot path. GPU._run_wavefront inlines the
+        # same arithmetic for its issue ports; keep the two in lockstep.
         now = self._engine.now
         den = self._tick_den
         now_num = now * den
@@ -670,12 +614,6 @@ class BandwidthServer:
         if elapsed_ticks <= 0:
             return 0.0
         return min(1.0, self.busy_ticks / float(elapsed_ticks))
-
-    def reset(self) -> None:
-        """Forget all traffic: the channel is idle and free at time zero."""
-        self._free_num = 0
-        self.bytes_served = 0
-        self.busy_ticks = 0.0
 
 
 class Resource:
@@ -712,8 +650,3 @@ class Resource:
             self._waiting.popleft().succeed()
         else:
             self._in_use -= 1
-
-    def reset(self) -> None:
-        """Drop all holders and waiters (the engine queue was reset too)."""
-        self._in_use = 0
-        self._waiting.clear()

@@ -15,8 +15,6 @@ by a watchdog or quarantine.
 
 from __future__ import annotations
 
-import os
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -56,87 +54,7 @@ __all__ = [
     "geometric_mean",
     "DEFAULT_CHAOS_WORKLOADS",
     "DEFAULT_CHAOS_KINDS",
-    "warm_enabled",
-    "warm_registry_stats",
-    "clear_warm_registry",
 ]
-
-
-# -- warm System registry (worker-side reuse) --------------------------------
-#
-# Constructing a :class:`System` — allocator bookkeeping, cache arrays,
-# stat domains, kernel wiring — is the dominant fixed cost of a short
-# sweep cell, and every cell used to pay it from scratch. A sweep worker
-# instead keeps a small LRU of fully-built Systems keyed by their frozen
-# :class:`SystemConfig` and restores one to its post-construction state
-# with :meth:`System.reset_for_reuse` between cells.
-#
-# Reuse is opt-in via ``REPRO_WARM=1`` (set by the sweep worker
-# initializer); the parent process stays cold so that
-# ``verify_identical``'s serial reference run remains an independent
-# fresh-construction build. ``REPRO_WARM_MAX`` bounds the registry (the
-# default comfortably covers the paper's 5 safety x 2 threading grid —
-# a cap below the grid's distinct-config count would thrash).
-
-_WARM_ENV = "REPRO_WARM"
-_WARM_MAX_ENV = "REPRO_WARM_MAX"
-_WARM_DEFAULT_MAX = 12
-
-_warm_systems: "OrderedDict[SystemConfig, System]" = OrderedDict()
-_warm_stats: Dict[str, int] = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def warm_enabled() -> bool:
-    """True when this process reuses Systems across :func:`run_single` calls."""
-    return os.environ.get(_WARM_ENV, "") == "1"
-
-
-def _warm_cap() -> int:
-    try:
-        return max(0, int(os.environ.get(_WARM_MAX_ENV, _WARM_DEFAULT_MAX)))
-    except (TypeError, ValueError):
-        return _WARM_DEFAULT_MAX
-
-
-def _acquire_system(cfg: SystemConfig) -> System:
-    """A ready-to-run System for ``cfg``: a reset warm one if available.
-
-    The instance is popped *out* of the registry while in use, so a crash
-    mid-run can never leave a half-mutated System behind for reuse — an
-    aborted cell simply forfeits its warm instance.
-    """
-    if warm_enabled():
-        system = _warm_systems.pop(cfg, None)
-        if system is not None:
-            _warm_stats["hits"] += 1
-            system.reset_for_reuse()
-            return system
-        _warm_stats["misses"] += 1
-    return System(cfg)
-
-
-def _release_system(cfg: SystemConfig, system: System) -> None:
-    """Return a successfully-run System to the registry (bounded LRU)."""
-    if not warm_enabled():
-        return
-    cap = _warm_cap()
-    if cap <= 0:
-        return
-    _warm_systems[cfg] = system
-    _warm_systems.move_to_end(cfg)
-    while len(_warm_systems) > cap:
-        _warm_systems.popitem(last=False)
-        _warm_stats["evictions"] += 1
-
-
-def warm_registry_stats() -> Dict[str, int]:
-    """Registry counters plus current size (for bench provenance)."""
-    return dict(_warm_stats, size=len(_warm_systems))
-
-
-def clear_warm_registry() -> None:
-    """Drop every cached System (tests; also frees worker memory)."""
-    _warm_systems.clear()
 
 
 @dataclass
@@ -227,7 +145,7 @@ def run_single(
     """
     spec = spec or get_workload(workload)
     cfg = (config or SystemConfig()).with_safety(safety).with_threading(threading)
-    system = _acquire_system(cfg)
+    system = System(cfg)
     proc = system.new_process(spec.name)
     system.attach_process(proc)
     trace = generate_trace(
@@ -284,9 +202,6 @@ def run_single(
     result = collect_result(system, spec.name, trace, ticks)
     result.downgrades = downgrades[0]
     result.border_trace = border_trace
-    # Only a run that completed cleanly donates its System back for warm
-    # reuse; any exception above bypasses this and the instance is dropped.
-    _release_system(cfg, system)
     return result
 
 

@@ -28,9 +28,6 @@ class Counter:
             raise ValueError("counters only increase; use two counters for deltas")
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Counter({self.name}={self.value})"
 
@@ -58,12 +55,6 @@ class Distribution:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.minimum = None
-        self.maximum = None
 
 
 class StatDomain:
@@ -140,14 +131,6 @@ class StatDomain:
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.walk())
-
-    def reset(self) -> None:
-        for counter in self._counters.values():
-            counter.reset()
-        for dist in self._dists.values():
-            dist.reset()
-        for dom in self._children.values():
-            dom.reset()
 
     # -- rendering ---------------------------------------------------------
 

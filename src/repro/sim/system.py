@@ -130,52 +130,6 @@ class System:
                 or self.border_control is None
                 or self.gpu.epoch >= self.border_control.epoch
             )
-        # Baseline for warm reuse: the shootdown listeners wired during
-        # construction (the ATS and the CPU core). Accelerators append
-        # themselves on attach and must not survive a reset.
-        self._baseline_shootdown_listeners: List[object] = list(
-            self.kernel._shootdown_listeners
-        )
-
-    # -- warm reuse ---------------------------------------------------------
-
-    def reset_for_reuse(self) -> None:
-        """Return the whole system to its post-construction state, in place.
-
-        This is the host-side analogue of the paper's amortization story:
-        building a :class:`System` is expensive (allocator windows, cache
-        arrays, wiring), so warm sweep workers construct once per
-        configuration and reset between cells instead of re-constructing.
-        Resets are wholesale — engine queue dropped, physical memory
-        backing freed, frame allocator rewound, every cache/TLB/sandbox
-        cleared, all counters zeroed — and are required to be
-        *bit-identical* to fresh construction: ``verify_identical`` and
-        the warm-equivalence tests pin exactly that.
-        """
-        self.engine.reset()
-        self.stats.reset()
-        self.phys.reset()
-        self.dram.reset()
-        self.kernel.reset_for_reuse(self._baseline_shootdown_listeners)
-        self.ats.reset()
-        self.cpu.l1.reset()
-        self.cpu.l2.reset()
-        self.cpu.tlb.reset()
-        if self.full_iommu is not None:
-            self.full_iommu.violations.clear()
-            self.full_iommu._handlers = [self._report_front_end_violation]
-        if self.capi is not None:
-            self.capi.violations.clear()
-            self.capi._handlers = [self._report_front_end_violation]
-        if self.border_port is not None:
-            self.border_port.reset()
-        for cache in self.gpu_l1_caches:
-            cache.reset()
-        for tlb in self.gpu_l1_tlbs:
-            tlb.reset()
-        if self.gpu_l2 is not None:
-            self.gpu_l2.reset()
-        self.gpu.reset_for_reuse()
 
     # -- component builders ------------------------------------------------
 

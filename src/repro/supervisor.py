@@ -764,8 +764,8 @@ def supervised_map(
 
     ``initializer(*initargs)`` runs once per spawned worker process —
     including the workers of every *rebuilt* pool, which is how
-    worker-side state (cache pinning, warm registries, shipped task
-    context) survives crash containment. The serial path never spawns
+    worker-side state (cache pinning, shipped task context, the owner
+    watch) survives crash containment. The serial path never spawns
     workers, so it never runs the initializer; ``serial_setup`` /
     ``serial_teardown`` bracket the in-process loop for callers whose
     task function needs the same ambient state there.

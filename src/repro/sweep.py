@@ -18,10 +18,11 @@ independent *cells*, each a pure function of its parameters:
   adopting the results into the parent's caches. Results are
   **bit-identical** to serial execution: workers run the same
   deterministic ``run_single`` and ship the ``RunResult`` back whole.
-  Workers are *warm*: the grid is pickled once into the pool
-  initializer (tasks are bare indexes), each worker is pinned to the
-  parent's resolved cache dir, and a per-worker registry reuses
-  constructed ``System`` instances between cells.
+  The grid is pickled once into the pool initializer (tasks are bare
+  indexes) and each worker is pinned to the parent's resolved cache
+  dir. Workers keep no ``System`` between cells: every cell builds a
+  fresh one, on a pool worker exactly as in-process. A worker exits
+  when the process that owns its pool dies.
 * **Checkpoint/resume** — with a :class:`repro.journal.RunJournal`,
   a later run rehydrates completed cells instead of recomputing them
   (``--resume <run-id>``); SIGINT/SIGTERM unwind cleanly, so an
@@ -44,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 import threading
@@ -70,7 +72,7 @@ from repro.journal import RunJournal
 if TYPE_CHECKING:  # repro.fleet imports this module; no runtime cycle
     from repro.fleet import FleetCoordinator
 from repro.sim.config import GPUThreading, SafetyMode
-from repro.sim.runner import RunResult, clear_warm_registry, run_single
+from repro.sim.runner import RunResult, run_single
 from repro.supervisor import (
     ERROR_ABORTED,
     CampaignKind,
@@ -405,12 +407,12 @@ def _clear_grid() -> None:
     _grid_context = None
 
 
-def _worker_init(
-    cache_dir: Optional[str],
-    grid_blob: Optional[bytes] = None,
-    warm: bool = False,
-) -> None:
-    """Initialize one pool worker: cache pinning, warm reuse, task context.
+#: Seconds between a pool worker's checks that its owner is alive.
+_OWNER_POLL_SECONDS = 1.0
+
+
+def _worker_init(cache_dir: Optional[str], grid_blob: Optional[bytes] = None) -> None:
+    """Initialize one pool worker: cache pinning, task context, owner watch.
 
     * **Cache dir** — the worker is pinned to the parent's *resolved*
       cache dir, unconditionally. The old behavior popped
@@ -423,26 +425,35 @@ def _worker_init(
       parent's memoized results; clearing them makes every worker's
       hit accounting (and its actual compute) independent of parent
       state, and keeps behavior identical under ``spawn``.
-    * **Warm registry** — ``warm=True`` turns on per-worker ``System``
-      reuse (:mod:`repro.sim.runner`); any instances inherited via
-      ``fork`` are dropped so the worker warms up from its own runs.
     * **Task context** — ``grid_blob`` (the sweep's cells, pickled once
       in the parent) is installed for :func:`_run_cell`'s int tasks.
+    * **Owner watch** — in a worker started by :mod:`multiprocessing`, a
+      daemon thread polls ``os.getppid()`` and ends the worker with
+      ``os._exit`` once the parent pid changes. A worker blocked on its
+      task queue would otherwise outlive an owner killed by SIGKILL,
+      reparented and asleep forever.
 
     Pool rebuilds after a worker crash re-run this initializer in every
-    replacement worker, so the context and warm state re-establish
-    themselves lazily — no parent-side bookkeeping.
+    replacement worker, so the context re-establishes itself lazily —
+    no parent-side bookkeeping.
     """
     if cache_dir is None:
         cache_dir = str(Path(common._cache_dir()).resolve())
     os.environ["REPRO_CACHE_DIR"] = cache_dir
-    os.environ["REPRO_WARM"] = "1" if warm else "0"
     common._memory_cache.clear()
-    clear_warm_registry()
     if grid_blob is not None:
         _install_grid(*pickle.loads(grid_blob))
     else:
         _clear_grid()
+    if multiprocessing.parent_process() is not None:
+        owner = os.getppid()
+
+        def watch_owner() -> None:
+            while os.getppid() == owner:
+                time.sleep(_OWNER_POLL_SECONDS)
+            os._exit(1)
+
+        threading.Thread(target=watch_owner, name="owner-watch", daemon=True).start()
 
 
 def _run_cell(task: Union[int, Tuple[Cell, bool, bool]]) -> Tuple[RunResult, bool]:
@@ -531,10 +542,10 @@ def fan_out(
 
     ``grid=(cells, use_disk, fresh)`` ships a sweep's cells to the
     workers **once**, pickled into the pool initializer (which rebuilt
-    pools re-run), and turns on per-worker warm ``System`` reuse; the
-    tasks are then int indexes into it. The serial path installs the
-    same context in-process but never warms, so a serial reference run
-    (``verify_identical``) is an independent fresh-construction build.
+    pools re-run); the tasks are then int indexes into it. The serial
+    path installs the same context in-process. Either way every cell
+    builds a fresh ``System``, and pool workers exit with their owner
+    (:func:`_worker_init`).
     ``progress(done, total, label, error)`` fires as each task's fate is
     sealed, in completion order.
     """
@@ -563,7 +574,7 @@ def fan_out(
         describe_task=describe_task,
         on_outcome=on_outcome,
         initializer=_worker_init,
-        initargs=(cache_dir, grid_blob, grid is not None),
+        initargs=(cache_dir, grid_blob),
         serial_setup=serial_setup,
         serial_teardown=serial_teardown,
         should_abort=should_abort,
@@ -789,9 +800,7 @@ def run_sweep(
     serial consumer such as a figure driver's ``run()`` reads exactly
     those ``RunResult`` objects. ``fresh=True`` bypasses every cache
     layer; :func:`verify_identical` uses it for an independent serial
-    reference. Pool workers reuse warm ``System`` instances between
-    cells (proven bit-identical to fresh builds); the parent never
-    warms, so serial runs stay fresh-construction builds.
+    reference.
     """
     report = run_campaign(
         cells,

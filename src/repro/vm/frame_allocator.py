@@ -55,7 +55,6 @@ class FrameAllocator:
         self.base_frame = base_frame
         self.num_frames = end_frame  # exclusive upper bound of the window
         first_free = max(base_frame, reserve_low_frames)
-        self._initial_used_end = first_free
         self._used: Set[int] = set(range(base_frame, first_free))
         self._next_hint = first_free
 
@@ -145,12 +144,3 @@ class FrameAllocator:
 
     def snapshot_used(self) -> List[int]:
         return sorted(self._used)
-
-    # -- warm reuse --------------------------------------------------------
-
-    def reset(self) -> None:
-        """Restore the post-construction state: every non-reserved frame
-        in the window is free again. O(reserved frames)."""
-        self._used.clear()
-        self._used.update(range(self.base_frame, self._initial_used_end))
-        self._next_hint = self._initial_used_end

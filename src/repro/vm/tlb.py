@@ -71,28 +71,6 @@ class TLB:
         self._hits.value += 1
         return entry
 
-    def probe(self, asid: int, vpn: int) -> Optional[Tuple[Tuple[int, int, bool], TLBEntry]]:
-        """Side-effect-free lookup for the batched-replay fast path.
-
-        Returns ``(key, entry)`` on a hit, ``None`` on a miss — without
-        touching recency or the hit/miss counters, so a caller that falls
-        back to :meth:`lookup` after a miss does not double count.
-        """
-        key = (asid, vpn, False)
-        entry = self._entries.get(key)
-        if entry is None:
-            key = (asid, vpn & ~0x1FF, True)
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-        return key, entry
-
-    def commit_hit(self, key: Tuple[int, int, bool]) -> None:
-        """Commit the hit-path side effects of :meth:`lookup` (recency
-        touch + hit counter) for a key returned by :meth:`probe`."""
-        self._entries.move_to_end(key)
-        self._hits.value += 1
-
     def insert(self, entry: TLBEntry) -> None:
         key = self._key(entry)
         if key not in self._entries and len(self._entries) >= self.capacity:
@@ -123,11 +101,6 @@ class TLB:
         count = len(self._entries)
         self._entries.clear()
         return count
-
-    def reset(self) -> None:
-        """Warm-reuse reset: drop every entry without counting a shootdown
-        (counters are zeroed separately through the owning StatDomain)."""
-        self._entries.clear()
 
     # -- introspection ------------------------------------------------------
 

@@ -46,12 +46,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             c.inc(-1)
 
-    def test_reset(self):
-        c = Counter("x")
-        c.inc(3)
-        c.reset()
-        assert c.value == 0
-
 
 class TestDistribution:
     def test_summary(self):
@@ -65,12 +59,6 @@ class TestDistribution:
 
     def test_empty_mean_is_zero(self):
         assert Distribution("x").mean == 0.0
-
-    def test_reset(self):
-        d = Distribution("x")
-        d.record(5)
-        d.reset()
-        assert d.count == 0 and d.minimum is None
 
 
 class TestStatDomain:
@@ -105,14 +93,6 @@ class TestStatDomain:
         dom.counter("a").inc(1)
         assert dom.as_dict() == {"sys.a": 1}
         assert "sys.a" in dom.render()
-
-    def test_reset_recursive(self):
-        dom = StatDomain("sys")
-        dom.counter("a").inc(1)
-        dom.child("x").counter("b").inc(2)
-        dom.reset()
-        assert dom.get("a") == 0
-        assert dom.get("x.b") == 0
 
 
 class TestChartEdgeCases:

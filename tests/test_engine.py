@@ -467,17 +467,6 @@ class TestBandwidthServerIntegerArithmetic:
         # accumulation would have drifted off this after ~10k adds.
         assert Fraction(server._free_num, server._tick_den) == total
 
-    def test_preview_is_pure_and_commit_matches_request(self, engine):
-        server = BandwidthServer(engine, 180e9, TICKS_PER_SECOND)
-        shadow = BandwidthServer(engine, 180e9, TICKS_PER_SECOND)
-        for nbytes in [128, 64, 128, 32, 128]:
-            delay, free = server.preview(engine.now, nbytes)
-            assert server.preview(engine.now, nbytes) == (delay, free)  # pure
-            server.commit(free, nbytes)
-            assert shadow.request(nbytes) == delay
-        assert server._free_num == shadow._free_num
-        assert server.bytes_served == shadow.bytes_served
-
     def test_utilization_unchanged_by_integer_accounting(self, engine):
         server = BandwidthServer(engine, 180e9, TICKS_PER_SECOND)
         for _ in range(3):

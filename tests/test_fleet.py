@@ -700,6 +700,7 @@ class TestFleetEndToEnd:
                     "def slow(fn, task):\n"
                     "    time.sleep(30)\n"  # never finishes: must be killed
                     "    return original(fn, task)\n"
+                    "fw.traced_call = slow\n"
                     f"FleetWorker('127.0.0.1', {coord.port}, "
                     "worker_id='doomed', slots=1).run()",
                 ],

@@ -5,18 +5,24 @@ publication, corrupt-entry unlink races, memory-cache keying by cache
 dir), serial/parallel bit-identity, the bench snapshot schema, and the
 crash-tolerance story: supervised recovery from SIGKILL'd workers and
 transient failures with results field-identical to serial execution,
-journaled checkpoint/resume with zero recompute, and graceful partial
-degradation of the figure drivers.
+journaled checkpoint/resume with zero recompute, graceful partial
+degradation of the figure drivers, and the pool workers' lifecycle: no
+``System`` kept between cells, and no life after a SIGKILLed owner.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +33,7 @@ from repro.journal import RunJournal, journal_dir, list_runs
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.sim.engine import Engine
 from repro.sim.runner import run_single
+from repro.sim.system import System
 from repro.supervisor import SupervisorPolicy
 
 BFS_ARGS = ("bfs", SafetyMode.ATS_ONLY, GPUThreading.MODERATELY)
@@ -776,3 +783,120 @@ class TestAsyncSignalGuard:
                     time.sleep(5.0)
         finally:
             journal.close()
+
+
+# ---------------------------------------------------------------------------
+# pool workers: no state between cells, no life after their owner
+# ---------------------------------------------------------------------------
+
+
+def _live_systems() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, System))
+
+
+def _systems_left_by_cell(index: int) -> int:
+    """Run one grid cell in this worker; return how many more Systems are
+    alive afterwards. A forked worker also inherits whatever its parent
+    held, so count the difference."""
+    before = _live_systems()
+    sweep._run_cell(index)
+    return _live_systems() - before
+
+
+#: Imported by the owner process and its pool workers: marks that the
+#: worker is initialized and running its task, then outsleeps the test.
+_OWNER_TASK = """
+import os
+import time
+
+
+def mark_and_sleep(marker_dir):
+    open(os.path.join(marker_dir, str(os.getpid())), "w").close()
+    time.sleep(120)
+"""
+
+_OWNER_SCRIPT = """
+import sys
+
+import owner_task
+from repro import sweep
+
+sweep.fan_out(owner_task.mark_and_sleep, [sys.argv[1]] * 2, workers=2)
+"""
+
+
+def _proc_stat(pid: int):
+    """``(state, ppid)`` from ``/proc/<pid>/stat``, or None once gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except OSError:
+        return None
+    # The command name is parenthesised and may hold spaces; the fields
+    # after it start with the state and the parent pid.
+    state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+    return state, int(ppid)
+
+
+def _children_of(pid: int):
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == pid:
+                children.append(int(entry))
+    return children
+
+
+def _running(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] not in ("Z", "X")
+
+
+class TestPoolWorkers:
+    def test_workers_keep_no_system_between_cells(self):
+        cells = [_bfs_cell(safety=safety) for safety in SafetyMode]
+        outcomes, mode = sweep.fan_out(
+            _systems_left_by_cell,
+            list(range(len(cells))),
+            workers=2,
+            grid=(cells, False, True),
+        )
+        assert mode == "parallel"
+        assert [out.error for out in outcomes] == [None] * len(cells)
+        assert [out.value for out in outcomes] == [0] * len(cells)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_children_exit_when_owner_is_sigkilled(self, tmp_path):
+        (tmp_path / "owner_task.py").write_text(_OWNER_TASK)
+        markers = tmp_path / "markers"
+        markers.mkdir()
+        src = str(Path(sweep.__file__).resolve().parents[1])
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _OWNER_SCRIPT, str(markers)],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([src, str(tmp_path)])},
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(markers.iterdir())) < 2:
+                assert owner.poll() is None, "owner exited before its pool ran"
+                assert time.monotonic() < deadline, "pool workers never started"
+                time.sleep(0.05)
+            workers = [int(marker.name) for marker in markers.iterdir()]
+            assert set(workers) <= set(_children_of(owner.pid))
+
+            owner.kill()
+            owner.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            if owner.poll() is None:
+                owner.kill()
+                owner.wait()
+            for pid in workers:
+                with contextlib.suppress(OSError):
+                    os.kill(pid, signal.SIGKILL)

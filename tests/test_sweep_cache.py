@@ -1,14 +1,13 @@
-"""Warm worker reuse, cache provenance, and incremental sweep caching.
+"""The sweep's result cache, worker initializer and serial hooks.
 
-These tests pin the two halves of the parallel-sweep repair:
-
-* **Warm Systems** — a worker reuses constructed ``System`` instances
-  via in-place reset, and the reuse is bit-identical to building fresh.
 * **Honest caching** — cache-hit accounting is the provenance fact
-  ``cached_run_ex`` returns (never a racy file-existence probe), a
-  repeat sweep over an identical grid is 100% hits with zero recompute,
-  and workers are pinned to the parent's resolved cache dir regardless
-  of their inherited environment or start method.
+  ``cached_run_ex`` returns (never a racy file-existence probe), and a
+  repeat sweep over an identical grid is 100% hits with zero recompute.
+* **Worker initializer** — workers are pinned to the parent's resolved
+  cache dir regardless of their inherited environment or start method,
+  and get the grid context installed.
+* **Serial hooks** — the supervisor's in-process path brackets its loop
+  with the caller's setup and teardown.
 """
 
 from __future__ import annotations
@@ -25,12 +24,6 @@ from repro import sweep
 from repro.experiments import common
 from repro.journal import RunJournal
 from repro.sim.config import GPUThreading, SafetyMode
-from repro.sim.runner import (
-    clear_warm_registry,
-    run_single,
-    warm_enabled,
-    warm_registry_stats,
-)
 from repro.supervisor import supervised_map
 
 SCALE = 0.05
@@ -49,90 +42,11 @@ def _cell(**overrides) -> sweep.Cell:
 
 @pytest.fixture(autouse=True)
 def isolated_state(tmp_path, monkeypatch):
-    """Fresh cache dir, cold memory cache, cold warm registry, warm off."""
+    """Fresh cache dir and a cold memory cache."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_WARM", raising=False)
-    monkeypatch.delenv("REPRO_WARM_MAX", raising=False)
     common._memory_cache.clear()
-    clear_warm_registry()
     yield
     common._memory_cache.clear()
-    clear_warm_registry()
-
-
-def _fields(result) -> dict:
-    return {
-        f.name: getattr(result, f.name)
-        for f in dataclasses.fields(type(result))
-    }
-
-
-def _run(cell: sweep.Cell):
-    return run_single(
-        cell.workload,
-        cell.safety,
-        cell.threading,
-        seed=cell.seed,
-        ops_scale=cell.ops_scale,
-        record_border=cell.record_border,
-        downgrade_interval_cycles=cell.downgrade_interval_cycles,
-    )
-
-
-# ---------------------------------------------------------------------------
-# warm System registry: reuse must be invisible in the data
-# ---------------------------------------------------------------------------
-
-
-class TestWarmRegistry:
-    def test_warm_off_by_default(self):
-        assert not warm_enabled()
-        _run(_cell())
-        assert warm_registry_stats()["size"] == 0
-
-    def test_warm_reuse_bit_identical(self, monkeypatch):
-        cells = [_cell(safety=safety) for safety in SafetyMode]
-        cells.append(_cell(downgrade_interval_cycles=5e4))
-        fresh = [_fields(_run(cell)) for cell in cells]
-
-        monkeypatch.setenv("REPRO_WARM", "1")
-        clear_warm_registry()
-        first_warm = [_fields(_run(cell)) for cell in cells]
-        second_warm = [_fields(_run(cell)) for cell in cells]
-
-        for cell, expect, w1, w2 in zip(cells, fresh, first_warm, second_warm):
-            assert w1 == expect, f"{cell.label}: first warm pass diverged"
-            assert w2 == expect, f"{cell.label}: reused System diverged"
-        stats = warm_registry_stats()
-        # Second pass runs every cell on a reused System.
-        assert stats["hits"] >= len(cells)
-        assert stats["size"] > 0
-
-    def test_trace_hooks_do_not_leak_across_reuse(self, monkeypatch):
-        plain = _cell(safety=SafetyMode.BC_BCC)
-        traced = _cell(safety=SafetyMode.BC_BCC, record_border=True)
-        expected = _fields(_run(plain))
-
-        monkeypatch.setenv("REPRO_WARM", "1")
-        clear_warm_registry()
-        traced_result = _run(traced)
-        assert traced_result.border_trace  # the hook did record
-        reused = _run(plain)  # same config → reuses the traced System
-        assert warm_registry_stats()["hits"] >= 1
-        assert reused.border_trace is None
-        got = _fields(reused)
-        expected.pop("border_trace"), got.pop("border_trace")
-        assert got == expected
-
-    def test_registry_cap_evicts_lru(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WARM", "1")
-        monkeypatch.setenv("REPRO_WARM_MAX", "1")
-        clear_warm_registry()
-        _run(_cell(safety=SafetyMode.ATS_ONLY))
-        _run(_cell(safety=SafetyMode.FULL_IOMMU))
-        stats = warm_registry_stats()
-        assert stats["size"] == 1
-        assert stats["evictions"] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +139,12 @@ def _race_probe(barrier, cache_dir, sentinel_dir, queue):
 # ---------------------------------------------------------------------------
 
 
-def _worker_init_probe(cache_dir_arg, warm, queue):
+def _worker_init_probe(cache_dir_arg, queue):
     """Child without REPRO_CACHE_DIR — the old initializer left such a
     worker unpinned (caching wherever its cwd pointed)."""
     os.environ.pop("REPRO_CACHE_DIR", None)
-    sweep._worker_init(cache_dir_arg, None, warm)
-    queue.put(
-        (
-            os.environ["REPRO_CACHE_DIR"],
-            str(common._cache_dir()),
-            os.environ["REPRO_WARM"],
-        )
-    )
+    sweep._worker_init(cache_dir_arg, None)
+    queue.put((os.environ["REPRO_CACHE_DIR"], str(common._cache_dir())))
 
 
 class TestWorkerInitEnv:
@@ -247,14 +155,13 @@ class TestWorkerInitEnv:
         ctx = multiprocessing.get_context(start_method)
         target = str((tmp_path / "pinned").resolve())
         queue = ctx.Queue()
-        proc = ctx.Process(target=_worker_init_probe, args=(target, True, queue))
+        proc = ctx.Process(target=_worker_init_probe, args=(target, queue))
         proc.start()
-        env_dir, effective_dir, warm = queue.get(timeout=60)
+        env_dir, effective_dir = queue.get(timeout=60)
         proc.join(timeout=60)
         assert proc.exitcode == 0
         assert env_dir == target
         assert effective_dir == target
-        assert warm == "1"
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_none_resolves_absolute_default(self, tmp_path, start_method):
@@ -262,15 +169,14 @@ class TestWorkerInitEnv:
             pytest.skip(f"{start_method} unavailable")
         ctx = multiprocessing.get_context(start_method)
         queue = ctx.Queue()
-        proc = ctx.Process(target=_worker_init_probe, args=(None, False, queue))
+        proc = ctx.Process(target=_worker_init_probe, args=(None, queue))
         proc.start()
-        env_dir, effective_dir, warm = queue.get(timeout=60)
+        env_dir, effective_dir = queue.get(timeout=60)
         proc.join(timeout=60)
         assert proc.exitcode == 0
         assert os.path.isabs(env_dir)
         assert Path(env_dir).name == ".exp_cache"
         assert effective_dir == env_dir
-        assert warm == "0"
 
     def test_worker_init_installs_and_clears_grid(self):
         import pickle
@@ -278,9 +184,9 @@ class TestWorkerInitEnv:
         cells = (_cell(),)
         blob = pickle.dumps((cells, True, False))
         try:
-            sweep._worker_init(None, blob, False)
+            sweep._worker_init(None, blob)
             assert sweep._grid_context == (cells, True, False)
-            sweep._worker_init(None, None, False)
+            sweep._worker_init(None, None)
             assert sweep._grid_context is None
         finally:
             sweep._clear_grid()
