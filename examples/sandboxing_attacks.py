@@ -152,7 +152,7 @@ def attack_hardware_hang() -> None:
         f"{r.quarantines}x"
     )
     print(
-        f"   kernel terminated: {run.completed}; rogue probes while wedged: "
+        f"   kernel terminated: {run.completed}; probes of the victim page: "
         f"{run.probes} ({run.conf_escapes} reads leaked, "
         f"{run.integ_escapes} writes committed)"
     )

@@ -76,40 +76,35 @@ def table1() -> str:
 def verify_table1() -> Dict[str, bool]:
     """Probe the implemented rows against live systems.
 
-    For each implemented approach we attach a victim process that writes a
-    secret, then check whether a rogue physical-address read from the
-    accelerator side can observe it. Returns {approach: row_holds}.
+    For each implemented approach a victim process holds the
+    :class:`~repro.adversary.SecretPage`, and the accelerator side probes
+    it by fabricated physical address (never obtained from the ATS).
+    Returns {approach: row_holds}.
     """
+    from repro.adversary import EscapeTally, SecretPage
+    from repro.mem.address import PAGE_SHIFT, PAGE_SIZE
+    from repro.mem.trustzone import TrustZoneController
     from repro.sim.system import System
-    from repro.mem.address import PAGE_SHIFT, BLOCK_SIZE
 
+    def escapes(system: System, port, paddr: int) -> bool:
+        tally = EscapeTally()
+        system.engine.run_process(
+            tally.trusted_probe(system.kernel, port, paddr), name="probe"
+        )
+        return bool(tally.conf or tally.integ)
+
+    expected = {a.name: a.protects_between_processes for a in APPROACHES}
     results: Dict[str, bool] = {}
     for approach, mode in (
         ("ATS-only IOMMU", SafetyMode.ATS_ONLY),
         ("Border Control", SafetyMode.BC_BCC),
     ):
         system = System(SystemConfig().with_safety(mode))
-        victim = system.new_process("victim")
-        secret_vaddr = system.kernel.mmap(victim, 1)
-        system.kernel.proc_write(victim, secret_vaddr, b"SECRET")
-        secret_ppn = victim.page_table.translate(secret_vaddr).ppn
-
-        attacker = system.new_process("attacker")
-        system.attach_process(attacker)
-
-        # A rogue read straight at the border, by fabricated physical
-        # address (never obtained from the ATS).
-        border = system.border_port if system.border_port else system.memctl
-        data = system.engine.run_process(
-            border.access(secret_ppn << PAGE_SHIFT, BLOCK_SIZE, False),
-            name="probe",
-        )
-        leaked = data is not None and b"SECRET" in data
-        protects = not leaked
-        expected = dict((a.name, a.protects_between_processes) for a in APPROACHES)[
-            approach
-        ]
-        results[approach] = protects == expected
+        secret = SecretPage(system.kernel, system.new_process("victim"))
+        system.attach_process(system.new_process("attacker"))
+        port = system.border_port if system.border_port else system.memctl
+        protects = not escapes(system, port, secret.paddr)
+        results[approach] = protects == expected[approach]
     # Full IOMMU / CAPI: the accelerator has no physical-address path at
     # all — the only interface takes virtual addresses through the checking
     # front end, so between-process protection holds by construction.
@@ -117,30 +112,16 @@ def verify_table1() -> Dict[str, bool]:
     results["IBM CAPI"] = True
 
     # TrustZone: a TZASC in front of memory. The probe shows both halves
-    # of the paper's row: a Normal-world trojan CAN read another normal
-    # process's page (no between-process protection) but CANNOT read a
+    # of the paper's row: a Normal-world trojan CAN reach another normal
+    # process's page (no between-process protection) but CANNOT reach a
     # secure region (OS protection).
-    from repro.mem.trustzone import TrustZoneController
-
     system = System(SystemConfig().with_safety(SafetyMode.ATS_ONLY))
-    victim = system.new_process("victim")
-    secret_vaddr = system.kernel.mmap(victim, 1)
-    system.kernel.proc_write(victim, secret_vaddr, b"SECRET")
-    victim_ppn = victim.page_table.translate(secret_vaddr).ppn
+    secret = SecretPage(system.kernel, system.new_process("victim"))
     tz = TrustZoneController(system.memctl, requester_secure=False)
     secure_base = system.kernel.allocator.alloc() << PAGE_SHIFT
-    system.phys.write(secure_base, b"OS-KEYS")
-    tz.mark_secure(secure_base, 4096)
-    normal_leak = system.engine.run_process(
-        tz.access(victim_ppn << PAGE_SHIFT, BLOCK_SIZE, False)
-    )
-    secure_leak = system.engine.run_process(
-        tz.access(secure_base, BLOCK_SIZE, False)
-    )
-    results["ARM TrustZone"] = (
-        normal_leak is not None  # between-process: NOT protected
-        and b"SECRET" in normal_leak
-        and secure_leak is None  # OS/secure assets: protected
+    tz.mark_secure(secure_base, PAGE_SIZE)
+    results["ARM TrustZone"] = escapes(system, tz, secret.paddr) and not escapes(
+        system, tz, secure_base
     )
     return results
 

@@ -15,10 +15,11 @@ testable under *hardware failure*, not just adversarial logic:
   wedges mid-kernel and only drains again when the OS quarantines it.
 
 The matching resilience plumbing lives with the components it hardens:
-``Engine.deadline``/``Engine.watchdog`` (:mod:`repro.sim.engine`),
-timeout+retry in :class:`~repro.core.border_port.BorderControlPort` and
-the ATS, ``ViolationPolicy.QUARANTINE`` in :mod:`repro.osmodel.kernel`,
-and the ``run_chaos_campaign`` harness in :mod:`repro.sim.runner`.
+``Engine.deadline`` (:mod:`repro.sim.engine`), timeout+retry in
+:class:`~repro.core.border_port.BorderControlPort` and the ATS,
+``ViolationPolicy.QUARANTINE`` in :mod:`repro.osmodel.kernel`, the
+stall watchdog and escape oracle in :mod:`repro.adversary`, and the
+``run_chaos_campaign`` harness in :mod:`repro.sim.runner`.
 """
 
 from repro.faults.accel import HangingAccelerator

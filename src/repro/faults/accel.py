@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Generator, Optional
 
-from repro.accel.gpu import GPU
+from repro.accel.gpu import GPU, KernelTrace
 
 __all__ = ["HangingAccelerator"]
 
@@ -31,11 +31,33 @@ class HangingAccelerator(GPU):
     issues runs through :meth:`_do_op`, L1 hits included.
     """
 
-    def __init__(self, *args, hang_after_ops: int = 50, **kwargs) -> None:
+    def __init__(
+        self, *args, hang_after_ops: Optional[int] = 50, **kwargs
+    ) -> None:
         super().__init__(*args, **kwargs)
         self._ops_until_hang: Optional[int] = hang_after_ops
         self._park = None
         self.hangs = 0
+
+    @classmethod
+    def install(cls, system) -> "HangingAccelerator":
+        """Replace ``system.gpu`` with a disarmed hanging copy of it: same
+        clock, geometry, memory path, stats and accelerator id."""
+        gpu = system.gpu
+        system.gpu = cls(
+            gpu.engine,
+            gpu.clock,
+            gpu.geometry,
+            gpu.path,
+            stats=gpu.stats,
+            accel_id=gpu.accel_id,
+            hang_after_ops=None,
+        )
+        return system.gpu
+
+    def arm(self, trace: KernelTrace) -> None:
+        """Wedge roughly a third of the way into ``trace``."""
+        self._ops_until_hang = max(8, trace.total_mem_ops // 3)
 
     @property
     def hung(self) -> bool:

@@ -37,9 +37,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.accel.gpu import KernelTrace
+from repro.adversary import (
+    EscapeTally,
+    ProgressWatchdog,
+    SecretPage,
+    escape_failures,
+    record_from_dict,
+    record_to_dict,
+)
 from repro.core.permissions import Perm
 from repro.cpu.core import CPUProgram
-from repro.errors import AcceleratorDisabledError, AcceleratorHangError
+from repro.errors import AcceleratorDisabledError
 from repro.faults import (
     FaultKind,
     FaultPlan,
@@ -49,11 +58,10 @@ from repro.faults import (
     ReplayBuffer,
     derive_seed,
 )
-from repro.accel.gpu import GPUGeometry, KernelTrace
 from repro.mem.address import BLOCK_SIZE, PAGE_SIZE
 from repro.osmodel.kernel import ViolationPolicy
 from repro.sim.config import GPUThreading, SafetyMode, SystemConfig
-from repro.sim.runner import _SECRET, RunResult, collect_result
+from repro.sim.runner import RunResult, collect_result
 from repro.sim.system import GPU_ID, System
 from repro.supervisor import CampaignKind
 from repro.sweep import run_campaign
@@ -290,22 +298,16 @@ class RecoveryRunResult:
 
     def invariant_failures(self) -> List[str]:
         """Empty iff detect → contain → recover → degrade all held."""
-        failures: List[str] = []
-        if self.rogue_conf_escapes:
-            failures.append(
-                f"confidentiality: {self.rogue_conf_escapes} rogue read(s) "
-                "returned data during recovery"
-            )
-        if self.rogue_integ_escapes:
-            failures.append(
-                f"integrity: {self.rogue_integ_escapes} rogue write(s) committed"
-            )
+        failures = escape_failures(
+            self.rogue_conf_escapes,
+            self.rogue_integ_escapes,
+            self.secret_intact,
+            "rogue",
+        )
         if self.replay_commits:
             failures.append(
                 f"integrity: {self.replay_commits} stale-epoch replay(s) committed"
             )
-        if not self.secret_intact:
-            failures.append("integrity: victim page bytes changed")
         if self.outcome == "completed":
             failures.append(
                 f"harness: scenario {self.scenario!r} never disrupted the kernel"
@@ -387,9 +389,13 @@ def run_recovery_single(
     A victim process launches the workload's GPU kernel and is disrupted
     per ``scenario``; the harness then drives the full recovery pipeline
     — watchdog detection, quarantine containment, epoch-fenced reset,
-    bounded retry, CPU fallback or circuit-breaker kill — while a secret
-    holder (never granted to the accelerator) and an unaffected CPU
-    tenant monitor confidentiality/integrity and forward progress.
+    bounded retry, CPU fallback or circuit-breaker kill. A secret holder
+    (never granted to the accelerator) owns the
+    :class:`~repro.adversary.SecretPage`: the rogue scenarios shoot at it
+    during the run, and every scenario ends with one trusted probe of it
+    after the run, so confidentiality and integrity are tested in each.
+    An unaffected CPU tenant iterates throughout; its worst iteration is
+    compared against a warm solo baseline (forward progress).
     """
     if scenario not in RECOVERY_SCENARIOS:
         raise ValueError(f"unknown recovery scenario {scenario!r}")
@@ -410,16 +416,9 @@ def run_recovery_single(
     border = system.border_port
     assert border is not None and system.gpu_l2 is not None
 
-    hang = scenario in ("hang", "reset-replay", "fallback")
-    if hang:
-        system.gpu = HangingAccelerator(
-            engine,
-            system.gpu_clock,
-            GPUGeometry(num_cus=cfg.num_cus, l1_tlb_entries=cfg.gpu_l1_tlb_entries),
-            system.gpu.path,
-            stats=system.stats.child("gpu"),
-            accel_id=GPU_ID,
-        )
+    hanging = None
+    if scenario in ("hang", "reset-replay", "fallback"):
+        hanging = HangingAccelerator.install(system)
 
     replay_buffer: Optional[ReplayBuffer] = None
     if scenario == "reset-replay":
@@ -427,12 +426,7 @@ def run_recovery_single(
         system.gpu_l2.downstream = RecordingPort(border, replay_buffer)
 
     # The secret holder: a process never granted to the accelerator.
-    secret_holder = system.new_process("secret-holder")
-    secret_vaddr = kernel.mmap(secret_holder, 1, Perm.RW)
-    kernel.proc_write(secret_holder, secret_vaddr, _SECRET)
-    translation = secret_holder.page_table.translate(secret_vaddr)
-    assert translation is not None
-    secret_paddr = translation.ppn * PAGE_SIZE
+    secret = SecretPage(kernel, system.new_process("secret-holder"))
 
     # The victim: the GPU workload whose kernel gets interrupted.
     victim = system.new_process(workload_spec.name)
@@ -440,12 +434,13 @@ def run_recovery_single(
     trace = generate_trace(
         workload_spec, kernel, victim, threading, seed=seed, ops_scale=ops_scale
     )
-    if hang:
-        system.gpu._ops_until_hang = max(8, trace.total_mem_ops // 3)
+    if hanging is not None:
+        hanging.arm(trace)
 
     # The unaffected tenant: CPU-only work whose forward progress must
     # not depend on the victim's recovery. Baseline measured solo,
-    # before any disruption exists.
+    # before any disruption exists, and warm: the first run misses in
+    # every cache, and every later one, contended or not, does not.
     tenant = system.new_process("tenant")
     tenant_vaddr = kernel.mmap(tenant, 4, Perm.RW)
     tenant_program = CPUProgram(
@@ -453,6 +448,7 @@ def run_recovery_single(
         ops=CPUProgram.memset(tenant_vaddr, 4 * PAGE_SIZE, gap=4).ops
         + CPUProgram.memscan(tenant_vaddr, 4 * PAGE_SIZE, gap=4).ops,
     )
+    system.cpu.execute(tenant, tenant_program)
     tenant_baseline = system.cpu.execute(tenant, tenant_program)
     tenant_stats = {"iterations": 0, "max_ticks": 0}
 
@@ -465,7 +461,7 @@ def run_recovery_single(
         if not writes:
             # Nothing crossed the border before the wedge; the queued DMA
             # burst still exists — model it as one arbitrary stale write.
-            writes = [(secret_paddr, BLOCK_SIZE, b"\xaa" * BLOCK_SIZE)]
+            writes = [(secret.paddr, BLOCK_SIZE, b"\xaa" * BLOCK_SIZE)]
         for addr, size, data in writes:
             spec = replay_injector.draw(write=True)
             if spec is None:
@@ -485,7 +481,7 @@ def run_recovery_single(
         # The post-reset device is still broken: it wedges again a third
         # of the way into every relaunch, so the retry budget exhausts
         # and recovery must degrade to the CPU.
-        system.gpu._ops_until_hang = max(8, trace.total_mem_ops // 3)
+        hanging.arm(trace)
         return
         yield  # pragma: no cover - empty generator
 
@@ -530,7 +526,7 @@ def run_recovery_single(
     # Injections are paced by *device progress*, not wall time: one
     # eligible shot per ``ops_step`` of retired kernel work, so short
     # traces and long ones see proportionally timed rogue bursts.
-    rogue_stats = {"writes": 0, "conf": 0, "integ": 0}
+    rogue = EscapeTally()
     rogue_injector = plan.for_site("accel.rogue")
     rogue_poll = max(1, ticks_of(rogue_interval_cycles))
     ops_step = max(4, trace.total_mem_ops // 8)
@@ -546,18 +542,8 @@ def run_recovery_single(
             if system.gpu.mem_ops < next_fire[0]:
                 continue
             next_fire[0] = system.gpu.mem_ops + ops_step
-            spec = rogue_injector.draw(write=True)
-            if spec is None:
-                continue
-            rogue_stats["writes"] += 1
-            data = yield from border.access(secret_paddr, BLOCK_SIZE, False)
-            if data is not None:
-                rogue_stats["conf"] += 1
-            committed = yield from border.access(
-                secret_paddr, BLOCK_SIZE, True, b"\x66" * BLOCK_SIZE
-            )
-            if committed is not None:
-                rogue_stats["integ"] += 1
+            if rogue_injector.draw(write=True) is not None:
+                yield from rogue.probe(border, secret.paddr)
 
     def tenant_driver():
         while not resolved[0]:
@@ -570,7 +556,7 @@ def run_recovery_single(
     # Progress watchdog: quarantines the device when an outstanding
     # launch stops issuing (a wedge the violation path cannot see).
     watchdog_ticks = max(1, ticks_of(watchdog_cycles))
-    sup = {"fires": 0, "last": -1, "stalled": 0}
+    watchdog = ProgressWatchdog(GPU_ID, max_stalled_fires)
 
     def supervisor():
         while not resolved[0]:
@@ -579,22 +565,15 @@ def run_recovery_single(
                 return
             if not manager.launch_active:
                 continue
-            progress = system.gpu.mem_ops + system.gpu.blocked_ops
-            if progress != sup["last"]:
-                sup["last"] = progress
-                sup["stalled"] = 0
+            if not watchdog.fired(system.gpu.mem_ops + system.gpu.blocked_ops):
                 continue
-            sup["fires"] += 1
-            if kernel.quarantine_accelerator(
+            quarantined = kernel.quarantine_accelerator(
                 GPU_ID, "recovery watchdog: accelerator stopped making progress"
-            ):
-                continue
-            # Already quarantined yet still wedged: force the release.
-            if hasattr(system.gpu, "disable"):
+            )
+            if not quarantined:
+                # Already quarantined yet still wedged: force the release.
                 system.gpu.disable()
-            sup["stalled"] += 1
-            if sup["stalled"] >= max_stalled_fires:
-                raise AcceleratorHangError(GPU_ID, sup["fires"])
+            watchdog.recovered(quarantined)
 
     engine.process(victim_driver(), name="recovery-victim")
     if scenario in ("rogue-write", "storm"):
@@ -602,14 +581,20 @@ def run_recovery_single(
     engine.process(tenant_driver(), name="recovery-tenant")
     engine.process(supervisor(), name="recovery-supervisor")
     engine.run()
+    # End with one trusted probe, as chaos does, so every scenario tests
+    # the border. Its escapes join the rogue's; rogue_writes counts shots.
+    shots = rogue.probes
+    engine.run_process(
+        rogue.trusted_probe(kernel, border, secret.paddr),
+        name="recovery-final-probe",
+    )
 
     ticks = end_time[0] - start
     system.gpu.last_kernel_ticks = ticks
     result = collect_result(system, workload_spec.name, trace, ticks)
     result.faults_injected = plan.total_injected
-    result.watchdog_fires = sup["fires"]
+    result.watchdog_fires = watchdog.fires
 
-    secret_intact = system.phys.read(secret_paddr, PAGE_SIZE) == _SECRET
     return RecoveryRunResult(
         workload=workload_spec.name,
         scenario=scenario,
@@ -621,14 +606,14 @@ def run_recovery_single(
         outcome=outcome_box[0],
         victim_alive=victim.alive,
         victim_exit_reason=victim.exit_reason,
-        rogue_writes=rogue_stats["writes"],
-        rogue_conf_escapes=rogue_stats["conf"],
-        rogue_integ_escapes=rogue_stats["integ"],
+        rogue_writes=shots,
+        rogue_conf_escapes=rogue.conf,
+        rogue_integ_escapes=rogue.integ,
         replayed=replay_stats["replayed"],
         replay_commits=replay_stats["commits"],
-        secret_intact=secret_intact,
+        secret_intact=secret.intact(),
         resets=system.stats.get("kernel.resets"),
-        watchdog_fires=sup["fires"],
+        watchdog_fires=watchdog.fires,
         tenant_iterations=tenant_stats["iterations"],
         tenant_baseline_ticks=tenant_baseline,
         tenant_max_iteration_ticks=tenant_stats["max_ticks"],
@@ -781,64 +766,12 @@ def _recovery_cell_label(cell: Dict[str, object]) -> str:
 
 def recovery_result_to_dict(run: RecoveryRunResult) -> Dict[str, object]:
     """Lossless JSON form of one recovery run (journal checkpointing)."""
-    from repro.experiments.common import _result_to_dict  # local: avoids cycle
-
-    return {
-        "workload": run.workload,
-        "scenario": run.scenario,
-        "seed": run.seed,
-        "result": _result_to_dict(run.result),
-        "plan_signature": [list(sig) for sig in run.plan_signature],
-        "fault_counts": dict(run.fault_counts),
-        "trace_ops": run.trace_ops,
-        "outcome": run.outcome,
-        "victim_alive": run.victim_alive,
-        "victim_exit_reason": run.victim_exit_reason,
-        "rogue_writes": run.rogue_writes,
-        "rogue_conf_escapes": run.rogue_conf_escapes,
-        "rogue_integ_escapes": run.rogue_integ_escapes,
-        "replayed": run.replayed,
-        "replay_commits": run.replay_commits,
-        "secret_intact": run.secret_intact,
-        "resets": run.resets,
-        "watchdog_fires": run.watchdog_fires,
-        "tenant_iterations": run.tenant_iterations,
-        "tenant_baseline_ticks": run.tenant_baseline_ticks,
-        "tenant_max_iteration_ticks": run.tenant_max_iteration_ticks,
-        "tenant_tolerance": run.tenant_tolerance,
-    }
+    return record_to_dict(run)
 
 
 def recovery_result_from_dict(data: Dict[str, object]) -> RecoveryRunResult:
     """Inverse of :func:`recovery_result_to_dict`."""
-    from repro.experiments.common import _result_from_dict  # local: avoids cycle
-
-    return RecoveryRunResult(
-        workload=data["workload"],  # type: ignore[arg-type]
-        scenario=data["scenario"],  # type: ignore[arg-type]
-        seed=data["seed"],  # type: ignore[arg-type]
-        result=_result_from_dict(data["result"]),  # type: ignore[arg-type]
-        plan_signature=tuple(
-            tuple(sig) for sig in data["plan_signature"]  # type: ignore[union-attr]
-        ),
-        fault_counts=dict(data["fault_counts"]),  # type: ignore[arg-type]
-        trace_ops=data["trace_ops"],  # type: ignore[arg-type]
-        outcome=data["outcome"],  # type: ignore[arg-type]
-        victim_alive=data["victim_alive"],  # type: ignore[arg-type]
-        victim_exit_reason=data["victim_exit_reason"],  # type: ignore[arg-type]
-        rogue_writes=data["rogue_writes"],  # type: ignore[arg-type]
-        rogue_conf_escapes=data["rogue_conf_escapes"],  # type: ignore[arg-type]
-        rogue_integ_escapes=data["rogue_integ_escapes"],  # type: ignore[arg-type]
-        replayed=data["replayed"],  # type: ignore[arg-type]
-        replay_commits=data["replay_commits"],  # type: ignore[arg-type]
-        secret_intact=data["secret_intact"],  # type: ignore[arg-type]
-        resets=data["resets"],  # type: ignore[arg-type]
-        watchdog_fires=data["watchdog_fires"],  # type: ignore[arg-type]
-        tenant_iterations=data["tenant_iterations"],  # type: ignore[arg-type]
-        tenant_baseline_ticks=data["tenant_baseline_ticks"],  # type: ignore[arg-type]
-        tenant_max_iteration_ticks=data["tenant_max_iteration_ticks"],  # type: ignore[arg-type]
-        tenant_tolerance=data.get("tenant_tolerance", 8.0),  # type: ignore[arg-type]
-    )
+    return record_from_dict(RecoveryRunResult, data)
 
 
 #: Recovery campaigns as plain data for :func:`repro.sweep.run_campaign`.

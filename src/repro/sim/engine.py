@@ -52,7 +52,6 @@ __all__ = [
     "Resource",
     "SimulationError",
     "TIMEOUT",
-    "Watchdog",
 ]
 
 # Entry kinds dispatched by Engine.run(). A resume entry carries the
@@ -362,12 +361,6 @@ class Engine:
         self.schedule(timeout_ticks, expire)
         return done
 
-    def watchdog(
-        self, timeout_ticks: int, on_fire: Optional[Callable[[], None]] = None
-    ) -> "Watchdog":
-        """Arm a watchdog: ``on_fire`` runs unless fed/disarmed in time."""
-        return Watchdog(self, timeout_ticks, on_fire)
-
     # -- execution -------------------------------------------------------
 
     def run(self, until: Optional[int] = None) -> int:
@@ -469,72 +462,6 @@ class Engine:
     @property
     def pending_events(self) -> int:
         return len(self._queue) + len(self._ready)
-
-
-class Watchdog:
-    """A feedable timeout: fires ``on_fire`` unless fed or disarmed.
-
-    Each :meth:`feed` pushes the fire time ``timeout_ticks`` past *now*;
-    :meth:`disarm` cancels it for good. Stale scheduled callbacks are
-    invalidated by a generation counter, so feeding is O(1) and never
-    leaks queue entries beyond the last armed deadline.
-    """
-
-    __slots__ = (
-        "_engine",
-        "timeout_ticks",
-        "_on_fire",
-        "_generation",
-        "_armed",
-        "fired",
-        "fires",
-    )
-
-    def __init__(
-        self,
-        engine: Engine,
-        timeout_ticks: int,
-        on_fire: Optional[Callable[[], None]] = None,
-    ) -> None:
-        if timeout_ticks <= 0:
-            raise SimulationError(f"watchdog timeout must be positive, got {timeout_ticks}")
-        self._engine = engine
-        self.timeout_ticks = int(timeout_ticks)
-        self._on_fire = on_fire
-        self._generation = 0
-        self._armed = True
-        self.fired = False
-        self.fires = 0
-        self._schedule()
-
-    def _schedule(self) -> None:
-        generation = self._generation
-
-        def maybe_fire() -> None:
-            if not self._armed or generation != self._generation:
-                return  # fed or disarmed since this callback was queued
-            self.fired = True
-            self.fires += 1
-            if self._on_fire is not None:
-                self._on_fire()
-
-        self._engine.schedule(self.timeout_ticks, maybe_fire)
-
-    def feed(self) -> None:
-        """Reset the countdown (the watched activity showed progress)."""
-        if not self._armed:
-            return
-        self._generation += 1
-        self._schedule()
-
-    def disarm(self) -> None:
-        """Cancel the watchdog permanently (the watched work completed)."""
-        self._armed = False
-        self._generation += 1
-
-    @property
-    def armed(self) -> bool:
-        return self._armed
 
 
 class BandwidthServer:

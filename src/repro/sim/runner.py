@@ -18,9 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.accel.gpu import GPUGeometry, KernelTrace
-from repro.core.permissions import Perm
-from repro.errors import AcceleratorHangError, SimulationIncompleteError
+from repro.accel.gpu import KernelTrace
+from repro.adversary import (
+    EscapeTally,
+    ProgressWatchdog,
+    SecretPage,
+    escape_failures,
+    record_from_dict,
+    record_to_dict,
+)
+from repro.errors import SimulationIncompleteError
 from repro.faults import (
     FaultKind,
     FaultPlan,
@@ -29,7 +36,6 @@ from repro.faults import (
     HangingAccelerator,
     derive_seed,
 )
-from repro.mem.address import BLOCK_SIZE, PAGE_SIZE
 from repro.osmodel.kernel import ViolationPolicy
 from repro.sim.config import GPUThreading, SafetyMode, SystemConfig
 from repro.sim.engine import TIMEOUT
@@ -292,11 +298,6 @@ DEFAULT_CHAOS_KINDS: Tuple[FaultKind, ...] = (
     FaultKind.ATS_FAULT,
 )
 
-#: The 4 KB pattern planted in the victim page; any change is an
-#: integrity escape.
-_SECRET = bytes(range(256)) * (PAGE_SIZE // 256)
-
-
 def default_fault_specs(
     kinds: Sequence[FaultKind], pt_delay_ticks: int = 0
 ) -> List[FaultSpec]:
@@ -353,17 +354,9 @@ class ChaosRunResult:
 
     def invariant_failures(self) -> List[str]:
         """Empty iff the sandbox held. Each entry names a broken invariant."""
-        failures: List[str] = []
-        if self.conf_escapes:
-            failures.append(
-                f"confidentiality: {self.conf_escapes} probe read(s) returned data"
-            )
-        if self.integ_escapes:
-            failures.append(
-                f"integrity: {self.integ_escapes} probe write(s) were committed"
-            )
-        if not self.secret_intact:
-            failures.append("integrity: victim page bytes changed")
+        failures = escape_failures(
+            self.conf_escapes, self.integ_escapes, self.secret_intact, "probe"
+        )
         if not self.completed:
             failures.append("termination: kernel did not complete")
         if self.result.mem_ops == 0:
@@ -499,10 +492,12 @@ def run_chaos_single(
     """One seeded fault-injection run with live invariant probing.
 
     Alongside the faulted workload, a *victim* process (never granted to
-    the accelerator) holds a secret page, and a rogue prober fires
-    read/write requests at it through the border port while faults are
-    landing. Any probe read returning data is a confidentiality escape;
-    any committed probe write (or changed victim bytes) an integrity
+    the accelerator) holds the :class:`~repro.adversary.SecretPage`. A
+    trusted prober fires one read and one write at it through the border
+    port every ``probe_interval_cycles`` while faults are landing, and
+    once more after the run, so a run shorter than one interval is still
+    probed. Any probe read returning data is a confidentiality escape;
+    any committed probe write (or changed secret bytes) an integrity
     escape. A supervisor process watches for lost forward progress and
     recovers hangs — first by failing hung accesses out of the faulty
     ports, then by quarantining the accelerator.
@@ -557,35 +552,18 @@ def run_chaos_single(
 
     if hang_accelerator is None:
         hang_accelerator = FaultKind.HANG in kinds
-    if hang_accelerator:
-        system.gpu = HangingAccelerator(
-            engine,
-            system.gpu_clock,
-            GPUGeometry(
-                num_cus=cfg.num_cus, l1_tlb_entries=cfg.gpu_l1_tlb_entries
-            ),
-            system.gpu.path,
-            stats=system.stats.child("gpu"),
-            accel_id=GPU_ID,
-        )
+    hanging = HangingAccelerator.install(system) if hang_accelerator else None
 
-    # The victim: a process that never touches the accelerator. Its
-    # secret page must stay unreadable and unwritable from the border.
-    victim = system.new_process("victim")
-    secret_vaddr = kernel.mmap(victim, 1, Perm.RW)
-    kernel.proc_write(victim, secret_vaddr, _SECRET)
-    translation = victim.page_table.translate(secret_vaddr)
-    assert translation is not None
-    secret_paddr = translation.ppn * PAGE_SIZE
+    # The victim: a process that never touches the accelerator.
+    secret = SecretPage(kernel, system.new_process("victim"))
 
     proc = system.new_process(workload_spec.name)
     system.attach_process(proc)
     trace = generate_trace(
         workload_spec, kernel, proc, threading, seed=seed, ops_scale=ops_scale
     )
-    if hang_accelerator:
-        # Wedge roughly a third of the way into the kernel.
-        system.gpu._ops_until_hang = max(8, trace.total_mem_ops // 3)
+    if hanging is not None:
+        hanging.arm(trace)
 
     start = engine.now
     done = system.gpu.launch(proc.asid, trace)
@@ -595,64 +573,40 @@ def run_chaos_single(
         yield done
         end_time[0] = engine.now
 
-    # The rogue prober: sustained read/write attempts on the victim's
-    # secret page through the accelerator's border checkpoint, racing the
-    # injected faults. The prober is the harness's own invariant monitor
-    # (trusted test equipment, not a modeled adversary), so its probe
-    # violations are logged rather than sanctioned — otherwise the first
-    # probe would quarantine a perfectly healthy accelerator.
+    # The prober: sustained trusted probes of the secret page through
+    # the accelerator's border checkpoint, racing the injected faults.
     probe_interval = max(1, ticks_of(probe_interval_cycles))
-    probe_stats = {"probes": 0, "conf": 0, "integ": 0}
+    tally = EscapeTally()
 
     def prober() -> object:
         while not done.triggered:
             yield probe_interval
             if done.triggered:
                 return
-            probe_stats["probes"] += 1
-            saved = kernel.violation_policy
-            kernel.violation_policy = ViolationPolicy.LOG_ONLY
-            try:
-                data = yield from border.access(secret_paddr, BLOCK_SIZE, False)
-                if data is not None:
-                    probe_stats["conf"] += 1
-                wrote = yield from border.access(
-                    secret_paddr, BLOCK_SIZE, True, b"\xee" * BLOCK_SIZE
-                )
-                if wrote is not None:
-                    probe_stats["integ"] += 1
-            finally:
-                kernel.violation_policy = saved
+            yield from tally.trusted_probe(kernel, border, secret.paddr)
 
     # The supervisor: a progress-tracking watchdog. A fire with no new
     # issued/completed operations means the device is wedged; recovery
     # escalates from failing hung port accesses out to quarantining the
     # accelerator (which resets and re-enables it after backoff).
     watchdog_ticks = max(1, ticks_of(watchdog_cycles))
-    sup = {"fires": 0, "released": 0, "last": -1, "stalled": 0}
+    watchdog = ProgressWatchdog(GPU_ID, max_stalled_fires)
+
+    def release_hangs() -> bool:
+        return sum(port.release_hangs() for port in faulty_ports) > 0
 
     def supervisor() -> object:
         while not done.triggered:
             outcome = yield engine.deadline(done, watchdog_ticks)
             if outcome is not TIMEOUT:
                 return
-            progress = system.gpu.mem_ops + system.gpu.blocked_ops
-            if progress != sup["last"]:
-                sup["last"] = progress
-                sup["stalled"] = 0
-                continue
-            sup["fires"] += 1
-            released = sum(port.release_hangs() for port in faulty_ports)
-            if released:
-                sup["released"] += released
-                continue
-            if kernel.quarantine_accelerator(
-                GPU_ID, "watchdog: accelerator stopped making progress"
-            ):
-                continue
-            sup["stalled"] += 1
-            if sup["stalled"] >= max_stalled_fires:
-                raise AcceleratorHangError(GPU_ID, sup["fires"])
+            if watchdog.fired(system.gpu.mem_ops + system.gpu.blocked_ops):
+                watchdog.recovered(
+                    release_hangs()
+                    or kernel.quarantine_accelerator(
+                        GPU_ID, "watchdog: accelerator stopped making progress"
+                    )
+                )
 
     engine.process(watcher(), name="chaos-watcher")
     engine.process(prober(), name="chaos-prober")
@@ -671,26 +625,25 @@ def run_chaos_single(
     flush_proc = engine.process(system.gpu.flush_caches(), name="chaos-flush")
 
     def flush_guard() -> object:
-        stalled = 0
         while not flush_proc.triggered:
             outcome = yield engine.deadline(flush_proc, watchdog_ticks)
             if outcome is not TIMEOUT:
                 return
-            sup["fires"] += 1
-            released = sum(port.release_hangs() for port in faulty_ports)
-            sup["released"] += released
-            stalled = 0 if released else stalled + 1
-            if stalled >= max_stalled_fires:
-                raise AcceleratorHangError(GPU_ID, sup["fires"])
+            watchdog.fired()  # a flush has no progress measure
+            watchdog.recovered(release_hangs())
 
     engine.process(flush_guard(), name="chaos-flush-guard")
     engine.run()
+    # One last probe after everything else: a run shorter than one probe
+    # interval still tests the border, and ``ticks`` cannot move.
+    engine.run_process(
+        tally.trusted_probe(kernel, border, secret.paddr), name="chaos-final-probe"
+    )
     system.gpu.last_kernel_ticks = ticks
     result = collect_result(system, workload_spec.name, trace, ticks)
     result.faults_injected = plan.total_injected
-    result.watchdog_fires = sup["fires"]
+    result.watchdog_fires = watchdog.fires
 
-    secret_intact = system.phys.read(secret_paddr, PAGE_SIZE) == _SECRET
     return ChaosRunResult(
         workload=workload_spec.name,
         kinds=tuple(kind.value for kind in kinds),
@@ -699,12 +652,12 @@ def run_chaos_single(
         plan_signature=plan.signature(),
         fault_counts=plan.counts_by_kind(),
         trace_ops=trace.total_mem_ops,
-        probes=probe_stats["probes"],
-        conf_escapes=probe_stats["conf"],
-        integ_escapes=probe_stats["integ"],
-        secret_intact=secret_intact,
+        probes=tally.probes,
+        conf_escapes=tally.conf,
+        integ_escapes=tally.integ,
+        secret_intact=secret.intact(),
         completed=completed,
-        hangs_released=sup["released"],
+        hangs_released=fault_stats.total("released_hangs"),
     )
 
 
@@ -771,51 +724,12 @@ def _chaos_cell_label(cell: Dict[str, object]) -> str:
 
 def chaos_result_to_dict(run: ChaosRunResult) -> Dict[str, object]:
     """Lossless JSON form of one chaos run (journal checkpointing)."""
-    from repro.experiments.common import _result_to_dict  # local: avoids cycle
-
-    out = _chaos_run_fields(run)
-    out["result"] = _result_to_dict(run.result)
-    return out
-
-
-def _chaos_run_fields(run: ChaosRunResult) -> Dict[str, object]:
-    return {
-        "workload": run.workload,
-        "kinds": list(run.kinds),
-        "seed": run.seed,
-        "plan_signature": [list(sig) for sig in run.plan_signature],
-        "fault_counts": dict(run.fault_counts),
-        "trace_ops": run.trace_ops,
-        "probes": run.probes,
-        "conf_escapes": run.conf_escapes,
-        "integ_escapes": run.integ_escapes,
-        "secret_intact": run.secret_intact,
-        "completed": run.completed,
-        "hangs_released": run.hangs_released,
-    }
+    return record_to_dict(run)
 
 
 def chaos_result_from_dict(data: Dict[str, object]) -> ChaosRunResult:
     """Rehydrate a journaled chaos run; inverse of :func:`chaos_result_to_dict`."""
-    from repro.experiments.common import _result_from_dict  # local: avoids cycle
-
-    return ChaosRunResult(
-        workload=data["workload"],  # type: ignore[arg-type]
-        kinds=tuple(data["kinds"]),  # type: ignore[arg-type]
-        seed=data["seed"],  # type: ignore[arg-type]
-        result=_result_from_dict(data["result"]),  # type: ignore[arg-type]
-        plan_signature=tuple(
-            tuple(sig) for sig in data["plan_signature"]  # type: ignore[union-attr]
-        ),
-        fault_counts=dict(data["fault_counts"]),  # type: ignore[arg-type]
-        trace_ops=data["trace_ops"],  # type: ignore[arg-type]
-        probes=data["probes"],  # type: ignore[arg-type]
-        conf_escapes=data["conf_escapes"],  # type: ignore[arg-type]
-        integ_escapes=data["integ_escapes"],  # type: ignore[arg-type]
-        secret_intact=data["secret_intact"],  # type: ignore[arg-type]
-        completed=data["completed"],  # type: ignore[arg-type]
-        hangs_released=data["hangs_released"],  # type: ignore[arg-type]
-    )
+    return record_from_dict(ChaosRunResult, data)
 
 
 #: Chaos campaigns as plain data for :func:`repro.sweep.run_campaign`.

@@ -14,11 +14,11 @@ byte-for-byte: the Hypothesis machine, the exhaustive small-model
 checker, and the ``verify`` CLI's counterexample bundles all speak this
 one op vocabulary.
 
-The secret oracle: a second process owns one RW page holding a known
-pattern that no device is ever granted. Confidentiality and integrity
-escapes are therefore *directly observable* — the pattern read back
-changed, or a device read of that frame was allowed — rather than
-inferred from bookkeeping.
+The secret oracle: a second process owns the
+:class:`~repro.adversary.SecretPage`, which no device is ever granted.
+Confidentiality and integrity escapes are therefore *directly
+observable* — the pattern read back changed, or a device access to that
+frame was allowed — rather than inferred from bookkeeping.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.accel.base import AcceleratorBase
+from repro.adversary import SecretPage, escape_failures
 from repro.core.bcc import BCCConfig
 from repro.core.permissions import Perm
 from repro.errors import MemoryError_
@@ -83,10 +84,6 @@ OP_NAMES = (
     "cpu-fallback",
 )
 
-#: The secret-holder's page content. Never written by any harness op, so
-#: any change to it is an integrity escape.
-SECRET = bytes(range(0xE0, 0xF0))
-
 #: What an allowed device write deposits (so escapes would be visible).
 MARKER = b"\xa5BC!"
 
@@ -133,11 +130,7 @@ class LockstepHarness:
         self.victim = self.kernel.create_process("victim")
         # The secret oracle: one page no device is ever granted.
         self.holder = self.kernel.create_process("secret-holder")
-        secret_vaddr = self.kernel.mmap(self.holder, 1, Perm.RW)
-        self.kernel.proc_write(self.holder, secret_vaddr, SECRET)
-        translation = self.holder.page_table.translate(secret_vaddr)
-        assert translation is not None
-        self.secret_ppn = translation.ppn
+        self.secret = SecretPage(self.kernel, self.holder)
 
         self.monitor = ReferenceMonitor(
             covered_pages=self.phys.num_frames,
@@ -429,9 +422,9 @@ class LockstepHarness:
         # (b) no confidentiality/integrity escape, ever: the secret frame
         # is never granted, so an allowed access to it is an escape even
         # if both models agreed (a shared-bug backstop).
-        if real_allowed and ppn == self.secret_ppn:
-            kind = "integrity" if write else "confidentiality"
-            self._fail(f"{kind} escape: access to secret frame allowed", op)
+        if real_allowed and ppn == self.secret.ppn:
+            (failure,) = escape_failures(int(not write), int(write), True, dev_id)
+            self._fail(failure, op)
 
         if real_allowed:
             # Commit real data so escapes are physically visible.
@@ -487,8 +480,8 @@ class LockstepHarness:
                                 f"ppn {ppn:#x}, table holds "
                                 f"{sandbox.table.get(ppn)!r}"
                             )
-                if self.secret_ppn in st.perms or sandbox.table.get(
-                    self.secret_ppn
+                if self.secret.ppn in st.perms or sandbox.table.get(
+                    self.secret.ppn
                 ) != Perm.NONE:
                     self._fail(f"{dev_id}: granted the secret frame")
             if self.kernel.is_quarantined(dev_id) != self.monitor.is_quarantined(
@@ -509,8 +502,9 @@ class LockstepHarness:
             )
 
         # The secret oracle: the pattern must be byte-identical, forever.
-        if self.phys.read(self.secret_ppn << PAGE_SHIFT, len(SECRET)) != SECRET:
-            self._fail("integrity escape: secret bytes changed")
+        if not self.secret.intact():
+            (failure,) = escape_failures(0, 0, False, "device")
+            self._fail(failure)
 
         # (d) lifecycle event stream agrees with the monitor's transitions.
         tallies = {

@@ -223,7 +223,7 @@ class LockstepMachine(RuleBasedStateMachine):
             {
                 "op": "access",
                 "dev": devs[dev % len(devs)],
-                "ppn": self.h.secret_ppn,
+                "ppn": self.h.secret.ppn,
                 "write": write,
                 "stale": stale,
             }

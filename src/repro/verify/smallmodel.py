@@ -99,7 +99,7 @@ def small_model_alphabet(harness: LockstepHarness) -> List[Dict[str, object]]:
             {
                 "op": "access",
                 "dev": dev,
-                "ppn": harness.secret_ppn,
+                "ppn": harness.secret.ppn,
                 "write": False,
                 "stale": 0,
             }

@@ -6,7 +6,7 @@ The load-bearing claims under test:
   same seed replays the identical fault sequence;
 * :class:`FaultyPort` injects exactly the configured failure modes and
   never invents data the layer below refused to return;
-* the resilience primitives (``Engine.deadline``/``Watchdog``, border
+* the resilience primitives (``Engine.deadline``, border
   timeout+retry, ``ViolationPolicy.QUARANTINE``) clear every injected
   hang so the simulation always terminates;
 * chaos runs preserve the sandbox invariants: no blocked access ever
@@ -206,33 +206,6 @@ def test_deadline_returns_timeout_sentinel_when_clock_wins():
     result = engine.run_process(_wait(engine.deadline(evt, 100)))
     assert result is TIMEOUT
     assert not result  # falsy, so `if result:` treats it like a failure
-
-
-def test_watchdog_fires_only_when_not_fed():
-    engine = Engine()
-    fired = []
-    dog = engine.watchdog(100, on_fire=lambda: fired.append(engine.now))
-
-    def feeder():
-        yield 60
-        dog.feed()
-
-    engine.process(feeder())
-    engine.run()
-    assert fired == [160] and dog.fires == 1
-
-
-def test_watchdog_disarm_cancels():
-    engine = Engine()
-    dog = engine.watchdog(100, on_fire=lambda: pytest.fail("fired after disarm"))
-
-    def stopper():
-        yield 50
-        dog.disarm()
-
-    engine.process(stopper())
-    engine.run()
-    assert dog.fires == 0 and not dog.armed
 
 
 # ---------------------------------------------------------------------------

@@ -320,7 +320,8 @@ def test_tenant_makes_forward_progress_through_every_scenario():
     for scenario in RECOVERY_SCENARIOS:
         run = _tiny_recovery(scenario)
         assert run.tenant_iterations > 0, scenario
-        assert run.tenant_slowdown <= run.tenant_tolerance, scenario
+        # A contended iteration is never faster than the warm solo one.
+        assert 1.0 <= run.tenant_slowdown <= run.tenant_tolerance, scenario
 
 
 def test_unknown_scenario_is_rejected():
@@ -350,6 +351,10 @@ def test_recovery_result_round_trips_through_json():
     clone = recovery_result_from_dict(json.loads(blob))
     assert recovery_result_to_dict(clone) == recovery_result_to_dict(run)
     assert clone.signature() == run.signature()
+    # Older journals wrote no tenant_tolerance: it rehydrates as the default.
+    entry = recovery_result_to_dict(run)
+    del entry["tenant_tolerance"]
+    assert recovery_result_from_dict(entry).tenant_tolerance == 8.0
 
 
 def test_sweep_report_surfaces_recovery_counters():
