@@ -2,12 +2,13 @@
 
 A :class:`FleetWorker` dials the coordinator, announces itself
 (HELLO), receives the campaign context (WELCOME), and then executes
-assigned cells in a local :class:`~concurrent.futures.ProcessPoolExecutor`
-— the *same* worker-side entry points as a single-host sweep
-(:func:`repro.sweep._worker_init` cache pinning, task context and
-owner watch, :func:`repro.sweep._run_cell` execution), so a cell
-computes identically whether it ran locally or across the fleet, and
-the pool's children exit when this worker process dies.
+assigned cells on this host's shared pool
+(:data:`repro.supervisor.shared_pool`, sized ``slots``) — the *same*
+tasks a single-host sweep submits (:func:`repro.sweep._run_cell` on
+``(cell, use_disk, fresh)``, behind the :func:`repro.sweep._pin_worker`
+prologue), so a cell computes identically whether it ran locally or
+across the fleet, and the pool's children exit when this worker
+process dies.
 
 Robustness posture:
 
@@ -21,35 +22,36 @@ Robustness posture:
   retry and re-executes the cell;
 * the connection is disposable: on any error the worker reconnects
   with a fresh HELLO and the coordinator re-WELCOMEs it (same
-  campaign id *and* cell list → pool, shard, and finished-index
-  memory are kept; anything else reinstalls from scratch, so a stale
-  campaign can never replay the wrong cell for an index);
+  campaign id *and* cell list → shard and finished-index memory are
+  kept; anything else reinstalls from scratch, so a stale campaign can
+  never replay the wrong cell for an index);
 * a died pool process (the cell SIGKILLed the worker, OOM, ...) is
-  contained: the pool is rebuilt and the cell reported as a crash —
-  the coordinator decides whether to retry it elsewhere.
+  contained: the pool is replaced once per break and the cell
+  reported as a crash — the coordinator decides whether to retry it
+  elsewhere. A pool another campaign on this host killed on purpose
+  (a deadline or an abort) runs the cell again instead.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
 import json
 import os
-import pickle
 import re
 import socket
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.experiments import common
 from repro.fleet import protocol
 from repro.fleet.transport import FrameTransport
 from repro.journal import JournalShard
 from repro.service.wire import WireError
-from repro.supervisor import ERROR_CRASH, TaskOutcome, traced_call
-from repro.sweep import SWEEP_CAMPAIGN, Cell, _run_cell, _worker_init, journal_entry
+from repro.supervisor import ERROR_CRASH, TaskOutcome, shared_pool, traced_call
+from repro.sweep import SWEEP_CAMPAIGN, Cell, _pinned, _run_cell, journal_entry
 
 __all__ = ["FleetWorker", "sanitize_worker_id"]
 
@@ -85,9 +87,10 @@ class FleetWorker:
         self._campaign_id: Optional[str] = None
         self._campaign_digest: Optional[str] = None
         self._cells: Tuple[Cell, ...] = ()
+        self._use_disk = True
+        self._fresh = False
+        self._cell_fn: Callable = _run_cell
         self._heartbeat_seconds = protocol.DEFAULT_HEARTBEAT_SECONDS
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_args: Tuple = ()
         self._shard: Optional[JournalShard] = None
         self._leases: Dict[str, int] = {}  # lease_id -> cell index
         self._running: Set[str] = set()
@@ -136,9 +139,6 @@ class FleetWorker:
             self._teardown_campaign()
 
     def _teardown_campaign(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
         if self._shard is not None:
             self._shard.close()
             self._shard = None
@@ -228,7 +228,7 @@ class FleetWorker:
             # is waiting to see this campaign id in a heartbeat.
             self._hb_wake.set()
         if campaign_id == self._campaign_id and digest == self._campaign_digest:
-            return  # re-WELCOME after a reconnect: keep pool/shard/memory
+            return  # re-WELCOME after a reconnect: keep shard/memory
         # A matching id with a *different* cell list (a resumed run
         # reusing its id with a re-indexed pending set) must never reuse
         # index-keyed memory — lease indexes would point at the wrong
@@ -237,21 +237,16 @@ class FleetWorker:
         self._campaign_id = campaign_id
         self._campaign_digest = digest
         self._cells = tuple(Cell.from_dict(d) for d in frame.get("cells", []))
-        use_disk = bool(frame.get("use_disk", True))
-        fresh = bool(frame.get("fresh", False))
+        self._use_disk = bool(frame.get("use_disk", True))
+        self._fresh = bool(frame.get("fresh", False))
         self._leases = {}
         self._running = set()
         self._done = {}
         self._sem = asyncio.Semaphore(self.slots)
-        # Same worker recipe as the single-host sweep: the grid is
-        # pickled once into the pool initializer, tasks are bare ints,
-        # workers are pinned to this host's resolved cache dir.
-        cache_dir = str(Path(common._cache_dir()).resolve())
-        grid_blob = pickle.dumps(
-            (self._cells, use_disk, fresh), protocol=pickle.HIGHEST_PROTOCOL
+        # Pinned to this host's resolved cache dir, like a local sweep.
+        self._cell_fn = functools.partial(
+            _pinned, _run_cell, str(Path(common._cache_dir()).resolve())
         )
-        self._pool_args = (cache_dir, grid_blob)
-        self._pool = self._new_pool()
         run_id = frame.get("run_id")
         journal_directory = frame.get("journal_dir")
         if run_id and journal_directory:
@@ -262,13 +257,6 @@ class FleetWorker:
             f"campaign {campaign_id}: {len(self._cells)} cells, "
             f"{self.slots} slot(s), shard="
             + (str(self._shard.path) if self._shard else "off")
-        )
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.slots,
-            initializer=_worker_init,
-            initargs=self._pool_args,
         )
 
     # -- leases ------------------------------------------------------------
@@ -309,27 +297,29 @@ class FleetWorker:
         await transport.send(protocol.revoked(released))
 
     async def _compute(self, index: int):
-        """Run one cell in the pool; ``None`` means the pool is gone."""
-        loop = asyncio.get_event_loop()
-        try:
-            return await loop.run_in_executor(
-                self._pool, traced_call, _run_cell, index
-            )
-        except BrokenProcessPool:
-            # The cell killed its process (or OOM did): contain it,
-            # rebuild, and let the coordinator decide whether to retry
-            # the cell on another worker.
-            if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = self._new_pool()
+        """Run one cell on the shared pool; ``None`` means it never ran."""
+        task = (self._cells[index], self._use_disk, self._fresh)
+        while True:
+            try:
+                future, pool, _ = shared_pool.submit(
+                    self.slots, traced_call, self._cell_fn, task
+                )
+            except RuntimeError:
+                return None  # the interpreter is shutting down
+            try:
+                return await asyncio.wrap_future(future)
+            except BrokenProcessPool:
+                if shared_pool.killed(pool):
+                    continue  # killed on purpose by another campaign: rerun
+            # The cell killed its process (or OOM did): contain it and let
+            # the coordinator decide whether to retry it on another worker.
+            shared_pool.replace(pool)
             return (
                 None,
                 "BrokenProcessPool: pool process died mid-cell",
                 0.0,
                 ERROR_CRASH,
             )
-        except RuntimeError:
-            return None  # pool torn down under us (shutdown race)
 
     async def _execute(self, lease_id: str, index: int) -> None:
         assert self._sem is not None

@@ -6,24 +6,35 @@ module applies the same vocabulary to the *host-side* pool that runs
 the experiment campaigns, so one OOM-killed or wedged worker never
 poisons an entire sweep:
 
-* **Worker-crash containment** — a dead worker breaks a
-  :class:`~concurrent.futures.ProcessPoolExecutor` for every pending
-  future. The supervisor detects the broken pool, rebuilds it, charges
-  a failed *attempt* only to the tasks that were actually running on
-  the dead worker, and resubmits everything else untouched.
+* **One pool per host process** — :data:`shared_pool` is started by the
+  first parallel fan-out, sized to that call's ``workers``, and lives
+  until the process exits. Every fan-out (CLI campaigns, service jobs)
+  and every fleet worker submits to it; a call asking for another size
+  retires it (in-flight tasks still finish) and starts a new one.
+  Tasks carry everything they need, so a worker keeps nothing of one
+  campaign that another could see. The pool initializer
+  (:func:`_worker_init`) only starts the owner watch.
+* **Worker-crash containment** — a dead worker breaks the pool for
+  every pending future. The first supervisor to see the break replaces
+  the pool; any other finds it replaced and resubmits. Each charges a
+  failed *attempt* only to its own tasks seen running on the dead
+  pool, and resubmits everything else untouched.
 * **Failure taxonomy** — worker-side exceptions are classified as
   ``transient`` (:class:`~repro.errors.TransientCellError`, retried
   with bounded exponential backoff), ``crash`` / ``deadline``
-  (retried on a rebuilt pool), or ``deterministic``. A task failing
+  (retried on a fresh pool), or ``deterministic``. A task failing
   with the *same* deterministic error twice is quarantined as
   **poison**: no further retries, and a serialized repro bundle
   (task parameters + traceback) is written under
   ``<quarantine_dir>/`` for offline replay via
   ``border-control replay-cell``.
 * **Deadlines** — with ``deadline_seconds`` set, a task that holds a
-  worker past its wall-clock budget gets the whole pool's workers
-  killed and rebuilt (a single worker of a pool cannot be killed in
-  isolation); only the overdue tasks are charged an attempt.
+  worker past its wall-clock budget gets the workers of the pool it
+  was submitted to killed (a single worker of a pool cannot be killed
+  in isolation); only the overdue tasks are charged an attempt. A
+  deliberate kill (a deadline or an abort) charges only the campaign
+  that killed: other campaigns' tasks on that pool are resubmitted
+  free.
 * **Observability** — every recovery action is counted in
   :class:`SupervisorStats`, which the sweep layer surfaces in
   ``SweepReport.render()`` and ``BENCH_sweep.json``.
@@ -39,13 +50,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing.util
 import os
+import threading
 import time
 import traceback
+import weakref
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
@@ -73,6 +87,7 @@ __all__ = [
     "SupervisorPolicy",
     "SupervisorStats",
     "TaskOutcome",
+    "shared_pool",
     "supervised_map",
     "traced_call",
     "write_poison_bundle",
@@ -203,9 +218,10 @@ class CampaignKind:
     ``"<name>-"`` plus a hash of the recipe.
 
     ``cacheable`` is set only for kinds backed by the result cache
-    (sweeps): their ``cell_fn`` returns ``(result, cache_hit)``, and a
-    cell it rejects is a trace cell — journaled without a result, never
-    resumed and never sent to the fleet.
+    (sweeps): their ``cell_fn`` takes ``(cell, use_disk, fresh)`` and
+    returns ``(result, cache_hit)``, and a cell it rejects is a trace
+    cell — journaled without a result, never resumed and never sent to
+    the fleet.
     """
 
     name: str
@@ -304,6 +320,156 @@ def write_poison_bundle(
     return path
 
 
+#: Seconds between a pool worker's checks that its owner is alive.
+_OWNER_POLL_SECONDS = 1.0
+
+
+def _worker_init() -> None:
+    """Pool initializer: the owner watch.
+
+    A daemon thread polls ``os.getppid()`` and ends the worker with
+    ``os._exit`` once the parent pid changes. A worker blocked on its
+    task queue would otherwise outlive an owner killed by SIGKILL,
+    reparented and asleep forever. Everything else a task needs travels
+    with the task (see :func:`repro.sweep.fan_out`).
+    """
+    owner = os.getppid()
+
+    def watch_owner() -> None:
+        while os.getppid() == owner:
+            time.sleep(_OWNER_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch_owner, name="owner-watch", daemon=True).start()
+
+
+class _SharedPool:
+    """The host process's one worker pool (see the module docstring).
+
+    Started lazily by the first :meth:`submit`, so a process that never
+    fans out never forks, and a pool forks after whatever the process
+    set up before its first parallel call. Retiring a pool — because it
+    broke, was killed, or a caller asked for another size — and starting
+    the next are serialized by one lock, so each break is replaced once.
+    """
+
+    def __init__(self) -> None:
+        self._forget()
+        # A forked child (a pool worker among them) inherits this object
+        # but not the pool's threads, and the lock as the forking thread
+        # held it: without this, a task that fans out itself deadlocks.
+        os.register_at_fork(after_in_child=self._forget)
+        #: Pools retired because they broke or were killed.
+        self.replacements = 0
+
+    def _forget(self) -> None:
+        self._exit_hook = False
+        self._lock = threading.Lock()
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._size = 0
+        self._killed: "weakref.WeakSet[ProcessPoolExecutor]" = weakref.WeakSet()
+        # Each pool's worker processes. ``shutdown()`` drops the executor's
+        # own reference, and a retired pool may still need killing.
+        self._workers: "weakref.WeakKeyDictionary[ProcessPoolExecutor, Dict[int, Any]]" = (
+            weakref.WeakKeyDictionary()
+        )
+
+    def submit(
+        self, workers: int, fn: Callable, *args: Any
+    ) -> Tuple[Future, ProcessPoolExecutor, bool]:
+        """Submit ``fn(*args)`` to a pool of ``workers`` processes.
+
+        Returns the future, the pool it went to, and whether this call
+        replaced a broken pool on the way.
+        """
+        with self._lock:
+            executor = self._current(workers)
+            try:
+                return executor.submit(fn, *args), executor, False
+            except BrokenProcessPool:  # broke before any task saw it
+                self._retire(executor)
+                self._stop(executor)
+                executor = self._current(workers)
+                return executor.submit(fn, *args), executor, True
+
+    def replace(self, broken: ProcessPoolExecutor) -> bool:
+        """Retire a broken pool; True only for the call that did."""
+        with self._lock:
+            replaced = self._retire(broken)
+        if replaced:
+            self._stop(broken)
+        return replaced
+
+    def kill(self, executor: ProcessPoolExecutor) -> bool:
+        """Kill a pool's workers on purpose (a deadline or an abort).
+
+        Tasks that other campaigns had on it see :meth:`killed` and are
+        resubmitted free. True when it was the current pool.
+        """
+        with self._lock:
+            self._killed.add(executor)
+            replaced = self._retire(executor)
+        self._stop(executor)
+        return replaced
+
+    def killed(self, executor: ProcessPoolExecutor) -> bool:
+        return executor in self._killed
+
+    def shutdown(self) -> None:
+        """Stop the current pool after its queued tasks; the next
+        :meth:`submit` starts a fresh one."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
+
+    def _current(self, workers: int) -> ProcessPoolExecutor:
+        """The pool to submit to, started or resized first if need be."""
+        if self._executor is not None and self._size != workers:
+            self._executor.shutdown(wait=False)
+            self._executor = None
+        if self._executor is None:
+            if not self._exit_hook:
+                # A multiprocessing child joins its children before the
+                # interpreter stops pools: stop this one first, while the
+                # task queue (closed at exit priority 10) still runs.
+                multiprocessing.util.Finalize(self, self.shutdown, exitpriority=20)
+                self._exit_hook = True
+            self._executor = ProcessPoolExecutor(
+                max_workers=workers, initializer=_worker_init
+            )
+            self._workers[self._executor] = getattr(self._executor, "_processes", {})
+            self._size = workers
+        return self._executor
+
+    def _retire(self, executor: ProcessPoolExecutor) -> bool:
+        if executor is not self._executor:
+            return False
+        self._executor = None
+        self.replacements += 1
+        return True
+
+    def _stop(self, executor: ProcessPoolExecutor) -> None:
+        """Tear a pool down *now*, without waiting on in-flight work.
+
+        ``ProcessPoolExecutor`` has no per-worker kill, so every worker
+        process goes. The executor then fails every future it still
+        holds with :class:`BrokenProcessPool` — queued ones too, which
+        is why nothing here cancels them: a cancelled future never
+        turns up in :func:`concurrent.futures.wait`.
+        """
+        for proc in list(self._workers.get(executor, {}).values()):
+            try:
+                proc.kill()
+            except (OSError, ValueError):  # already gone
+                pass
+        executor.shutdown(wait=False)
+
+
+#: The one pool every supervised fan-out and fleet worker submits to.
+shared_pool = _SharedPool()
+
+
 class _TaskState:
     """Mutable supervision bookkeeping for one task."""
 
@@ -326,7 +492,7 @@ def _first_line(error: str) -> str:
 
 
 class _Supervisor:
-    """One supervised fan-out: pool lifecycle + retry/deadline loop."""
+    """One supervised fan-out: the retry/deadline loop over the shared pool."""
 
     #: How often the event loop wakes to sample running futures (the
     #: basis for crash charging and deadline checks), in seconds.
@@ -343,12 +509,7 @@ class _Supervisor:
         label_of: Callable[[Any], str],
         describe_task: Optional[DescribeFn],
         on_outcome: Optional[OnOutcomeFn],
-        initializer: Optional[Callable],
-        initargs: Tuple,
-        serial_setup: Optional[Callable[[], None]] = None,
-        serial_teardown: Optional[Callable[[], None]] = None,
         should_abort: Optional[Callable[[], bool]] = None,
-        pool_factory: Optional[Callable[..., ProcessPoolExecutor]] = None,
     ) -> None:
         self.fn = fn
         self.tasks = tasks
@@ -359,12 +520,7 @@ class _Supervisor:
         self.label_of = label_of
         self.describe_task = describe_task
         self.on_outcome = on_outcome
-        self.initializer = initializer
-        self.initargs = initargs
-        self.serial_setup = serial_setup
-        self.serial_teardown = serial_teardown
         self.should_abort = should_abort
-        self.pool_factory = pool_factory
         self.outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
         self.states = [_TaskState(i) for i in range(len(tasks))]
         self.done_count = 0
@@ -467,92 +623,61 @@ class _Supervisor:
     # -- serial path -------------------------------------------------------
 
     def run_serial(self) -> List[TaskOutcome]:
-        # The in-process path never runs the pool ``initializer`` (there
-        # is no worker to initialize); callers whose tasks need ambient
-        # state — the sweep layer's installed grid context — provide a
-        # ``serial_setup`` mirroring the worker-side install, without the
-        # initializer's environment mutations leaking into this process.
-        if self.serial_setup is not None:
-            self.serial_setup()
-        try:
-            for i, task in enumerate(self.tasks):
+        for i, task in enumerate(self.tasks):
+            if self._aborted():
+                break
+            state = self.states[i]
+            while True:
+                value, error, wall, kind = traced_call(self.fn, task)
+                if error is None:
+                    self._finalize(i, TaskOutcome(value, None, wall, state.attempts + 1))
+                    break
+                delay = self._classify_failure(state, error, kind or ERROR_DETERMINISTIC, wall)
+                if delay is None:
+                    self._finalize(
+                        i,
+                        TaskOutcome(None, state.last_error, wall, state.attempts, kind),
+                    )
+                    break
+                if delay > 0:
+                    time.sleep(delay)
                 if self._aborted():
                     break
-                state = self.states[i]
-                while True:
-                    value, error, wall, kind = traced_call(self.fn, task)
-                    if error is None:
-                        self._finalize(i, TaskOutcome(value, None, wall, state.attempts + 1))
-                        break
-                    delay = self._classify_failure(state, error, kind or ERROR_DETERMINISTIC, wall)
-                    if delay is None:
-                        self._finalize(
-                            i,
-                            TaskOutcome(
-                                None, state.last_error, wall, state.attempts, kind
-                            ),
-                        )
-                        break
-                    if delay > 0:
-                        time.sleep(delay)
-                    if self._aborted():
-                        break
-            self._finalize_aborted()
-        finally:
-            if self.serial_teardown is not None:
-                self.serial_teardown()
+        self._finalize_aborted()
         return [out for out in self.outcomes if out is not None]
 
     # -- parallel path -----------------------------------------------------
 
-    def _new_pool(self) -> ProcessPoolExecutor:
-        factory = self.pool_factory or ProcessPoolExecutor
-        return factory(
-            max_workers=min(self.workers, len(self.tasks)),
-            initializer=self.initializer,
-            initargs=self.initargs,
-        )
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Tear a pool down *now*, without waiting on in-flight work.
-
-        ``ProcessPoolExecutor`` has no per-worker kill, so deadline
-        enforcement (and abandonment on interrupt) kills every worker
-        process; the supervisor then rebuilds and resubmits.
-        """
-        processes = getattr(pool, "_processes", None) or {}
-        for proc in list(processes.values()):
-            try:
-                proc.kill()
-            except (OSError, ValueError):  # already gone
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
-
     def run_parallel(self) -> List[TaskOutcome]:
         policy = self.policy
-        pool = self._new_pool()
-        in_pool: Dict[Future, int] = {}
+        # Each in-flight future with its task index and the pool it went
+        # to: after a resize that may be a retired pool, and a crash or a
+        # kill concerns only that pool's futures.
+        in_pool: Dict[Future, Tuple[int, ProcessPoolExecutor]] = {}
         running_since: Dict[int, float] = {}
         # (due monotonic time, index) — tasks waiting out a retry backoff.
         delayed: List[Tuple[float, int]] = []
         to_submit: "deque[int]" = deque(range(len(self.tasks)))
 
         def submit(index: int) -> None:
-            fut = pool.submit(traced_call, self.fn, self.tasks[index])
-            in_pool[fut] = index
+            fut, pool, replaced = shared_pool.submit(
+                self.workers, traced_call, self.fn, self.tasks[index]
+            )
+            self.stats.pool_rebuilds += replaced
+            in_pool[fut] = (index, pool)
 
-        def rebuild_pool() -> None:
-            nonlocal pool
-            self._kill_pool(pool)
-            self.stats.pool_rebuilds += 1
-            pool = self._new_pool()
-            # Everything that was in the old pool (and didn't get charged
-            # an attempt by the caller) goes back to the submit queue.
-            for index in in_pool.values():
-                running_since.pop(index, None)
-                to_submit.append(index)
-            in_pool.clear()
+        def release(pools: Set[ProcessPoolExecutor]) -> None:
+            """Requeue, uncharged, every task still in flight on ``pools``."""
+            for fut, (index, pool) in list(in_pool.items()):
+                if pool in pools:
+                    del in_pool[fut]
+                    running_since.pop(index, None)
+                    to_submit.append(index)
+
+        def kill(pools: Set[ProcessPoolExecutor]) -> None:
+            for pool in pools:
+                self.stats.pool_rebuilds += shared_pool.kill(pool)
+            release(pools)
 
         def fail_or_retry(index: int, error: str, kind: str, wall: float) -> None:
             state = self.states[index]
@@ -566,28 +691,50 @@ class _Supervisor:
             else:
                 to_submit.append(index)
 
-        def crash_or_ride(
-            index: int, exc: BaseException, was_running: bool, wall: float
-        ) -> None:
-            """Charge a broken-pool victim, or resubmit it for free.
+        def settle(fut: Future, now: float, broken: Set[ProcessPoolExecutor]) -> None:
+            """Seal, retry or resubmit one finished future's task.
 
-            Only tasks observed running on the dead worker are charged an
-            attempt — queued siblings ride the rebuild untouched. The
-            ``free_rides`` bound keeps a crasher that dies between
-            running-state samples from riding rebuilds forever.
+            A pool break charges an attempt only to a task seen running
+            on it; queued siblings ride for free. The ``free_rides``
+            bound keeps a crasher that dies between running-state
+            samples from riding forever. A pool another campaign killed
+            on purpose charges nothing.
             """
-            state = self.states[index]
-            if was_running or state.free_rides >= 3:
+            index, pool = in_pool.pop(fut)
+            was_running = index in running_since
+            started = running_since.pop(index, now)
+            try:
+                value, error, wall, kind = fut.result()
+            except BrokenProcessPool as exc:
+                state = self.states[index]
+                if shared_pool.killed(pool):
+                    to_submit.append(index)
+                    return
+                broken.add(pool)
+                if was_running or state.free_rides >= 3:
+                    fail_or_retry(
+                        index,
+                        f"{type(exc).__name__}: worker process died "
+                        f"mid-cell ({exc})",
+                        ERROR_CRASH,
+                        now - started,
+                    )
+                else:
+                    state.free_rides += 1
+                    to_submit.append(index)
+                return
+            except Exception as exc:  # pool plumbing failure
                 fail_or_retry(
+                    index, f"{type(exc).__name__}: {exc}", ERROR_CRASH, now - started
+                )
+                return
+            if error is None:
+                self._finalize(
                     index,
-                    f"{type(exc).__name__}: worker process died "
-                    f"mid-cell ({exc})",
-                    ERROR_CRASH,
-                    wall,
+                    TaskOutcome(value, None, wall, self.states[index].attempts + 1),
                 )
             else:
-                state.free_rides += 1
-                to_submit.append(index)
+                fail_or_retry(index, error, kind or ERROR_DETERMINISTIC, wall)
 
         try:
             while self.done_count < len(self.tasks):
@@ -596,7 +743,7 @@ class _Supervisor:
                     # boundary: kill in-flight workers now (their cells
                     # are charged as aborted, not crashed) and seal
                     # everything unfinished.
-                    self._kill_pool(pool)
+                    kill({pool for _, pool in in_pool.values()})
                     self._finalize_aborted()
                     return [out for out in self.outcomes if out is not None]
                 now = time.monotonic()
@@ -635,103 +782,53 @@ class _Supervisor:
                 now = time.monotonic()
                 # A future turns "running" once the executor hands it to a
                 # worker; note the time for deadline accounting.
-                for fut, index in in_pool.items():
+                for fut, (index, _pool) in in_pool.items():
                     if index not in running_since and fut.running():
                         running_since[index] = now
 
-                pool_broken = False
+                broken: Set[ProcessPoolExecutor] = set()
                 for fut in finished:
-                    index = in_pool.pop(fut)
-                    was_running = index in running_since
-                    started = running_since.pop(index, now)
-                    try:
-                        value, error, wall, kind = fut.result()
-                    except BrokenProcessPool as exc:
-                        # This future's worker died (OOM kill, SIGKILL...).
-                        pool_broken = True
-                        crash_or_ride(index, exc, was_running, now - started)
-                        continue
-                    except Exception as exc:  # pool plumbing failure
-                        fail_or_retry(
-                            index,
-                            f"{type(exc).__name__}: {exc}",
-                            ERROR_CRASH,
-                            now - started,
-                        )
-                        continue
-                    if error is None:
-                        self._finalize(
-                            index,
-                            TaskOutcome(
-                                value, None, wall, self.states[index].attempts + 1
-                            ),
-                        )
-                    else:
-                        fail_or_retry(index, error, kind or ERROR_DETERMINISTIC, wall)
-
-                if pool_broken:
-                    # The executor fails every sibling future when a worker
-                    # dies; drain the already-done ones here so running
-                    # victims are charged exactly one attempt and queued
-                    # ones ride the rebuild for free.
-                    for fut in [f for f in list(in_pool) if f.done()]:
-                        index = in_pool.pop(fut)
-                        was_running = index in running_since
-                        started = running_since.pop(index, now)
-                        try:
-                            value, error, wall, kind = fut.result()
-                        except BrokenProcessPool as exc:
-                            crash_or_ride(index, exc, was_running, now - started)
-                        except Exception:
-                            to_submit.append(index)
-                        else:  # landed just before the pool broke
-                            if error is None:
-                                self._finalize(
-                                    index,
-                                    TaskOutcome(
-                                        value,
-                                        None,
-                                        wall,
-                                        self.states[index].attempts + 1,
-                                    ),
-                                )
-                            else:
-                                fail_or_retry(
-                                    index, error, kind or ERROR_DETERMINISTIC, wall
-                                )
-                    rebuild_pool()
+                    settle(fut, now, broken)
+                if broken:
+                    # The executor fails every future of a dead pool; settle
+                    # the ones already done so running victims are charged
+                    # exactly once, then requeue the rest for free.
+                    for fut, (_index, pool) in list(in_pool.items()):
+                        if pool in broken and fut.done():
+                            settle(fut, now, broken)
+                    for pool in broken:
+                        self.stats.pool_rebuilds += shared_pool.replace(pool)
+                    release(broken)
                     continue
 
                 # Deadline enforcement: any running task past its budget
                 # wedges a worker we cannot reclaim individually — kill the
-                # workers, charge the overdue tasks, resubmit the innocent.
+                # workers of its pool, charge the overdue tasks, resubmit
+                # the innocent.
                 if policy.deadline_seconds is not None:
-                    overdue = [
-                        index
-                        for index, started in running_since.items()
-                        if now - started > policy.deadline_seconds
-                    ]
-                    if overdue:
-                        for fut in [f for f, i in in_pool.items() if i in set(overdue)]:
-                            index = in_pool.pop(fut)
-                            started = running_since.pop(index)
-                            self.stats.deadline_kills += 1
-                            fail_or_retry(
-                                index,
-                                "DeadlineExceeded: cell exceeded its "
-                                f"{policy.deadline_seconds:g}s wall-clock budget",
-                                ERROR_DEADLINE,
-                                now - started,
-                            )
-                        rebuild_pool()
+                    doomed: Set[ProcessPoolExecutor] = set()
+                    for fut, (index, pool) in list(in_pool.items()):
+                        started = running_since.get(index)
+                        if started is None or now - started <= policy.deadline_seconds:
+                            continue
+                        del in_pool[fut]
+                        del running_since[index]
+                        doomed.add(pool)
+                        self.stats.deadline_kills += 1
+                        fail_or_retry(
+                            index,
+                            "DeadlineExceeded: cell exceeded its "
+                            f"{policy.deadline_seconds:g}s wall-clock budget",
+                            ERROR_DEADLINE,
+                            now - started,
+                        )
+                    kill(doomed)
         except BaseException:
             # Interrupt (SIGINT/SIGTERM) or internal error: abandon
             # in-flight work immediately so the process can exit and the
             # journal (flushed per-entry by the caller) stays resumable.
-            self._kill_pool(pool)
+            kill({pool for _, pool in in_pool.values()})
             raise
-        else:
-            pool.shutdown(wait=True)
         assert all(out is not None for out in self.outcomes)
         return [out for out in self.outcomes if out is not None]
 
@@ -746,12 +843,7 @@ def supervised_map(
     label_of: Optional[Callable[[Any], str]] = None,
     describe_task: Optional[DescribeFn] = None,
     on_outcome: Optional[OnOutcomeFn] = None,
-    initializer: Optional[Callable] = None,
-    initargs: Tuple = (),
-    serial_setup: Optional[Callable[[], None]] = None,
-    serial_teardown: Optional[Callable[[], None]] = None,
     should_abort: Optional[Callable[[], bool]] = None,
-    pool_factory: Optional[Callable[..., ProcessPoolExecutor]] = None,
 ) -> Tuple[List[TaskOutcome], str]:
     """Run ``fn`` over ``tasks`` under supervision, preserving order.
 
@@ -762,26 +854,17 @@ def supervised_map(
     fires once per task as its fate is sealed, in completion order —
     the journal layer hooks it to persist each cell.
 
-    ``initializer(*initargs)`` runs once per spawned worker process —
-    including the workers of every *rebuilt* pool, which is how
-    worker-side state (cache pinning, shipped task context, the owner
-    watch) survives crash containment. The serial path never spawns
-    workers, so it never runs the initializer; ``serial_setup`` /
-    ``serial_teardown`` bracket the in-process loop for callers whose
-    task function needs the same ambient state there.
+    The parallel path submits ``traced_call(fn, task)`` to
+    :data:`shared_pool`, sized ``workers``; the pool outlives the call.
+    ``fn`` and each task must be picklable and carry all the state the
+    task needs: pool workers are shared by every campaign in this
+    process.
 
     ``should_abort`` (thread-safe, cheap) is polled at dispatch
     boundaries; once true, no further task is started, in-flight
     workers are killed, and every unfinished task is sealed with an
     :data:`ERROR_ABORTED` outcome — the cooperative-cancellation hook
     the job server's cancel/drain/deadline paths use.
-
-    ``pool_factory`` swaps the executor backend: it is called with the
-    same keyword arguments as :class:`ProcessPoolExecutor`
-    (``max_workers``, ``initializer``, ``initargs``) for the initial
-    pool *and every rebuilt one* — which is why it is a factory, not an
-    executor instance. Fleet workers use it to bound their local pool
-    and tests use it to inject failing pools.
     """
     sup = _Supervisor(
         fn,
@@ -793,12 +876,7 @@ def supervised_map(
         label_of or (lambda task: str(task)),
         describe_task,
         on_outcome,
-        initializer,
-        initargs,
-        serial_setup=serial_setup,
-        serial_teardown=serial_teardown,
         should_abort=should_abort,
-        pool_factory=pool_factory,
     )
     if workers <= 1 or len(tasks) <= 1:
         return sup.run_serial(), "serial"

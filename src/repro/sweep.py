@@ -18,11 +18,13 @@ independent *cells*, each a pure function of its parameters:
   adopting the results into the parent's caches. Results are
   **bit-identical** to serial execution: workers run the same
   deterministic ``run_single`` and ship the ``RunResult`` back whole.
-  The grid is pickled once into the pool initializer (tasks are bare
-  indexes) and each worker is pinned to the parent's resolved cache
-  dir. Workers keep no ``System`` between cells: every cell builds a
-  fresh one, on a pool worker exactly as in-process. A worker exits
-  when the process that owns its pool dies.
+  Cells run on the host's one long-lived pool
+  (:data:`repro.supervisor.shared_pool`): each task carries its cell
+  and the parent's resolved cache dir, and a per-task prologue
+  (:func:`_pin_worker`) pins the worker to that dir. Workers keep no
+  ``System`` between cells: every cell builds a fresh one, on a pool
+  worker exactly as in-process. A worker exits when the process that
+  owns its pool dies.
 * **Checkpoint/resume** — with a :class:`repro.journal.RunJournal`,
   a later run rehydrates completed cells instead of recomputing them
   (``--resume <run-id>``); SIGINT/SIGTERM unwind cleanly, so an
@@ -44,10 +46,9 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
-import multiprocessing
 import os
-import pickle
 import threading
 import time
 from dataclasses import dataclass, field
@@ -388,96 +389,42 @@ def resolve_workers(workers: Optional[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: The sweep's shared task context: ``(cells, use_disk, fresh)``. Cells
-#: are pickled *once* per sweep into the worker initializer and installed
-#: here, so each task crossing the pool boundary afterwards is a bare
-#: int index instead of a re-pickled Cell per submission. The parent
-#: installs the same context around the supervisor's in-process serial
-#: path (which never runs pool initializers).
-_grid_context: Optional[Tuple[Tuple[Cell, ...], bool, bool]] = None
-
-
-def _install_grid(cells: Sequence[Cell], use_disk: bool, fresh: bool) -> None:
-    global _grid_context
-    _grid_context = (tuple(cells), use_disk, fresh)
-
-
-def _clear_grid() -> None:
-    global _grid_context
-    _grid_context = None
-
-
-#: Seconds between a pool worker's checks that its owner is alive.
-_OWNER_POLL_SECONDS = 1.0
-
-
-def _worker_init(cache_dir: Optional[str], grid_blob: Optional[bytes] = None) -> None:
-    """Initialize one pool worker: cache pinning, task context, owner watch.
+def _pin_worker(cache_dir: Optional[str]) -> None:
+    """The per-task prologue on a pool worker: cache pinning, cold memory.
 
     * **Cache dir** — the worker is pinned to the parent's *resolved*
-      cache dir, unconditionally. The old behavior popped
-      ``REPRO_CACHE_DIR`` when the parent's environment lacked it, so a
-      parent using the default dir and a worker with a different working
-      directory (or an inherited stale env under ``fork``) silently
-      cached to different places. A ``None`` argument now means "resolve
-      the default here" rather than "unpin".
-    * **Memory cache** — cleared. With ``fork`` workers inherit the
-      parent's memoized results; clearing them makes every worker's
-      hit accounting (and its actual compute) independent of parent
-      state, and keeps behavior identical under ``spawn``.
-    * **Task context** — ``grid_blob`` (the sweep's cells, pickled once
-      in the parent) is installed for :func:`_run_cell`'s int tasks.
-    * **Owner watch** — in a worker started by :mod:`multiprocessing`, a
-      daemon thread polls ``os.getppid()`` and ends the worker with
-      ``os._exit`` once the parent pid changes. A worker blocked on its
-      task queue would otherwise outlive an owner killed by SIGKILL,
-      reparented and asleep forever.
+      cache dir, unconditionally, so a worker with another working
+      directory (or an environment inherited from the campaign that
+      forked it) never caches somewhere else. ``None`` resolves the
+      default here.
+    * **Memory cache** — cleared, so hit accounting (and the actual
+      compute) never depends on what an earlier task left in this
+      worker or what it inherited by ``fork``.
 
-    Pool rebuilds after a worker crash re-run this initializer in every
-    replacement worker, so the context re-establishes itself lazily —
-    no parent-side bookkeeping.
+    Pool workers are shared by every campaign in the process, so this
+    runs before every task rather than once per worker.
     """
     if cache_dir is None:
         cache_dir = str(Path(common._cache_dir()).resolve())
     os.environ["REPRO_CACHE_DIR"] = cache_dir
     common._memory_cache.clear()
-    if grid_blob is not None:
-        _install_grid(*pickle.loads(grid_blob))
-    else:
-        _clear_grid()
-    if multiprocessing.parent_process() is not None:
-        owner = os.getppid()
-
-        def watch_owner() -> None:
-            while os.getppid() == owner:
-                time.sleep(_OWNER_POLL_SECONDS)
-            os._exit(1)
-
-        threading.Thread(target=watch_owner, name="owner-watch", daemon=True).start()
 
 
-def _run_cell(task: Union[int, Tuple[Cell, bool, bool]]) -> Tuple[RunResult, bool]:
-    """Execute one cell; returns ``(result, cache_hit)``.
+def _pinned(fn: Callable, cache_dir: str, task: Any) -> Any:
+    """One pool task: :func:`_pin_worker`, then ``fn(task)``."""
+    _pin_worker(cache_dir)
+    return fn(task)
 
-    Tasks are normally int indexes into the installed grid context;
-    legacy ``(Cell, use_disk, fresh)`` tuples are still accepted (repro
-    bundles and direct callers use them).
+
+def _run_cell(task: Tuple[Cell, bool, bool]) -> Tuple[RunResult, bool]:
+    """Execute one ``(cell, use_disk, fresh)`` task; returns ``(result, cache_hit)``.
 
     The hit flag is the provenance fact reported by
     :func:`repro.experiments.common.cached_run_ex` — *not* a separate
     existence probe of the cache file, which races against concurrent
     workers publishing the same key and misreports either way.
     """
-    if isinstance(task, int):
-        if _grid_context is None:
-            raise RuntimeError(
-                "sweep task is an index but no grid context is installed "
-                "in this process (worker initializer did not run?)"
-            )
-        cells, use_disk, fresh = _grid_context
-        cell = cells[task]
-    else:
-        cell, use_disk, fresh = task
+    cell, use_disk, fresh = task
     if fresh or not cell.cacheable:
         result = run_single(
             cell.workload,
@@ -527,7 +474,6 @@ def fan_out(
     stats: Optional[SupervisorStats] = None,
     describe_task: Optional[Callable[[Any], Optional[Dict[str, Any]]]] = None,
     on_outcome: Optional[Callable[[int, TaskOutcome], None]] = None,
-    grid: Optional[Tuple[Sequence[Cell], bool, bool]] = None,
     should_abort: Optional[Callable[[], bool]] = None,
 ) -> Tuple[List[TaskOutcome], str]:
     """Run ``fn`` over ``tasks`` under :func:`repro.supervisor.supervised_map`.
@@ -535,34 +481,18 @@ def fan_out(
     ``fn`` and every task must be picklable. Returns ``(outcomes,
     mode)``: one :class:`~repro.supervisor.TaskOutcome` per task, in
     task order, and ``"serial"`` (in-process, for ``workers <= 1`` or a
-    single task) or ``"parallel"``. Workers are pinned to the parent's
-    *resolved* cache dir; crash containment, retries and poison
+    single task) or ``"parallel"``. On the pool each task is ``fn``, the
+    task and the parent's *resolved* cache dir, and runs
+    :func:`_pin_worker` first; crash containment, retries and poison
     quarantine (repro bundles under ``<cache-dir>/quarantine/``) follow
-    :mod:`repro.supervisor`.
-
-    ``grid=(cells, use_disk, fresh)`` ships a sweep's cells to the
-    workers **once**, pickled into the pool initializer (which rebuilt
-    pools re-run); the tasks are then int indexes into it. The serial
-    path installs the same context in-process. Either way every cell
-    builds a fresh ``System``, and pool workers exit with their owner
-    (:func:`_worker_init`).
+    :mod:`repro.supervisor`. Either way every cell builds a fresh
+    ``System``, and pool workers exit with their owner.
     ``progress(done, total, label, error)`` fires as each task's fate is
     sealed, in completion order.
     """
     workers = resolve_workers(workers)
-    cache_dir = str(Path(common._cache_dir()).resolve())
-    grid_blob: Optional[bytes] = None
-    serial_setup = serial_teardown = None
-    if grid is not None:
-        cells, use_disk, fresh = grid
-        grid_blob = pickle.dumps(
-            (tuple(cells), use_disk, fresh), protocol=pickle.HIGHEST_PROTOCOL
-        )
-
-        def serial_setup() -> None:
-            _install_grid(cells, use_disk, fresh)
-
-        serial_teardown = _clear_grid
+    if workers > 1 and len(tasks) > 1:  # supervised_map's pool path
+        fn = functools.partial(_pinned, fn, str(Path(common._cache_dir()).resolve()))
     return supervised_map(
         fn,
         tasks,
@@ -573,10 +503,6 @@ def fan_out(
         label_of=label_of,
         describe_task=describe_task,
         on_outcome=on_outcome,
-        initializer=_worker_init,
-        initargs=(cache_dir, grid_blob),
-        serial_setup=serial_setup,
-        serial_teardown=serial_teardown,
         should_abort=should_abort,
     )
 
@@ -735,16 +661,12 @@ def run_campaign(
 
     if pending:
         task_cells = [cells[i] for i in pending]
-        grid: Optional[Tuple[Sequence[Cell], bool, bool]] = None
         tasks: List[Any] = task_cells
         if kind.cacheable is not None:
-            # Result-cache cells are pickled once into the worker
-            # initializer; the tasks themselves are bare indexes.
-            grid = (task_cells, use_disk, fresh)
-            tasks = list(range(len(task_cells)))
+            tasks = [(cell, use_disk, fresh) for cell in task_cells]
 
         def cell_of(task: Any) -> Any:
-            return task_cells[task] if grid is not None else task
+            return task if kind.cacheable is None else task[0]
 
         def on_outcome(task_index: int, out: TaskOutcome) -> None:
             if journal is not None:
@@ -763,7 +685,6 @@ def run_campaign(
                 stats=stats,
                 describe_task=lambda task: kind.describe(cell_of(task)),
                 on_outcome=on_outcome,
-                grid=grid,
                 should_abort=should_abort,
             )
         if mode != "fleet":  # fleet placements outrank the local tail

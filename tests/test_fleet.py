@@ -12,6 +12,7 @@ fleet has no workers.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import os
 import signal
@@ -29,11 +30,12 @@ from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.fleet import FleetCoordinator, FleetWorker, chaos_plan, protocol
 from repro.fleet.coordinator import _Campaign, _Lease, _WorkerState
 from repro.fleet.transport import FaultyTransport
+from repro.fleet import worker as fleet_worker
 from repro.fleet.worker import sanitize_worker_id
 from repro.journal import RunJournal
 from repro.service.wire import WireError, encode_frame, read_frame
 from repro.sim.config import GPUThreading, SafetyMode
-from repro.supervisor import ERROR_CRASH, ERROR_TRANSIENT
+from repro.supervisor import ERROR_CRASH, ERROR_TRANSIENT, shared_pool, traced_call
 
 SCALE = 0.05
 
@@ -436,6 +438,18 @@ class TestLeaseBookkeeping:
 # ---------------------------------------------------------------------------
 
 
+def _crashing_traced_call(fn, task):
+    """``traced_call`` in which a cell tagged ``die`` SIGKILLs its pool
+    worker and one tagged ``slow`` is still running when it does."""
+    tag = task[0].tag
+    if tag == "die":
+        time.sleep(0.3)
+        os.kill(os.getpid(), signal.SIGKILL)
+    if tag == "slow":
+        time.sleep(2.0)
+    return traced_call(fn, task)
+
+
 class _AsyncCaptureTransport:
     def __init__(self):
         self.frames = []
@@ -550,6 +564,36 @@ class TestWorkerLeases:
         )
         assert calls == [0]  # answered from memory, no recompute
         assert len(transport.frames) == 2
+
+    def test_one_crash_replaces_the_pool_once(self, monkeypatch):
+        """Both in-flight cells of a broken pool fail; only the first
+        handler replaces the pool, and the next cell runs on it."""
+        monkeypatch.setattr(fleet_worker, "traced_call", _crashing_traced_call)
+        worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=2)
+        die, slow, healthy = _cells(3)
+        worker._cells = (
+            dataclasses.replace(die, tag="die"),
+            dataclasses.replace(slow, tag="slow"),
+            healthy,
+        )
+        worker._sem = asyncio.Semaphore(2)
+        worker._transport = transport = _AsyncCaptureTransport()
+        before = shared_pool.replacements
+        self._drive(
+            worker,
+            protocol.assign(
+                [{"lease_id": "L0", "index": 0}, {"lease_id": "L1", "index": 1}]
+            ),
+        )
+        assert shared_pool.replacements - before == 1
+        assert sorted(frame["index"] for frame in transport.frames) == [0, 1]
+        assert all(
+            frame["entry"]["error_kind"] == ERROR_CRASH for frame in transport.frames
+        )
+        self._drive(worker, protocol.assign([{"lease_id": "L2", "index": 2}]))
+        assert transport.frames[-1]["index"] == 2
+        assert transport.frames[-1]["entry"]["ok"]
+        assert shared_pool.replacements - before == 1
 
     def test_install_reinstalls_when_cells_change_under_same_id(self):
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)

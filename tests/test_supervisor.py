@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -29,6 +30,7 @@ from repro.supervisor import (
     ERROR_TRANSIENT,
     SupervisorPolicy,
     SupervisorStats,
+    shared_pool,
     supervised_map,
     traced_call,
     write_poison_bundle,
@@ -44,6 +46,9 @@ def _faulty_task(task):
 
     * ``("ok", x)`` — return ``x * 2``.
     * ``("sleep-ok", seconds)`` — sleep, then return ``"slept"``.
+    * ``("log-sleep", (path, seconds))`` — append this worker's pid to
+      ``path`` (one line per execution), then sleep and return
+      ``"slept"``.
     * ``("die", sentinel)`` — SIGKILL this worker; if ``sentinel`` names
       a file, create it first and only die when it didn't exist yet
       (crash exactly once, succeed on retry).
@@ -57,6 +62,12 @@ def _faulty_task(task):
         return arg * 2
     if action == "sleep-ok":
         time.sleep(arg)
+        return "slept"
+    if action == "log-sleep":
+        path, seconds = arg
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        time.sleep(seconds)
         return "slept"
     if action == "die":
         if arg:
@@ -79,6 +90,21 @@ def _faulty_task(task):
         time.sleep(arg)
         return "woke"
     raise AssertionError(f"unknown action {action!r}")
+
+
+def _fan_out_doubles(count):
+    """A pool task that fans out a pool of its own."""
+    outcomes, mode = supervised_map(_faulty_task, [("ok", i) for i in range(count)], workers=2)
+    return mode, [out.value for out in outcomes]
+
+
+def _running(pid):
+    """Is ``pid`` alive (a zombie is not)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except OSError:
+        return False
 
 
 def _describe(task):
@@ -264,30 +290,65 @@ class TestParallelSupervision:
         crashed = outcomes[1]
         assert crashed.attempts >= 2  # the kill charged a real attempt
 
-    def test_pool_factory_builds_initial_and_rebuilt_pools(self, tmp_path):
-        """``pool_factory`` is consulted for every pool, including the
-        ones rebuilt after a crash — fleet workers rely on this to keep
-        their local pool bounded across rebuilds."""
-        from concurrent.futures import ProcessPoolExecutor
+    def test_one_break_is_one_replacement_across_campaigns(self, tmp_path):
+        """Two campaigns share the pool and one SIGKILLs a worker while
+        the other has a cell running: the first supervisor to see the
+        break replaces the pool, the other finds it replaced and
+        resubmits, and both finish."""
+        sentinel = str(tmp_path / "crash.sentinel")
+        policy = SupervisorPolicy(retries=2, backoff_base=0.001)
+        before = shared_pool.replacements
+        stats_a, stats_b = SupervisorStats(), SupervisorStats()
+        crasher = {}
 
-        calls = []
+        def campaign_a():
+            crasher["outcomes"], _ = supervised_map(
+                _faulty_task,
+                [("die", sentinel), ("ok", 1)],
+                workers=2,
+                policy=policy,
+                stats=stats_a,
+            )
 
-        def factory(**kwargs):
-            calls.append(kwargs)
-            return ProcessPoolExecutor(**kwargs)
-
-        sentinel = str(tmp_path / "factory.sentinel")
+        thread = threading.Thread(target=campaign_a)
+        thread.start()
+        time.sleep(0.1)  # A's cell dies at 0.3 s, while B's first one runs
         outcomes, mode = supervised_map(
             _faulty_task,
-            [("ok", 1), ("die", sentinel), ("ok", 2)],
+            [("sleep-ok", 0.5)] * 3,
             workers=2,
-            policy=SupervisorPolicy(retries=2, backoff_base=0.001),
-            pool_factory=factory,
+            policy=policy,
+            stats=stats_b,
         )
+        thread.join(60)
         assert mode == "parallel"
-        assert [out.ok for out in outcomes] == [True] * 3
-        assert len(calls) >= 2  # initial pool + at least one rebuild
-        assert all(kw["max_workers"] == 2 for kw in calls)
+        assert [out.value for out in crasher["outcomes"]] == ["survived", 2]
+        assert [out.value for out in outcomes] == ["slept"] * 3
+        assert shared_pool.replacements - before == 1
+        assert stats_a.pool_rebuilds + stats_b.pool_rebuilds == 1
+
+    def test_a_pool_task_can_fan_out_itself(self):
+        """Pool workers are forked while the parent holds the pool's lock,
+        so a worker must start with no pool and a free lock; and a worker
+        that started a pool of its own must stop it to exit."""
+        outcomes, _ = supervised_map(
+            _fan_out_doubles,
+            [2, 3],
+            workers=2,
+            policy=SupervisorPolicy(retries=0, deadline_seconds=30.0),
+        )
+        assert [out.value for out in outcomes] == [
+            ("parallel", [0, 2]),
+            ("parallel", [0, 2, 4]),
+        ]
+        pool = shared_pool._executor
+        stopping = threading.Thread(target=shared_pool.shutdown)
+        stopping.start()
+        stopping.join(30)
+        hung = stopping.is_alive()
+        if hung:  # free the suite from a pool that can never stop
+            shared_pool.kill(pool)
+        assert not hung
 
     def test_crash_blast_radius_with_retries_disabled(self):
         """Satellite (a): even single-shot, a dead worker fails only the
@@ -374,6 +435,98 @@ class TestParallelSupervision:
         )
         assert sorted(seen) == [0, 1, 2, 3, 4]
         assert all(seen[i].value == i * 2 for i in range(5))
+
+
+# ---------------------------------------------------------------------------
+# a deliberate kill charges only the campaign that killed
+# ---------------------------------------------------------------------------
+
+
+class TestKillsSpareOtherCampaigns:
+    """Campaign A kills the shared pool on purpose while campaign B has a
+    cell running on it: B's cells are resubmitted without a charge."""
+
+    def _run(self, tmp_path, policy, should_abort=None):
+        log = tmp_path / "b-executions.log"
+        killer = {}
+
+        def campaign_a():
+            killer["stats"] = SupervisorStats()
+            killer["outcomes"], _ = supervised_map(
+                _faulty_task,
+                [("hang", 60.0), ("ok", 1)],
+                workers=2,
+                policy=policy,
+                stats=killer["stats"],
+                should_abort=should_abort,
+            )
+
+        thread = threading.Thread(target=campaign_a)
+        thread.start()
+        time.sleep(0.3)  # A's hang holds one worker; B gets the other
+        stats = SupervisorStats()
+        outcomes, _ = supervised_map(
+            _faulty_task,
+            [("log-sleep", (str(log), 0.4))] * 6,
+            workers=2,
+            stats=stats,
+        )
+        thread.join(60)
+        # B lost a running cell to A's kill and ran it again ...
+        assert len(log.read_text().splitlines()) > 6
+        # ... without being charged for it.
+        assert [(out.ok, out.attempts) for out in outcomes] == [(True, 1)] * 6
+        assert stats.retries == stats.pool_rebuilds == stats.deadline_kills == 0
+        return killer["outcomes"], killer["stats"]
+
+    def test_deadline_kill(self, tmp_path):
+        policy = SupervisorPolicy(retries=0, deadline_seconds=1.0)
+        outcomes, stats = self._run(tmp_path, policy)
+        assert outcomes[0].error_kind == ERROR_DEADLINE
+        assert outcomes[1].ok
+        assert stats.deadline_kills == 1 and stats.pool_rebuilds == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_deadline_kill_reaches_a_retired_pool(self, tmp_path):
+        """A resize retires the pool a hung cell runs on; its deadline
+        still kills that worker instead of leaving it hung."""
+        log = tmp_path / "hang.log"
+        killer = {}
+
+        def campaign_a():
+            killer["outcomes"], _ = supervised_map(
+                _faulty_task,
+                [("log-sleep", (str(log), 60.0)), ("ok", 1)],
+                workers=2,
+                policy=SupervisorPolicy(retries=0, deadline_seconds=1.0),
+            )
+
+        thread = threading.Thread(target=campaign_a)
+        thread.start()
+        time.sleep(0.3)
+        resized, _ = supervised_map(_faulty_task, [("ok", i) for i in range(3)], workers=3)
+        thread.join(60)
+        assert [out.value for out in resized] == [0, 2, 4]
+        assert killer["outcomes"][0].error_kind == ERROR_DEADLINE
+        (hung,) = {int(pid) for pid in log.read_text().split()}
+        deadline = time.monotonic() + 10.0
+        while _running(hung) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(hung)
+
+    def test_abort(self, tmp_path):
+        stop = threading.Event()
+        timer = threading.Timer(1.3, stop.set)
+        timer.start()
+        try:
+            outcomes, stats = self._run(
+                tmp_path, SupervisorPolicy(), should_abort=stop.is_set
+            )
+        finally:
+            timer.cancel()
+        assert outcomes[0].error_kind == ERROR_ABORTED
+        assert outcomes[1].ok
+        assert stats.pool_rebuilds == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ crash-tolerance story: supervised recovery from SIGKILL'd workers and
 transient failures with results field-identical to serial execution,
 journaled checkpoint/resume with zero recompute, graceful partial
 degradation of the figure drivers, and the pool workers' lifecycle: no
-``System`` kept between cells, and no life after a SIGKILLed owner.
+``System`` kept between cells, one pool shared by consecutive sweeps,
+and no life after a SIGKILLed owner.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import dataclasses
 import gc
 import json
 import multiprocessing
+import multiprocessing.resource_tracker
 import os
 import signal
 import subprocess
@@ -429,11 +431,7 @@ class TestJournalResume:
         real_fan_out = sweep.fan_out
 
         def spying_fan_out(fn, tasks, **kwargs):
-            grid = kwargs.get("grid")
-            executed.extend(
-                grid[0][task].label if isinstance(task, int) else task[0].label
-                for task in tasks
-            )
+            executed.extend(cell.label for cell, _use_disk, _fresh in tasks)
             return real_fan_out(fn, tasks, **kwargs)
 
         monkeypatch.setattr(sweep, "fan_out", spying_fan_out)
@@ -786,7 +784,8 @@ class TestAsyncSignalGuard:
 
 
 # ---------------------------------------------------------------------------
-# pool workers: no state between cells, no life after their owner
+# pool workers: no state between cells, shared across sweeps, no life
+# after their owner
 # ---------------------------------------------------------------------------
 
 
@@ -795,13 +794,20 @@ def _live_systems() -> int:
     return sum(1 for obj in gc.get_objects() if isinstance(obj, System))
 
 
-def _systems_left_by_cell(index: int) -> int:
-    """Run one grid cell in this worker; return how many more Systems are
-    alive afterwards. A forked worker also inherits whatever its parent
-    held, so count the difference."""
+def _systems_left_by_cell(task) -> int:
+    """Run one ``(cell, use_disk, fresh)`` task in this worker; return how
+    many more Systems are alive afterwards. A forked worker also inherits
+    whatever its parent held, so count the difference."""
     before = _live_systems()
-    sweep._run_cell(index)
+    sweep._run_cell(task)
     return _live_systems() - before
+
+
+def _pid_logging_run_single(*args, **kwargs):
+    """``run_single`` that first appends this process's pid to $PID_LOG."""
+    with open(os.environ["PID_LOG"], "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return _REAL_RUN_SINGLE(*args, **kwargs)
 
 
 #: Imported by the owner process and its pool workers: marks that the
@@ -854,18 +860,43 @@ def _running(pid: int) -> bool:
     return stat is not None and stat[0] not in ("Z", "X")
 
 
+def _pool_workers():
+    """This process's running children but the multiprocessing resource
+    tracker: the workers of its pool."""
+    tracker = multiprocessing.resource_tracker._resource_tracker._pid
+    return {
+        pid for pid in _children_of(os.getpid()) if _running(pid) and pid != tracker
+    }
+
+
 class TestPoolWorkers:
     def test_workers_keep_no_system_between_cells(self):
         cells = [_bfs_cell(safety=safety) for safety in SafetyMode]
         outcomes, mode = sweep.fan_out(
             _systems_left_by_cell,
-            list(range(len(cells))),
+            [(cell, False, True) for cell in cells],
             workers=2,
-            grid=(cells, False, True),
         )
         assert mode == "parallel"
         assert [out.error for out in outcomes] == [None] * len(cells)
         assert [out.value for out in outcomes] == [0] * len(cells)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_consecutive_sweeps_share_one_pool(self, tmp_path, monkeypatch):
+        log = tmp_path / "pids.log"
+        monkeypatch.setenv("PID_LOG", str(log))
+        monkeypatch.setattr(common, "run_single", _pid_logging_run_single)
+        earlier = _pool_workers()  # anything an earlier test left exiting
+        first = sweep.run_sweep([_bfs_cell(seed=s) for s in (1, 2, 3)], workers=2)
+        workers = _pool_workers() - earlier
+        second = sweep.run_sweep([_bfs_cell(seed=s) for s in (4, 5, 6)], workers=2)
+        assert first.ok and second.ok
+        assert (first.mode, second.mode) == ("parallel", "parallel")
+        assert len(workers) == 2  # the first sweep's pool outlived it
+        ran = {int(pid) for pid in log.read_text().split()}
+        assert ran <= workers  # both sweeps' cells ran on those workers
+        assert _pool_workers() - earlier == workers
+        assert first.stats.pool_rebuilds == second.stats.pool_rebuilds == 0
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
     def test_children_exit_when_owner_is_sigkilled(self, tmp_path):

@@ -1,13 +1,12 @@
-"""The sweep's result cache, worker initializer and serial hooks.
+"""The sweep's result cache and the pool workers' per-task prologue.
 
 * **Honest caching** — cache-hit accounting is the provenance fact
   ``cached_run_ex`` returns (never a racy file-existence probe), and a
   repeat sweep over an identical grid is 100% hits with zero recompute.
-* **Worker initializer** — workers are pinned to the parent's resolved
-  cache dir regardless of their inherited environment or start method,
-  and get the grid context installed.
-* **Serial hooks** — the supervisor's in-process path brackets its loop
-  with the caller's setup and teardown.
+* **Per-task prologue** — a pool worker is pinned to the parent's
+  resolved cache dir before every task, regardless of its inherited
+  environment or start method, so campaigns sharing the pool each
+  cache only to their own dir.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro import sweep
 from repro.experiments import common
 from repro.journal import RunJournal
 from repro.sim.config import GPUThreading, SafetyMode
-from repro.supervisor import supervised_map
 
 SCALE = 0.05
 
@@ -135,7 +133,7 @@ def _race_probe(barrier, cache_dir, sentinel_dir, queue):
 
 
 # ---------------------------------------------------------------------------
-# worker initializer: cache-dir pinning under both start methods
+# per-task prologue: cache-dir pinning under both start methods
 # ---------------------------------------------------------------------------
 
 
@@ -143,7 +141,7 @@ def _worker_init_probe(cache_dir_arg, queue):
     """Child without REPRO_CACHE_DIR — the old initializer left such a
     worker unpinned (caching wherever its cwd pointed)."""
     os.environ.pop("REPRO_CACHE_DIR", None)
-    sweep._worker_init(cache_dir_arg, None)
+    sweep._pin_worker(cache_dir_arg)
     queue.put((os.environ["REPRO_CACHE_DIR"], str(common._cache_dir())))
 
 
@@ -178,23 +176,23 @@ class TestWorkerInitEnv:
         assert Path(env_dir).name == ".exp_cache"
         assert effective_dir == env_dir
 
-    def test_worker_init_installs_and_clears_grid(self):
-        import pickle
-
-        cells = (_cell(),)
-        blob = pickle.dumps((cells, True, False))
-        try:
-            sweep._worker_init(None, blob)
-            assert sweep._grid_context == (cells, True, False)
-            sweep._worker_init(None, None)
-            assert sweep._grid_context is None
-        finally:
-            sweep._clear_grid()
-
-    def test_run_cell_without_context_is_loud(self):
-        sweep._clear_grid()
-        with pytest.raises(RuntimeError, match="grid context"):
-            sweep._run_cell(0)
+    def test_campaigns_sharing_the_pool_cache_to_their_own_dirs(
+        self, tmp_path, monkeypatch
+    ):
+        """The pool outlives a campaign, so its workers were forked under
+        the first campaign's environment; the prologue re-pins them."""
+        dirs = [tmp_path / "first", tmp_path / "second"]
+        grids = [
+            [_cell(seed=seed) for seed in (1, 2)],
+            [_cell(seed=seed) for seed in (3, 4)],
+        ]
+        for directory, cells in zip(dirs, grids):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(directory))
+            report = sweep.run_sweep(cells, workers=2, use_disk=True)
+            assert report.mode == "parallel" and report.ok
+        for directory, cells in zip(dirs, grids):
+            cached = {path.name for path in directory.glob("*.json")}
+            assert cached == {common.cache_path(cell.key()).name for cell in cells}
 
 
 # ---------------------------------------------------------------------------
@@ -287,44 +285,3 @@ class TestIncrementalReuse:
         assert all(
             out.cache_hit for i, out in enumerate(repeat.outcomes) if i != 1
         )
-
-
-# ---------------------------------------------------------------------------
-# supervisor serial hooks: the serial path brackets setup/teardown
-# ---------------------------------------------------------------------------
-
-
-def _identity(task):
-    return task
-
-
-def _boom(task):
-    raise ValueError("boom")
-
-
-class TestSerialHooks:
-    def test_hooks_bracket_serial_path(self):
-        events = []
-        outcomes, mode = supervised_map(
-            _identity,
-            [1, 2],
-            workers=1,
-            serial_setup=lambda: events.append("setup"),
-            serial_teardown=lambda: events.append("teardown"),
-        )
-        assert mode == "serial"
-        assert [out.value for out in outcomes] == [1, 2]
-        assert events == ["setup", "teardown"]
-
-    def test_teardown_runs_after_failures(self):
-        events = []
-        outcomes, mode = supervised_map(
-            _boom,
-            [1],
-            workers=1,
-            serial_setup=lambda: events.append("setup"),
-            serial_teardown=lambda: events.append("teardown"),
-        )
-        assert mode == "serial"
-        assert not outcomes[0].ok
-        assert events == ["setup", "teardown"]

@@ -5,13 +5,13 @@ admission, and graceful drain — against the real server over real HTTP.
 Three acts, one scratch cache dir:
 
 1. **Kill/restart with zero recompute.** Boot the server, submit a
-   journaled sweep job, SIGKILL the server mid-sweep (no warning, no
-   cleanup — the advisory journal locks must die with the process).
-   Wipe the result cache, keeping only the journals, and restart with
-   the same service id. The restarted server must recover the job,
-   resume every checkpointed cell from the journal (``resumed_cells``
-   equals the pre-kill checkpoint count, attempts stay 1), and finish
-   the rest.
+   journaled two-worker sweep job, SIGKILL the server mid-sweep (no
+   warning, no cleanup — the advisory journal locks must die with the
+   process, and its pool children within 10 s). Wipe the result cache,
+   keeping only the journals, and restart with the same service id. The
+   restarted server must recover the job, resume every checkpointed
+   cell from the journal (``resumed_cells`` equals the pre-kill
+   checkpoint count, attempts stay 1), and finish the rest.
 2. **Serial parity.** Re-run the same grid serially, in a fresh cache,
    in a fresh process, and require bit-identical per-cell results to
    what the service returned.
@@ -20,7 +20,7 @@ Three acts, one scratch cache dir:
    ``tenant-queue-full``) while tenant B's submission is admitted.
    After cancelling A's backlog, SIGTERM must flip ``/healthz`` to
    ``draining``, reject new submissions with 503, let B's running job
-   finish, and exit 0.
+   finish, and exit 0 with none of its pool children left alive.
 
 Usage: python tools/service_smoke.py [--keep-dir]
 """
@@ -49,6 +49,11 @@ TERMINAL = {"done", "partial", "failed", "cancelled"}
 MIN_CHECKPOINTS = 2
 POLL = 0.1
 TIMEOUT = 420.0
+
+#: Worker processes each pooled job asks for.
+WORKERS = 2
+#: How long pool children may outlive a SIGKILLed server.
+ORPHAN_SECONDS = 10.0
 
 #: The job killed and resumed in act 1 (and re-run serially in act 2).
 RESUME_PARAMS = {
@@ -131,11 +136,44 @@ class Server:
         fail(f"job {job_id} never reached {states}")
 
 
-def submit(server: Server, tenant: str, params: dict, expect: int = 201):
+def children_of(pid: int) -> list:
+    """Live child processes of ``pid``, read from ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                # The command name is parenthesised and may hold spaces.
+                state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+        except (OSError, ValueError):
+            continue
+        if int(ppid) == pid and state not in ("Z", "X"):
+            children.append(int(entry))
+    return children
+
+
+def alive(pids: list) -> list:
+    """The processes of ``pids`` that still run (zombies do not)."""
+    running = []
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                state = fh.read().rsplit(")", 1)[1].split()[0]
+        except (OSError, ValueError):
+            continue
+        if state not in ("Z", "X"):
+            running.append(pid)
+    return running
+
+
+def submit(
+    server: Server, tenant: str, params: dict, expect: int = 201, workers: int = 1
+):
     status, out = server.request(
         "POST",
         "/v1/jobs",
-        {"tenant": tenant, "kind": "sweep", "params": params},
+        {"tenant": tenant, "kind": "sweep", "params": params, "workers": workers},
     )
     if status != expect:
         fail(f"submit for {tenant} returned {status} (expected {expect}): {out}")
@@ -145,7 +183,7 @@ def submit(server: Server, tenant: str, params: dict, expect: int = 201):
 def act1_kill_and_resume(env: dict, cache_dir: Path) -> list:
     """SIGKILL mid-sweep, restart, assert zero recompute. Returns cells."""
     server = Server(env)
-    out = submit(server, "alice", RESUME_PARAMS)
+    out = submit(server, "alice", RESUME_PARAMS, workers=WORKERS)
     job_id = out["job"]["id"]
     run_id = out["job"]["run_id"]
     journal_path = cache_dir / "journals" / f"{run_id}.jsonl"
@@ -160,10 +198,19 @@ def act1_kill_and_resume(env: dict, cache_dir: Path) -> list:
     else:
         fail(f"no {MIN_CHECKPOINTS} checkpoints within {TIMEOUT:.0f}s")
 
+    pool = children_of(server.proc.pid)
+    if not pool:
+        fail("server has no pool children in the middle of a pooled sweep")
     server.proc.send_signal(signal.SIGKILL)  # no warning, no cleanup
     server.proc.wait(timeout=30)
     checkpointed = journal_completed(journal_path)
     print(f"act 1: SIGKILLed server after {checkpointed} checkpointed cell(s)")
+    deadline = time.monotonic() + ORPHAN_SECONDS
+    while alive(pool) and time.monotonic() < deadline:
+        time.sleep(POLL)
+    if alive(pool):
+        fail(f"pool children {alive(pool)} outlived the SIGKILLed server")
+    print(f"act 1: all {len(pool)} pool children exited with the server")
 
     # Wipe cached results but keep the journals: resumed cells below can
     # only be served by journal rehydration.
@@ -253,7 +300,7 @@ def act3_tenants_and_drain(env: dict) -> None:
     tiny = {"grids": ["fig5"], "workloads": ["backprop"], "ops_scale": 0.05}
 
     # Tenant A occupies the executor, then saturates its queue quota (2).
-    slow = submit(server, "alice", dict(RESUME_PARAMS, seed=777))
+    slow = submit(server, "alice", dict(RESUME_PARAMS, seed=777), workers=WORKERS)
     server.wait_state(slow["job"]["id"], {"running"})
     q1 = submit(server, "alice", dict(tiny, seed=778))
     q2 = submit(server, "alice", dict(tiny, seed=779))
@@ -273,7 +320,7 @@ def act3_tenants_and_drain(env: dict) -> None:
         "workloads": ["backprop", "bfs"],
         "seed": 781,
         "ops_scale": 0.25,
-    })
+    }, workers=WORKERS)
     _, metrics = server.request("GET", "/metrics")
     alice = metrics["tenants"]["alice"]["admission"]
     if alice["rejected"].get("tenant-queue-full") != 1:
@@ -290,6 +337,11 @@ def act3_tenants_and_drain(env: dict) -> None:
 
     # SIGTERM while B's job runs: healthz flips to draining, submissions
     # are rejected with an explicit 503, the job finishes, exit 0.
+    deadline = time.monotonic() + 30.0
+    while not (pool := children_of(server.proc.pid)):
+        if time.monotonic() > deadline:
+            fail("server started no pool children for B's pooled job")
+        time.sleep(POLL)
     server.proc.send_signal(signal.SIGTERM)
     saw_draining = False
     deadline = time.monotonic() + 30.0
@@ -311,7 +363,12 @@ def act3_tenants_and_drain(env: dict) -> None:
         fail(f"submission during drain not rejected with 503: {status} {out}")
     if server.proc.wait(timeout=TIMEOUT) != 0:
         fail(f"drained server exited {server.proc.returncode}")
-    print("act 3: drain flipped healthz, rejected late submit, exited 0")
+    if alive(pool):
+        fail(f"drained server left pool children {alive(pool)} behind")
+    print(
+        "act 3: drain flipped healthz, rejected late submit, exited 0 "
+        "with no pool children left"
+    )
 
 
 def main() -> None:
