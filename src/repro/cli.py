@@ -168,27 +168,18 @@ def _run_sweep_command(
     from repro import sweep
 
     grids = list(args.grid or ["fig4"])
-    if "all" in grids:
-        grids = list(sweep.GRID_NAMES)
-    unknown = [g for g in grids if g not in sweep.GRID_NAMES]
+    unknown = [g for g in grids if g not in sweep.GRID_NAMES + ("all",)]
     if unknown:
         parser.error(
             f"unknown grid(s) {unknown}; choose from {list(sweep.GRID_NAMES)}"
         )
-    threading = None if args.gpu == "both" else _threading(args.gpu)
-
-    cells = []
-    for grid_name in grids:
-        cells.extend(
-            sweep.grid_cells(
-                grid_name,
-                threading=threading,
-                workloads=args.workloads,
-                seed=args.seed,
-                ops_scale=ops_scale,
-            )
-        )
-    cells = sweep.dedup_cells(cells)
+    grids, cells = sweep.grid_union(
+        grids,
+        threading=None if args.gpu == "both" else _threading(args.gpu),
+        workloads=args.workloads,
+        seed=args.seed,
+        ops_scale=ops_scale,
+    )
 
     def progress(done: int, total: int, label: str, error: Optional[str]) -> None:
         status = "FAIL" if error else "ok"

@@ -15,7 +15,7 @@ fleet itself:
 failure                   response
 ========================  =============================================
 worker dies (SIGKILL)     TCP EOF or missed heartbeats → every lease it
-                          held expires → cells reassigned (charge +1)
+                          held expires → cells reassigned
 network partition         heartbeats stop → same as death; a worker
                           back from the dead reconnects and its
                           duplicate results are ignored
@@ -26,8 +26,11 @@ RESULT frame lost         worker stops reporting the lease → reassigned
                           → worker answers from its finished-index
                           memory (no recompute)
 worker wedged on a cell   lease outlives ``lease_seconds`` → reassigned
-cell kills every worker   per-index reassignment bound → finalized as a
-                          crash failure (the fleet's poison quarantine)
+cell fails on a worker    charged to the campaign's retry ledger, as on
+                          the local pool → re-leased after the backoff,
+                          or finalized (poison: quarantined with a bundle)
+cell kills every worker   three lost leases ride free, then each loss is
+                          charged → finalized as ``crash`` or ``deadline``
 coordinator dies          workers keep computing into journal shards;
                           the restarted run merges shards first and
                           re-executes nothing that finished anywhere
@@ -57,7 +60,10 @@ from repro.faults.plan import FaultPlan
 from repro.fleet import protocol
 from repro.fleet.transport import FaultyTransport, FrameTransport
 from repro.service.wire import WireError
-from repro.supervisor import ERROR_CRASH, ERROR_TRANSIENT, TaskOutcome
+from repro.supervisor import (
+    ERROR_ABORTED, ERROR_CRASH, ERROR_DEADLINE, ERROR_DETERMINISTIC,
+    RetryLedger, SupervisorPolicy, SupervisorStats,
+)
 from repro.sweep import SWEEP_CAMPAIGN, Cell, journal_entry
 
 __all__ = ["FleetCoordinator"]
@@ -118,6 +124,8 @@ class _Campaign:
         run_id: Optional[str],
         journal_dir: Optional[str],
         on_entry: Optional[OnEntryFn],
+        policy: SupervisorPolicy,
+        stats: SupervisorStats,
     ) -> None:
         self.id = campaign_id
         self.cells = list(cells)
@@ -128,7 +136,9 @@ class _Campaign:
         self.on_entry = on_entry
         self.pending: "deque[int]" = deque(range(len(cells)))
         self.leases: Dict[str, _Lease] = {}
-        self.charges: Dict[int, int] = {}
+        self.ledger = RetryLedger(
+            self.cells, policy, stats, SWEEP_CAMPAIGN.label_of, SWEEP_CAMPAIGN.describe
+        )
         self.outcomes: Dict[int, dict] = {}
         self.grant_counter = 0
 
@@ -166,24 +176,20 @@ class FleetCoordinator:
         port: int = 0,
         heartbeat_seconds: float = 0.5,
         lease_seconds: float = 120.0,
-        max_reassigns: int = 5,
         wait_seconds: float = 5.0,
         min_workers: int = 1,
         fault_plan: Optional[FaultPlan] = None,
         telemetry_path: Optional[Path] = None,
-        steal: bool = True,
         log=None,
     ) -> None:
         self.host = host
         self.port = port
         self.heartbeat_seconds = heartbeat_seconds
         self.lease_seconds = lease_seconds
-        self.max_reassigns = max_reassigns
         self.wait_seconds = wait_seconds
         self.min_workers = max(0, min_workers)
         self.fault_plan = fault_plan
         self.telemetry_path = Path(telemetry_path) if telemetry_path else None
-        self.steal = steal
         self.log = log or (lambda message: None)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
@@ -248,10 +254,6 @@ class FleetCoordinator:
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
-
-    @property
-    def worker_count(self) -> int:
-        return len(self._workers)
 
     def shutdown_fleet(self, reason: str = "campaign complete") -> None:
         """Tell every connected worker to exit (standalone sweeps only).
@@ -442,36 +444,41 @@ class FleetCoordinator:
         if lease.index in camp.outcomes:
             return  # already finalized through another lease
         self.stats["expired_leases"] += 1
-        charge = camp.charges.get(lease.index, 0) + 1
-        camp.charges[lease.index] = charge
         self._emit(
             "lease-expired",
             lease=lease.lease_id,
             index=lease.index,
             worker=lease.worker_id,
             reason=reason,
-            charge=charge,
         )
-        if charge > self.max_reassigns:
-            # The fleet's poison quarantine: a cell that keeps taking
-            # workers (or links) down with it is finalized, not retried
-            # forever — the termination bound of the whole campaign.
-            error = (
-                f"FleetError: lease expired {charge} times "
-                f"(last: {reason}); cell abandoned as poison"
-            )
-            self._finalize(
-                camp,
-                lease.index,
-                journal_entry(
-                    SWEEP_CAMPAIGN,
-                    camp.cells[lease.index],
-                    TaskOutcome(None, error, 0.0, charge, ERROR_CRASH),
-                ),
-            )
-        else:
+        if camp.ledger.ride(lease.index):
             self.stats["reassigned"] += 1
             camp.pending.appendleft(lease.index)
+            return
+        # A pool break for a cell never seen running: past its free rides,
+        # a cell that keeps taking workers (or links) down runs out of budget.
+        held = self._now() - lease.granted
+        kind = ERROR_DEADLINE if held > self.lease_seconds else ERROR_CRASH
+        error = f"FleetError: lease expired ({reason})"
+        self._charge(camp, lease.index, error, kind, held)
+
+    def _charge(
+        self, camp: _Campaign, index: int, error: str, kind: str, wall: float
+    ) -> None:
+        """Charge a failed attempt: re-lease after the backoff, or finalize."""
+        delay = camp.ledger.charge(index, error, kind)
+        if delay is None:
+            outcome = camp.ledger.failed(index, wall, kind)
+            self._finalize(
+                camp, index, journal_entry(SWEEP_CAMPAIGN, camp.cells[index], outcome)
+            )
+            return
+        self.stats["reassigned"] += 1
+        self._loop.call_later(delay, self._requeue, camp, index)
+
+    def _requeue(self, camp: _Campaign, index: int) -> None:
+        camp.pending.append(index)
+        self._wake_up()
 
     def _finalize(self, camp: _Campaign, index: int, entry: dict) -> None:
         if index in camp.outcomes:
@@ -513,18 +520,12 @@ class FleetCoordinator:
             cache_hit=bool(entry.get("cache_hit")),
         )
         kind = entry.get("error_kind")
-        if (
-            not entry.get("ok")
-            and kind in (ERROR_CRASH, ERROR_TRANSIENT)
-            and camp.charges.get(index, 0) < self.max_reassigns
-        ):
-            # Retryable failure reported by a live worker: charge the
-            # cell and put it back instead of finalizing.
-            camp.charges[index] = camp.charges.get(index, 0) + 1
-            self.stats["reassigned"] += 1
-            camp.pending.append(index)
-            self._wake_up()
+        if not entry.get("ok") and kind != ERROR_ABORTED:
+            error, wall = entry.get("error") or "", entry.get("wall_seconds", 0.0)
+            self._charge(camp, index, error, kind or ERROR_DETERMINISTIC, wall)
             return
+        if entry.get("ok"):
+            entry = dict(entry, attempts=camp.ledger.states[index].attempts + 1)
         self._finalize(camp, index, entry)
 
     def _on_revoked(self, ws: _WorkerState, frame: dict) -> None:
@@ -560,19 +561,19 @@ class FleetCoordinator:
         journal_dir: Optional[Path] = None,
         on_entry: Optional[OnEntryFn] = None,
         should_abort: Optional[Callable[[], bool]] = None,
-        min_workers: Optional[int] = None,
-        wait_seconds: Optional[float] = None,
-        shutdown_workers: bool = False,
+        policy: SupervisorPolicy = SupervisorPolicy(),
+        stats: Optional[SupervisorStats] = None,
     ) -> Tuple[Dict[int, dict], List[int]]:
         """Fan ``cells`` out to the fleet (synchronous, thread-safe).
 
         Blocks until every cell is finalized or given up on; returns
         ``(outcomes, leftovers)``. ``on_entry(index, entry)`` fires on
         the coordinator thread as each result lands — the sweep layer
-        journals and reports progress from it. ``wait_seconds`` bounds
-        both the initial wait for ``min_workers`` connections and the
-        mid-campaign grace before declaring a workerless fleet dead and
-        returning the remainder as leftovers.
+        journals and reports progress from it. Failures and lost leases
+        are charged under ``policy`` and ``stats``, as on the local pool.
+        ``wait_seconds`` bounds both the initial wait for ``min_workers``
+        connections and the mid-campaign grace before declaring a
+        workerless fleet dead and returning the remainder as leftovers.
         """
         if self._loop is None:
             raise FleetError("coordinator is not started")
@@ -593,15 +594,10 @@ class FleetCoordinator:
                     run_id=run_id,
                     journal_dir=str(journal_dir) if journal_dir else None,
                     on_entry=on_entry,
+                    policy=policy,
+                    stats=stats or SupervisorStats(),
                 ),
                 should_abort=should_abort,
-                min_workers=(
-                    self.min_workers if min_workers is None else max(0, min_workers)
-                ),
-                wait_seconds=(
-                    self.wait_seconds if wait_seconds is None else wait_seconds
-                ),
-                shutdown_workers=shutdown_workers,
             ),
             self._loop,
         )
@@ -619,9 +615,6 @@ class FleetCoordinator:
         self,
         camp: _Campaign,
         should_abort: Optional[Callable[[], bool]],
-        min_workers: int,
-        wait_seconds: float,
-        shutdown_workers: bool,
     ) -> Tuple[Dict[int, dict], List[int]]:
         assert self._campaign_lock is not None
         async with self._campaign_lock:
@@ -635,12 +628,12 @@ class FleetCoordinator:
             )
             try:
                 aborted = lambda: should_abort is not None and should_abort()
-                deadline = self._now() + wait_seconds
+                deadline = self._now() + self.wait_seconds
                 while self._now() < deadline and not aborted():
                     # Reap half-open connections first so a dead peer
                     # never satisfies min_workers.
                     self._reap_dead_workers()
-                    if len(self._workers) >= min_workers:
+                    if len(self._workers) >= self.min_workers:
                         break
                     await self._sleep_or_wake(0.05)
                 for ws in list(self._workers.values()):
@@ -654,12 +647,11 @@ class FleetCoordinator:
                     else:
                         if workerless_since is None:
                             workerless_since = now
-                        elif now - workerless_since > wait_seconds:
+                        elif now - workerless_since > self.wait_seconds:
                             break  # degrade: hand the rest back to the caller
                     self._check_expiries(camp)
                     await self._assign(camp)
-                    if self.steal:
-                        await self._request_steals(camp)
+                    await self._request_steals(camp)
                     await self._sleep_or_wake(tick)
             finally:
                 self._camp = None
@@ -670,12 +662,6 @@ class FleetCoordinator:
                     leftover=len(camp.cells) - len(camp.outcomes),
                     stats=self.stats_snapshot(),
                 )
-                if shutdown_workers:
-                    for ws in list(self._workers.values()):
-                        try:
-                            await ws.transport.send(protocol.shutdown())
-                        except (WireError, ConnectionError, OSError):
-                            pass
         leftovers = [
             index for index in range(len(camp.cells)) if index not in camp.outcomes
         ]

@@ -111,8 +111,8 @@ def welcome(
     mismatch.
 
     Cells travel as :meth:`repro.sweep.Cell.to_dict` payloads — the
-    worker rebuilds the grid and pickles it once into its local pool
-    initializer, exactly like the single-host sweep. ``journal_dir``
+    worker rebuilds them and submits each leased cell to its host's
+    shared pool as the same task a single-host sweep submits. ``journal_dir``
     (when the campaign journals) is where the worker opens its shard;
     ``None`` disables sharding (nothing to resume into).
     """

@@ -25,11 +25,14 @@ Robustness posture:
   campaign id *and* cell list → shard and finished-index memory are
   kept; anything else reinstalls from scratch, so a stale campaign can
   never replay the wrong cell for an index);
-* a died pool process (the cell SIGKILLed the worker, OOM, ...) is
-  contained: the pool is replaced once per break and the cell
-  reported as a crash — the coordinator decides whether to retry it
-  elsewhere. A pool another campaign on this host killed on purpose
-  (a deadline or an abort) runs the cell again instead.
+* each lease runs its cell once; the coordinator charges a failure to
+  the campaign's :class:`repro.supervisor.RetryLedger` and decides
+  whether the cell runs again. A died pool process (the cell SIGKILLed
+  the worker, OOM, ...) is contained — the pool is replaced once per
+  break — and, like any other pool failure (an unpicklable call),
+  reported as a crash in the supervisor's words. A pool another
+  campaign on this host killed on purpose (a deadline or an abort)
+  runs the cell again instead.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ from repro.fleet import protocol
 from repro.fleet.transport import FrameTransport
 from repro.journal import JournalShard
 from repro.service.wire import WireError
-from repro.supervisor import ERROR_CRASH, TaskOutcome, shared_pool, traced_call
+from repro.supervisor import (
+    ERROR_CRASH, TaskOutcome, pool_error, shared_pool, traced_call,
+)
 from repro.sweep import SWEEP_CAMPAIGN, Cell, _pinned, _run_cell, journal_entry
 
 __all__ = ["FleetWorker", "sanitize_worker_id"]
@@ -308,18 +313,14 @@ class FleetWorker:
                 return None  # the interpreter is shutting down
             try:
                 return await asyncio.wrap_future(future)
-            except BrokenProcessPool:
+            except BrokenProcessPool as exc:
                 if shared_pool.killed(pool):
                     continue  # killed on purpose by another campaign: rerun
-            # The cell killed its process (or OOM did): contain it and let
-            # the coordinator decide whether to retry it on another worker.
-            shared_pool.replace(pool)
-            return (
-                None,
-                "BrokenProcessPool: pool process died mid-cell",
-                0.0,
-                ERROR_CRASH,
-            )
+                # The cell killed its process (or OOM did): contain, report.
+                shared_pool.replace(pool)
+                return None, pool_error(exc), 0.0, ERROR_CRASH
+            except Exception as exc:  # pool plumbing failure, e.g. pickling
+                return None, pool_error(exc), 0.0, ERROR_CRASH
 
     async def _execute(self, lease_id: str, index: int) -> None:
         assert self._sem is not None

@@ -99,26 +99,16 @@ def _execute_sweep(
     from repro import sweep
 
     params = job.spec.params
-    cells: List[sweep.Cell]
     if params.get("cells"):
-        cells = [sweep.Cell.from_dict(c) for c in params["cells"]]
+        cells = sweep.dedup_cells([sweep.Cell.from_dict(c) for c in params["cells"]])
     else:
-        grids = list(params.get("grids") or ["fig4"])
-        if "all" in grids:
-            grids = list(sweep.GRID_NAMES)
-        threading = params.get("threading")
-        cells = []
-        for grid_name in grids:
-            cells.extend(
-                sweep.grid_cells(
-                    grid_name,
-                    threading=threading,
-                    workloads=params.get("workloads"),
-                    seed=int(params.get("seed", 1234)),
-                    ops_scale=float(params.get("ops_scale", 1.0)),
-                )
-            )
-    cells = sweep.dedup_cells(cells)
+        _, cells = sweep.grid_union(
+            params.get("grids") or ["fig4"],
+            threading=params.get("threading"),
+            workloads=params.get("workloads"),
+            seed=int(params.get("seed", 1234)),
+            ops_scale=float(params.get("ops_scale", 1.0)),
+        )
     report = sweep.run_sweep(
         cells,
         workers=job.spec.workers,

@@ -27,7 +27,9 @@ poisons an entire sweep:
   **poison**: no further retries, and a serialized repro bundle
   (task parameters + traceback) is written under
   ``<quarantine_dir>/`` for offline replay via
-  ``border-control replay-cell``.
+  ``border-control replay-cell``. One :class:`RetryLedger` keeps this
+  account, and the fleet coordinator charges the same one, so a task
+  fails the same way serially, on the pool or on the fleet.
 * **Deadlines** — with ``deadline_seconds`` set, a task that holds a
   worker past its wall-clock budget gets the workers of the pool it
   was submitted to killed (a single worker of a pool cannot be killed
@@ -84,9 +86,11 @@ __all__ = [
     "ERROR_DEADLINE",
     "ERROR_DETERMINISTIC",
     "ERROR_TRANSIENT",
+    "RetryLedger",
     "SupervisorPolicy",
     "SupervisorStats",
     "TaskOutcome",
+    "pool_error",
     "shared_pool",
     "supervised_map",
     "traced_call",
@@ -184,13 +188,6 @@ class SupervisorStats:
     def any_recovery(self) -> bool:
         return any(self.as_dict().values())
 
-    def merge(self, other: "SupervisorStats") -> None:
-        self.retries += other.retries
-        self.pool_rebuilds += other.pool_rebuilds
-        self.poison_cells += other.poison_cells
-        self.deadline_kills += other.deadline_kills
-        self.resumed_cells += other.resumed_cells
-
 
 class TaskOutcome(NamedTuple):
     """Final fate of one task after supervision."""
@@ -200,7 +197,6 @@ class TaskOutcome(NamedTuple):
     wall_seconds: float
     attempts: int = 1
     error_kind: Optional[str] = None
-    resumed: bool = False
 
     @property
     def ok(self) -> bool:
@@ -470,28 +466,124 @@ class _SharedPool:
 shared_pool = _SharedPool()
 
 
+def pool_error(exc: BaseException) -> str:
+    """The error of a task its pool failed: a dead process, or plumbing
+    such as an unpicklable call. Fleet workers report the same text."""
+    if isinstance(exc, BrokenProcessPool):
+        return f"{type(exc).__name__}: worker process died mid-cell ({exc})"
+    return f"{type(exc).__name__}: {exc}"
+
+
+@dataclass
 class _TaskState:
     """Mutable supervision bookkeeping for one task."""
 
-    __slots__ = ("index", "attempts", "identical_failures", "last_error", "free_rides")
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.attempts = 0  # completed (failed) executions so far
-        self.identical_failures = 0
-        self.last_error: Optional[str] = None
-        # Pool breaks survived without being observed running. Queued
-        # siblings of a dead worker legitimately ride a break or two for
-        # free; a task that keeps riding is itself a crasher that dies
-        # faster than the running-state sampler can see it.
-        self.free_rides = 0
+    index: int
+    attempts: int = 0  # completed (failed) executions so far
+    identical_failures: int = 0
+    last_error: Optional[str] = None
+    free_rides: int = 0  # losses while never seen running
 
 
 def _first_line(error: str) -> str:
     return error.splitlines()[0] if error else error
 
 
-class _Supervisor:
+class RetryLedger:
+    """Per-task failure accounting under one :class:`SupervisorPolicy`.
+
+    Every placement charges its failures here — the serial loop, the
+    shared pool and the fleet coordinator — so a task's ``attempts``,
+    error kind and text, poison bundle and the :class:`SupervisorStats`
+    counters do not depend on where it ran.
+    """
+
+    #: Losses a task rides for free while never seen running: queued
+    #: siblings of a dead pool process, or fleet leases lost with a worker
+    #: or a frame. Past that, the task is the crasher nobody sees running.
+    FREE_RIDES = 3
+
+    def __init__(
+        self,
+        tasks: Sequence[Any],
+        policy: SupervisorPolicy,
+        stats: SupervisorStats,
+        label_of: Callable[[Any], str],
+        describe_task: Optional[DescribeFn],
+    ) -> None:
+        self.tasks = tasks
+        self.policy = policy
+        self.stats = stats
+        self.label_of = label_of
+        self.describe_task = describe_task
+        self.states = [_TaskState(i) for i in range(len(tasks))]
+
+    def ride(self, index: int) -> bool:
+        """Count one loss of a task not seen running; True while it
+        rides free (:attr:`FREE_RIDES`), False when it must be charged."""
+        self.states[index].free_rides += 1
+        return self.states[index].free_rides <= self.FREE_RIDES
+
+    def charge(self, index: int, error: str, kind: str) -> Optional[float]:
+        """Account one failed execution.
+
+        Returns the backoff delay before the next attempt, or ``None``
+        when the task is out of budget (the caller finalizes it with
+        :meth:`failed`). Poison detection happens here: a deterministic
+        failure whose first line matches the previous one counts toward
+        ``max_identical_failures``.
+        """
+        state = self.states[index]
+        state.attempts += 1
+        if kind == ERROR_DETERMINISTIC:
+            if state.last_error is not None and _first_line(
+                state.last_error
+            ) == _first_line(error):
+                state.identical_failures += 1
+            else:
+                state.identical_failures = 1
+        state.last_error = error
+        if (
+            kind == ERROR_DETERMINISTIC
+            and state.identical_failures >= self.policy.max_identical_failures
+        ):
+            self._quarantine(state, error)
+            return None
+        if state.attempts > self.policy.retries:
+            return None
+        self.stats.retries += 1
+        return self.policy.backoff(
+            state.attempts, jitter_key=f"{state.index}:{state.attempts}"
+        )
+
+    def failed(self, index: int, wall: float, kind: Optional[str]) -> TaskOutcome:
+        """The final outcome of a task :meth:`charge` put out of budget."""
+        state = self.states[index]
+        return TaskOutcome(None, state.last_error, wall, state.attempts, kind)
+
+    def _quarantine(self, state: _TaskState, error: str) -> None:
+        self.stats.poison_cells += 1
+        if self.policy.quarantine_dir is None:
+            return
+        try:
+            path = write_poison_bundle(
+                self.policy.quarantine_dir,
+                self.tasks[state.index],
+                error,
+                state.attempts,
+                describe_task=self.describe_task,
+                label=self.label_of(self.tasks[state.index]),
+            )
+            state.last_error = (
+                f"{error}\n[poison: quarantined after "
+                f"{state.identical_failures} identical failures; "
+                f"repro bundle: {path}]"
+            )
+        except OSError:  # bundle write is best-effort
+            pass
+
+
+class _Supervisor(RetryLedger):
     """One supervised fan-out: the retry/deadline loop over the shared pool."""
 
     #: How often the event loop wakes to sample running futures (the
@@ -511,18 +603,13 @@ class _Supervisor:
         on_outcome: Optional[OnOutcomeFn],
         should_abort: Optional[Callable[[], bool]] = None,
     ) -> None:
+        super().__init__(tasks, policy, stats, label_of, describe_task)
         self.fn = fn
-        self.tasks = tasks
         self.workers = workers
-        self.policy = policy
-        self.stats = stats
         self.progress = progress
-        self.label_of = label_of
-        self.describe_task = describe_task
         self.on_outcome = on_outcome
         self.should_abort = should_abort
         self.outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
-        self.states = [_TaskState(i) for i in range(len(tasks))]
         self.done_count = 0
 
     def _aborted(self) -> bool:
@@ -566,78 +653,21 @@ class _Supervisor:
                 outcome.error,
             )
 
-    def _classify_failure(
-        self, state: _TaskState, error: str, kind: str, wall: float
-    ) -> Optional[float]:
-        """Account one failed execution.
-
-        Returns the backoff delay before the next attempt, or ``None``
-        when the task is out of budget (the caller finalizes it).
-        Poison detection happens here: a deterministic failure whose
-        first line matches the previous one counts toward
-        ``max_identical_failures``.
-        """
-        state.attempts += 1
-        if kind == ERROR_DETERMINISTIC:
-            if state.last_error is not None and _first_line(
-                state.last_error
-            ) == _first_line(error):
-                state.identical_failures += 1
-            else:
-                state.identical_failures = 1
-        state.last_error = error
-        if (
-            kind == ERROR_DETERMINISTIC
-            and state.identical_failures >= self.policy.max_identical_failures
-        ):
-            self._quarantine(state, error)
-            return None
-        if state.attempts > self.policy.retries:
-            return None
-        self.stats.retries += 1
-        return self.policy.backoff(
-            state.attempts, jitter_key=f"{state.index}:{state.attempts}"
-        )
-
-    def _quarantine(self, state: _TaskState, error: str) -> None:
-        self.stats.poison_cells += 1
-        if self.policy.quarantine_dir is None:
-            return
-        try:
-            path = write_poison_bundle(
-                self.policy.quarantine_dir,
-                self.tasks[state.index],
-                error,
-                state.attempts,
-                describe_task=self.describe_task,
-                label=self.label_of(self.tasks[state.index]),
-            )
-            state.last_error = (
-                f"{error}\n[poison: quarantined after "
-                f"{state.identical_failures} identical failures; "
-                f"repro bundle: {path}]"
-            )
-        except OSError:  # bundle write is best-effort
-            pass
-
     # -- serial path -------------------------------------------------------
 
     def run_serial(self) -> List[TaskOutcome]:
         for i, task in enumerate(self.tasks):
             if self._aborted():
                 break
-            state = self.states[i]
             while True:
                 value, error, wall, kind = traced_call(self.fn, task)
                 if error is None:
-                    self._finalize(i, TaskOutcome(value, None, wall, state.attempts + 1))
+                    attempts = self.states[i].attempts + 1
+                    self._finalize(i, TaskOutcome(value, None, wall, attempts))
                     break
-                delay = self._classify_failure(state, error, kind or ERROR_DETERMINISTIC, wall)
+                delay = self.charge(i, error, kind or ERROR_DETERMINISTIC)
                 if delay is None:
-                    self._finalize(
-                        i,
-                        TaskOutcome(None, state.last_error, wall, state.attempts, kind),
-                    )
+                    self._finalize(i, self.failed(i, wall, kind))
                     break
                 if delay > 0:
                     time.sleep(delay)
@@ -680,12 +710,9 @@ class _Supervisor:
             release(pools)
 
         def fail_or_retry(index: int, error: str, kind: str, wall: float) -> None:
-            state = self.states[index]
-            delay = self._classify_failure(state, error, kind, wall)
+            delay = self.charge(index, error, kind)
             if delay is None:
-                self._finalize(
-                    index, TaskOutcome(None, state.last_error, wall, state.attempts, kind)
-                )
+                self._finalize(index, self.failed(index, wall, kind))
             elif delay > 0:
                 delayed.append((time.monotonic() + delay, index))
             else:
@@ -695,10 +722,10 @@ class _Supervisor:
             """Seal, retry or resubmit one finished future's task.
 
             A pool break charges an attempt only to a task seen running
-            on it; queued siblings ride for free. The ``free_rides``
-            bound keeps a crasher that dies between running-state
-            samples from riding forever. A pool another campaign killed
-            on purpose charges nothing.
+            on it; queued siblings ride for free, up to the ledger's
+            :attr:`~RetryLedger.FREE_RIDES`, so a crasher that dies
+            between running-state samples cannot ride forever. A pool
+            another campaign killed on purpose charges nothing.
             """
             index, pool = in_pool.pop(fut)
             was_running = index in running_since
@@ -706,27 +733,17 @@ class _Supervisor:
             try:
                 value, error, wall, kind = fut.result()
             except BrokenProcessPool as exc:
-                state = self.states[index]
                 if shared_pool.killed(pool):
                     to_submit.append(index)
                     return
                 broken.add(pool)
-                if was_running or state.free_rides >= 3:
-                    fail_or_retry(
-                        index,
-                        f"{type(exc).__name__}: worker process died "
-                        f"mid-cell ({exc})",
-                        ERROR_CRASH,
-                        now - started,
-                    )
+                if was_running or not self.ride(index):
+                    fail_or_retry(index, pool_error(exc), ERROR_CRASH, now - started)
                 else:
-                    state.free_rides += 1
                     to_submit.append(index)
                 return
             except Exception as exc:  # pool plumbing failure
-                fail_or_retry(
-                    index, f"{type(exc).__name__}: {exc}", ERROR_CRASH, now - started
-                )
+                fail_or_retry(index, pool_error(exc), ERROR_CRASH, now - started)
                 return
             if error is None:
                 self._finalize(

@@ -95,6 +95,7 @@ __all__ = [
     "dedup_cells",
     "fan_out",
     "grid_cells",
+    "grid_union",
     "journal_entry",
     "parallel_measurement_validity",
     "prewarm",
@@ -453,17 +454,6 @@ def _run_cell(task: Tuple[Cell, bool, bool]) -> Tuple[RunResult, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _default_policy(policy: Optional[SupervisorPolicy]) -> SupervisorPolicy:
-    """Fill in the quarantine dir when the caller didn't pick one."""
-    if policy is None:
-        policy = SupervisorPolicy()
-    if policy.quarantine_dir is None:
-        policy = dataclasses.replace(
-            policy, quarantine_dir=common._cache_dir() / "quarantine"
-        )
-    return policy
-
-
 def fan_out(
     fn: Callable,
     tasks: Sequence[Any],
@@ -484,8 +474,9 @@ def fan_out(
     single task) or ``"parallel"``. On the pool each task is ``fn``, the
     task and the parent's *resolved* cache dir, and runs
     :func:`_pin_worker` first; crash containment, retries and poison
-    quarantine (repro bundles under ``<cache-dir>/quarantine/``) follow
-    :mod:`repro.supervisor`. Either way every cell builds a fresh
+    quarantine follow :mod:`repro.supervisor` under ``policy`` (which
+    :func:`run_campaign` points at ``<cache-dir>/quarantine/`` for repro
+    bundles). Either way every cell builds a fresh
     ``System``, and pool workers exit with their owner.
     ``progress(done, total, label, error)`` fires as each task's fate is
     sealed, in completion order.
@@ -497,7 +488,7 @@ def fan_out(
         fn,
         tasks,
         workers,
-        policy=_default_policy(policy),
+        policy=policy,
         stats=stats,
         progress=progress,
         label_of=label_of,
@@ -572,23 +563,28 @@ def run_campaign(
     ``fleet`` (a started :class:`repro.fleet.FleetCoordinator`; sweep
     cells only) runs pending cells on remote workers first, journaling
     each result as it arrives; trace cells, whose payload the wire does
-    not carry, and whatever the fleet could not place run locally.
+    not carry, and whatever the fleet could not place run locally, all
+    under one ``policy``: a cell fails the same way wherever it ran.
     ``should_abort`` stops dispatch cooperatively: unfinished cells come
     back as ``aborted`` failures, completed ones stay journaled.
     """
     start = time.perf_counter()
     stats = SupervisorStats()
     outcomes: List[Optional[CellOutcome]] = [None] * len(cells)
+    policy = policy or SupervisorPolicy()  # one policy for the fleet and the pool
+    if policy.quarantine_dir is None:
+        policy = dataclasses.replace(
+            policy, quarantine_dir=common._cache_dir() / "quarantine"
+        )
 
     if journal is not None:
         try:
             journal.merge_shards()
         except OSError:  # shard dir unreadable — recompute instead
             pass
-        if policy is None or (policy.jitter > 0 and policy.jitter_seed == 0):
+        if policy.jitter > 0 and policy.jitter_seed == 0:
             policy = dataclasses.replace(
-                policy or SupervisorPolicy(),
-                jitter_seed=derive_seed(0, journal.run_id),
+                policy, jitter_seed=derive_seed(0, journal.run_id)
             )
 
     def outcome(i: int, result: Any, entry: Dict[str, Any], **extra: Any) -> None:
@@ -646,6 +642,8 @@ def run_campaign(
             journal_dir=journal.path.parent if journal is not None else None,
             on_entry=on_entry,
             should_abort=should_abort,
+            policy=policy,
+            stats=stats,
         )
         for local_index, entry in placed.items():
             payload, hit = entry.get("result"), bool(entry.get("cache_hit"))
@@ -868,6 +866,23 @@ def dedup_cells(cells: Sequence[Cell]) -> List[Cell]:
             seen.add(key)
             unique.append(cell)
     return unique
+
+
+def grid_union(
+    names: Sequence[str],
+    threading: Union[GPUThreading, str, None] = None,
+    workloads: Optional[List[str]] = None,
+    seed: int = 1234,
+    ops_scale: float = 1.0,
+) -> Tuple[List[str], List[Cell]]:
+    """The grids ``names`` denotes (``"all"``: every one) and their cells, deduped."""
+    grids = list(GRID_NAMES) if "all" in names else list(names)
+    cells = [
+        cell
+        for name in grids
+        for cell in grid_cells(name, threading, workloads, seed, ops_scale)
+    ]
+    return grids, dedup_cells(cells)
 
 
 def parallel_measurement_validity(

@@ -12,6 +12,10 @@ Sweep, chaos and recovery campaigns all run through
   signature, including from an entry written without the fields older
   runs did not journal (``attempts``, ``error_kind``, ``cache_hit``).
 
+A sweep cell also fails the same way serially, on a 2-worker pool and
+on an in-process fleet: the same ``attempts``, error kind, first error
+line and poison note per cell, and the same retry and poison counts.
+
 The CLI checks at the end: SIGTERM on a serial campaign exits 130 with
 a resume hint, and a failed cell exits 1 with one line per failure.
 """
@@ -23,20 +27,24 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro import sweep
+from repro import supervisor, sweep
 from repro.cli import main
-from repro.errors import SweepError
+from repro.errors import SweepError, TransientCellError
 from repro.experiments import common
 from repro.faults import FaultKind
+from repro.fleet import FleetCoordinator, FleetWorker
+from repro.fleet import worker as fleet_worker
 from repro.journal import RunJournal, journal_dir
 from repro.recovery import recovery_cell_key, recovery_grid, run_recovery_campaign
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.sim.runner import chaos_cell_key, chaos_grid, run_chaos_campaign
+from repro.supervisor import shared_pool, traced_call
 from repro.workloads.registry import get_workload
 
 SCALE = 0.1
@@ -180,6 +188,116 @@ def test_reopened_journal_reexecutes_nothing(kind, workers):
     assert _signature(kind, resumed) == _signature(kind, first)
     if kind == "sweep":
         assert resumed.resumed_cells == len(resumed.outcomes)
+
+
+# ---------------------------------------------------------------------------
+# one failure policy on every placement
+# ---------------------------------------------------------------------------
+
+#: Names the directory where a ``flaky`` cell notes that it has failed once.
+FLAKY_DIR = "CAMPAIGN_TEST_FLAKY_DIR"
+
+#: ``(workload, tag)`` cells per grid, and the placements that run it. A
+#: cell that SIGKILLs its pool process would kill the caller serially.
+PLACEMENT_GRIDS = {
+    "failing": (
+        (("bfs", ""), ("nope", ""), ("bfs", "flaky")),
+        ("serial", "pool", "fleet"),
+    ),
+    "crashing": ((("bfs", ""), ("bfs", "die")), ("pool", "fleet")),
+}
+
+
+def _raise_transient(task):
+    raise TransientCellError("simulated flaky infrastructure")
+
+
+def _misbehaving_call(fn, task):
+    """``traced_call`` for cells tagged to misbehave: ``flaky`` raises a
+    transient error on its first run; ``die`` SIGKILLs its pool process
+    once it has been seen running, after every other cell finished."""
+    tag = task[0].tag
+    if tag == "die":
+        time.sleep(0.5)
+        os.kill(os.getpid(), signal.SIGKILL)
+    first_run = Path(os.environ[FLAKY_DIR]) / "failed-once"
+    if tag == "flaky" and not first_run.exists():
+        first_run.touch()
+        return traced_call(_raise_transient, task)
+    return traced_call(fn, task)
+
+
+def _run_placed(placement, cells, flaky_dir):
+    """One ``fresh`` sweep of ``cells`` serially, on a 2-worker pool, or
+    on an in-process coordinator with one 2-slot worker."""
+    flaky_dir.mkdir()
+    os.environ[FLAKY_DIR] = str(flaky_dir)
+    shared_pool.shutdown()  # fork pool processes that see this placement's dir
+    if placement != "fleet":
+        workers = 1 if placement == "serial" else 2
+        return sweep.run_sweep(cells, workers=workers, fresh=True)
+    with FleetCoordinator(heartbeat_seconds=0.1, wait_seconds=10.0) as coord:
+        worker = FleetWorker(
+            "127.0.0.1", coord.port, worker_id="w1", slots=2, reconnect_seconds=0.1
+        )
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            report = sweep.run_sweep(cells, workers=2, fresh=True, fleet=coord)
+        finally:
+            coord.shutdown_fleet()
+            thread.join(10.0)
+    assert not thread.is_alive()
+    return report
+
+
+def _fate(out):
+    """What the placement may not change about one cell's outcome."""
+    lines = (out.error or "").splitlines()
+    poison = [line for line in lines if line.startswith("[poison:")]
+    return out.ok, out.attempts, out.error_kind, lines[:1], poison
+
+
+@pytest.mark.parametrize("grid", sorted(PLACEMENT_GRIDS))
+def test_a_cell_fails_the_same_way_on_every_placement(grid, tmp_path, monkeypatch):
+    monkeypatch.setattr(supervisor, "traced_call", _misbehaving_call)
+    monkeypatch.setattr(fleet_worker, "traced_call", _misbehaving_call)
+    monkeypatch.setenv(FLAKY_DIR, "")
+    spec, placements = PLACEMENT_GRIDS[grid]
+    cells = [
+        sweep.Cell(workload, SafetyMode.ATS_ONLY, GPUThreading.MODERATELY,
+                   ops_scale=0.05, tag=tag)
+        for workload, tag in spec
+    ]
+    reports = {
+        placement: _run_placed(placement, cells, tmp_path / placement)
+        for placement in placements
+    }
+    assert reports["pool"].mode == "parallel" and reports["fleet"].mode == "fleet"
+    fates = {name: [_fate(out) for out in r.outcomes] for name, r in reports.items()}
+    stats = {
+        name: (r.stats.retries, r.stats.poison_cells) for name, r in reports.items()
+    }
+    expected = fates["pool"]
+    assert all(fate == expected for fate in fates.values()), fates
+    assert all(count == stats["pool"] for count in stats.values()), stats
+
+    # The shared fate is the pool's documented one.
+    assert [fate[:3] for fate in expected] == {
+        "failing": [(True, 1, None), (False, 2, "deterministic"), (True, 2, None)],
+        "crashing": [(True, 1, None), (False, 3, "crash")],
+    }[grid]
+    bundles = list((common._cache_dir() / "quarantine").glob("poison-*.json"))
+    if grid == "failing":
+        assert len(bundles) == 1 and stats["pool"] == (2, 1)
+        assert expected[1][3:] == (
+            [_unknown_workload_error()],
+            [f"[poison: quarantined after 2 identical failures; "
+             f"repro bundle: {bundles[0]}]"],
+        )
+    else:
+        assert bundles == [] and stats["pool"] == (2, 0)
+        assert "worker process died mid-cell" in expected[1][3][0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Covers the binary frame layer (length-prefixed JSON over the service
 wire module), the seeded network fault injection transport, lease
-bookkeeping (expiry, reassignment, the poison bound, heartbeat
+bookkeeping (expiry, reassignment, the retry ledger's charges, heartbeat
 reconciliation), worker-side duplicate-ASSIGN memory and revocation,
 end-to-end campaigns over real sockets (clean, chaotic, and with a
 SIGKILL'd worker), and graceful degradation to the local pool when the
@@ -35,7 +35,15 @@ from repro.fleet.worker import sanitize_worker_id
 from repro.journal import RunJournal
 from repro.service.wire import WireError, encode_frame, read_frame
 from repro.sim.config import GPUThreading, SafetyMode
-from repro.supervisor import ERROR_CRASH, ERROR_TRANSIENT, shared_pool, traced_call
+from repro.supervisor import (
+    ERROR_CRASH,
+    ERROR_DEADLINE,
+    ERROR_TRANSIENT,
+    SupervisorPolicy,
+    SupervisorStats,
+    shared_pool,
+    traced_call,
+)
 
 SCALE = 0.05
 
@@ -254,11 +262,24 @@ class TestFaultyTransport:
 
 
 class _StubLoop:
+    """The coordinator's clock and timers, advanced by hand."""
+
     def __init__(self):
         self.now = 0.0
+        self.timers = []
 
     def time(self):
         return self.now
+
+    def call_later(self, delay, callback, *args):
+        self.timers.append((self.now + delay, callback, args))
+
+    def advance(self, seconds):
+        self.now += seconds
+        due = [timer for timer in self.timers if timer[0] <= self.now]
+        self.timers = [timer for timer in self.timers if timer[0] > self.now]
+        for _, callback, args in due:
+            callback(*args)
 
 
 class _StubTransport:
@@ -269,7 +290,7 @@ class _StubTransport:
         self.closed = True
 
 
-def _campaign(cells=3):
+def _campaign(cells=3, policy=SupervisorPolicy()):
     return _Campaign(
         campaign_id="camp",
         cells=_cells(cells),
@@ -278,35 +299,73 @@ def _campaign(cells=3):
         run_id=None,
         journal_dir=None,
         on_entry=None,
+        policy=policy,
+        stats=SupervisorStats(),
     )
+
+
+def _stub_coordinator(**kwargs):
+    coord = FleetCoordinator(**kwargs)
+    coord._loop = _StubLoop()
+    coord._loop.now = 100.0
+    return coord
+
+
+def _lose_lease(coord, camp, index, reason, held=1.0):
+    """Expire a lease on ``index`` granted ``held`` seconds ago."""
+    lease_id = f"camp:{index}:{coord.stats['expired_leases']}"
+    lease = _Lease(lease_id, index, "w1", granted=coord._loop.now - held)
+    camp.leases[lease_id] = lease
+    coord._expire_lease(camp, lease, reason)
 
 
 class TestLeaseBookkeeping:
     def test_expiry_reassigns_with_charge(self):
-        coord = FleetCoordinator(max_reassigns=5)
+        """A lost lease rides free three times; the fourth loss is a
+        charged attempt, re-leased only after the policy's backoff."""
+        coord = _stub_coordinator()
         camp = _campaign()
-        lease = _Lease("camp:0:1", 0, "w1", granted=0.0)
-        camp.leases[lease.lease_id] = lease
         camp.pending.clear()
-        coord._expire_lease(camp, lease, "test")
+        for _ in range(3):
+            _lose_lease(coord, camp, 0, "worker lost: test")
+            assert list(camp.pending) == [0]
+            camp.pending.clear()
+        assert camp.ledger.states[0].attempts == 0
+        _lose_lease(coord, camp, 0, "worker lost: test")
+        assert camp.ledger.states[0].attempts == 1
+        assert list(camp.pending) == []
+        coord._loop.advance(camp.ledger.policy.backoff(1, "0:1"))
         assert list(camp.pending) == [0]
-        assert camp.charges[0] == 1
-        assert coord.stats["expired_leases"] == 1
-        assert coord.stats["reassigned"] == 1
+        assert coord.stats["expired_leases"] == 4
+        assert coord.stats["reassigned"] == 4
+        assert camp.ledger.stats.retries == 1
         assert 0 not in camp.outcomes
 
     def test_poison_bound_finalizes_as_crash(self):
-        coord = FleetCoordinator(max_reassigns=2)
+        """A cell that only loses leases is finalized on its sixth loss:
+        three free rides, then the default policy's three attempts."""
+        coord = _stub_coordinator()
         camp = _campaign()
-        for grant in range(3):
-            lease = _Lease(f"camp:0:{grant}", 0, "w1", granted=0.0)
-            camp.leases[lease.lease_id] = lease
-            coord._expire_lease(camp, lease, "worker lost: test")
+        for loss in range(6):
+            assert 0 not in camp.outcomes, f"finalized after {loss} losses"
+            _lose_lease(coord, camp, 0, "worker lost: test")
+            coord._loop.advance(10.0)  # past any retry backoff
         entry = camp.outcomes[0]
-        assert entry["ok"] is False
+        assert (entry["ok"], entry["attempts"]) == (False, 3)
         assert entry["error_kind"] == ERROR_CRASH
-        assert "poison" in entry["error"]
+        assert entry["error"] == "FleetError: lease expired (worker lost: test)"
         assert coord.stats["finalized_failures"] == 1
+        assert camp.ledger.stats.retries == 2
+
+    def test_lost_lease_past_its_deadline_is_charged_as_deadline(self):
+        coord = _stub_coordinator(lease_seconds=5.0)
+        camp = _campaign()
+        for _ in range(6):
+            _lose_lease(coord, camp, 0, "lease deadline", held=6.0)
+            coord._loop.advance(10.0)
+        entry = camp.outcomes[0]
+        assert (entry["ok"], entry["attempts"]) == (False, 3)
+        assert entry["error_kind"] == ERROR_DEADLINE
 
     def test_heartbeat_reconciliation_expires_unheld_lease(self):
         coord = FleetCoordinator(heartbeat_seconds=0.5)
@@ -382,16 +441,24 @@ class TestLeaseBookkeeping:
         coord._camp = None
 
     def test_retryable_failure_is_reassigned_not_finalized(self):
-        coord = FleetCoordinator(max_reassigns=3)
-        camp = _campaign()
+        """A failed RESULT is charged and re-enters pending only after
+        the backoff; the retry's success counts both attempts."""
+        coord = _stub_coordinator()
+        camp = _campaign(policy=SupervisorPolicy(backoff_base=0.5, jitter=0.0))
         camp.pending.clear()
         coord._camp = camp
         ws = _WorkerState("w1", _StubTransport())
         entry = {"label": "x", "ok": False, "error_kind": ERROR_CRASH, "error": "boom"}
         coord._on_result(ws, protocol.result("camp:0:1", 0, "k", entry))
         assert 0 not in camp.outcomes
+        assert camp.ledger.states[0].attempts == 1
+        coord._loop.advance(0.49)
+        assert list(camp.pending) == []
+        coord._loop.advance(0.02)
         assert list(camp.pending) == [0]
-        assert camp.charges[0] == 1
+        ok = {"label": "x", "ok": True, "attempts": 1, "result": None}
+        coord._on_result(ws, protocol.result("camp:0:2", 0, "k", ok))
+        assert camp.outcomes[0]["attempts"] == 2
         coord._camp = None
 
     def test_revoked_leases_return_to_pending(self):
@@ -448,6 +515,10 @@ def _crashing_traced_call(fn, task):
     if tag == "slow":
         time.sleep(2.0)
     return traced_call(fn, task)
+
+
+#: A module-level lambda: pickle looks it up by a name it does not have.
+_unpicklable_call = lambda fn, task: traced_call(fn, task)  # noqa: E731
 
 
 class _AsyncCaptureTransport:
@@ -595,6 +666,21 @@ class TestWorkerLeases:
         assert transport.frames[-1]["entry"]["ok"]
         assert shared_pool.replacements - before == 1
 
+    def test_unpicklable_call_is_reported_as_a_crash(self, monkeypatch):
+        """A pool failure other than a dead process still answers the
+        lease with a crash RESULT instead of silently dropping it."""
+        monkeypatch.setattr(fleet_worker, "traced_call", _unpicklable_call)
+        worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)
+        worker._cells = tuple(_cells(1))
+        worker._sem = asyncio.Semaphore(1)
+        worker._transport = transport = _AsyncCaptureTransport()
+        self._drive(worker, protocol.assign([{"lease_id": "L1", "index": 0}]))
+        assert len(transport.frames) == 1
+        entry = transport.frames[0]["entry"]
+        assert (entry["ok"], entry["error_kind"]) == (False, ERROR_CRASH)
+        assert "PicklingError" in entry["error"]
+        assert worker._leases == {}
+
     def test_install_reinstalls_when_cells_change_under_same_id(self):
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)
         first = protocol.welcome(
@@ -668,12 +754,11 @@ class TestFleetEndToEnd:
         telemetry = tmp_path / "telemetry.jsonl"
         cells = _cells(4)
         with FleetCoordinator(
-            heartbeat_seconds=0.2, telemetry_path=telemetry
+            heartbeat_seconds=0.2, wait_seconds=10.0, telemetry_path=telemetry
         ) as coord:
             worker, thread = _spawn_worker_thread(coord, "w1", slots=2)
-            outcomes, leftovers = coord.map_cells(
-                cells, wait_seconds=10.0, shutdown_workers=True
-            )
+            outcomes, leftovers = coord.map_cells(cells)
+            coord.shutdown_fleet()
             thread.join(10.0)  # SHUTDOWN frame stops the worker itself
             assert not thread.is_alive()
         assert leftovers == []
@@ -702,12 +787,15 @@ class TestFleetEndToEnd:
             max_partitions=1,
         )
         with FleetCoordinator(
-            heartbeat_seconds=0.2, lease_seconds=15.0, fault_plan=plan
+            heartbeat_seconds=0.2,
+            lease_seconds=15.0,
+            wait_seconds=10.0,
+            fault_plan=plan,
         ) as coord:
             wa, ta = _spawn_worker_thread(coord, "wa", slots=2)
             wb, tb = _spawn_worker_thread(coord, "wb", slots=2)
             try:
-                outcomes, leftovers = coord.map_cells(cells, wait_seconds=10.0)
+                outcomes, leftovers = coord.map_cells(cells)
             finally:
                 _join_worker(wa, ta)
                 _join_worker(wb, tb)
@@ -754,7 +842,7 @@ class TestFleetEndToEnd:
             done = threading.Event()
 
             def run_campaign():
-                results["value"] = coord.map_cells(cells, wait_seconds=15.0)
+                results["value"] = coord.map_cells(cells)
                 done.set()
 
             campaign = threading.Thread(target=run_campaign, daemon=True)
@@ -801,15 +889,11 @@ class TestFleetEndToEnd:
 
         first = tagged("first", 3, 100)
         second = tagged("second", 2, 500)  # a re-indexed pending set
-        with FleetCoordinator(heartbeat_seconds=0.2) as coord:
+        with FleetCoordinator(heartbeat_seconds=0.2, wait_seconds=10.0) as coord:
             worker, thread = _spawn_worker_thread(coord, "w1", slots=2)
             try:
-                out1, left1 = coord.map_cells(
-                    first, run_id="resume-run", wait_seconds=10.0
-                )
-                out2, left2 = coord.map_cells(
-                    second, run_id="resume-run", wait_seconds=10.0
-                )
+                out1, left1 = coord.map_cells(first, run_id="resume-run")
+                out2, left2 = coord.map_cells(second, run_id="resume-run")
             finally:
                 _join_worker(worker, thread)
         assert left1 == [] and left2 == []
@@ -824,10 +908,8 @@ class TestFleetEndToEnd:
 
     def test_zero_workers_degrades_to_leftovers(self):
         cells = _cells(2)
-        with FleetCoordinator(heartbeat_seconds=0.1) as coord:
-            outcomes, leftovers = coord.map_cells(
-                cells, wait_seconds=0.3, min_workers=1
-            )
+        with FleetCoordinator(heartbeat_seconds=0.1, wait_seconds=0.3) as coord:
+            outcomes, leftovers = coord.map_cells(cells)
         assert outcomes == {}
         assert leftovers == [0, 1]
 

@@ -151,18 +151,16 @@ class TestPolicy:
         keyless = SupervisorPolicy(backoff_base=0.1, jitter=0.25)
         assert keyless.backoff(2) == pytest.approx(0.2)
 
-    def test_stats_merge_and_any_recovery(self):
-        a = SupervisorStats(retries=1, pool_rebuilds=2)
-        b = SupervisorStats(poison_cells=3, resumed_cells=4)
-        a.merge(b)
-        assert a.as_dict() == {
+    def test_stats_as_dict_and_any_recovery(self):
+        stats = SupervisorStats(retries=1, poison_cells=3, resumed_cells=4)
+        assert stats.as_dict() == {
             "retries": 1,
-            "pool_rebuilds": 2,
+            "pool_rebuilds": 0,
             "poison_cells": 3,
             "deadline_kills": 0,
             "resumed_cells": 4,
         }
-        assert a.any_recovery
+        assert stats.any_recovery
         assert not SupervisorStats().any_recovery
 
     def test_traced_call_classifies_failures(self):

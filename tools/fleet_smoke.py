@@ -10,7 +10,8 @@ the full crash-tolerance contract checked on the way out:
    Connect a healthy worker through the real ``repro.cli worker`` entry
    point and a *doomed* worker wedged to never finish a cell, then run
    a journaled fleet sweep over the fig4 reference grid. Once the
-   doomed worker holds leases, SIGKILL it — no warning, no cleanup.
+   doomed worker reports a running cell, SIGKILL it — no warning, no
+   cleanup.
    The campaign must still terminate with every cell ok (``mode ==
    fleet``), the death must be detected and every orphaned lease
    reassigned, at least one partition must actually have fired, and
@@ -55,12 +56,15 @@ CONNECT_TIMEOUT = 30.0
 CAMPAIGN_TIMEOUT = 300.0
 
 #: A worker that accepts leases but never completes one: its only exit
-#: from the campaign is the SIGKILL below, which is the point.
+#: from the campaign is the SIGKILL below, which is the point. The wedge
+#: is a module-level function so its pool process can unpickle it.
 WEDGED_WORKER = """
 import time
 import repro.fleet.worker as fw
 from repro.fleet import FleetWorker
-fw.traced_call = lambda fn, task: time.sleep(3600)
+def wedge(fn, task):
+    time.sleep(3600)
+fw.traced_call = wedge
 FleetWorker('127.0.0.1', {port}, worker_id='doomed', slots=1).run()
 """
 
@@ -184,13 +188,17 @@ def main() -> None:
         campaign = threading.Thread(target=run_campaign, daemon=True)
         campaign.start()
 
+        def doomed_running() -> bool:
+            worker = coordinator._workers.get("doomed")
+            return worker is not None and worker.reported_running > 0
+
         wait_until(
-            lambda: coordinator.stats["assigned"] > 0,
+            doomed_running,
             CONNECT_TIMEOUT,
-            "lease assignment to begin",
+            "the doomed worker to report a running cell",
         )
-        # The doomed worker wedges on its first cell, so the campaign
-        # cannot finish while it lives: this kill is always mid-sweep.
+        # The doomed worker is wedged on a cell, so the campaign cannot
+        # finish while it lives: this kill is always mid-sweep.
         killpg(doomed, signal.SIGKILL)
         doomed.wait(10.0)
         print("doomed worker SIGKILLed mid-sweep")
