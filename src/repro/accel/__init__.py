@@ -6,9 +6,9 @@
 * :class:`~repro.accel.gpu.GPU` — the paper's evaluation vehicle: a
   GPGPU with compute units and wavefronts replaying workload traces
   (highly threaded: 8 CUs; moderately threaded: 1 CU — Table 3).
-* :mod:`~repro.accel.paths` — the memory-path strategies that realize the
-  five configurations of Table 2 (cached hierarchy with or without Border
-  Control, full IOMMU, CAPI-like).
+* :mod:`~repro.accel.paths` — the cached memory path that realizes three
+  configurations of Table 2 (ATS-only, and Border Control with or without
+  a BCC); the full-IOMMU and CAPI-like paths are in :mod:`repro.iommu`.
 * :mod:`~repro.accel.faulty` — buggy and malicious accelerators used to
   demonstrate the threat model: hardware trojans scanning physical
   memory, stale-TLB bugs, wild writes, and flush-ignoring caches.
@@ -16,7 +16,7 @@
 
 from repro.accel.base import AcceleratorBase
 from repro.accel.gpu import GPU, GPUGeometry, KernelTrace
-from repro.accel.paths import CachedHierarchyPath, CAPIPathAdapter, FullIOMMUPathAdapter
+from repro.accel.paths import CachedHierarchyPath
 from repro.accel.stream import StreamAccelerator
 from repro.accel.faulty import (
     FlushIgnoringGPU,
@@ -28,8 +28,6 @@ from repro.accel.faulty import (
 __all__ = [
     "AcceleratorBase",
     "CachedHierarchyPath",
-    "CAPIPathAdapter",
-    "FullIOMMUPathAdapter",
     "FlushIgnoringGPU",
     "GPU",
     "GPUGeometry",

@@ -12,9 +12,10 @@ from the kernel.
   shared write-back L2, then whatever sits below (the raw memory
   controller for the unsafe baseline, or a
   :class:`~repro.core.border_port.BorderControlPort` for the BC configs).
-* :class:`FullIOMMUPathAdapter` — no TLBs, no caches; every request
-  through the checking IOMMU.
-* :class:`CAPIPathAdapter` — no private structures; a trusted TLB + L2.
+* :class:`~repro.iommu.iommu.FullIOMMUPath` — no TLBs, no caches; every
+  request through the checking IOMMU.
+* :class:`~repro.iommu.capi.CAPILikePath` — no private structures; a
+  trusted TLB + L2.
 """
 
 from __future__ import annotations
@@ -22,14 +23,12 @@ from __future__ import annotations
 from typing import Generator, Iterable, List, Optional
 
 from repro.iommu.ats import ATS
-from repro.iommu.capi import CAPILikePath
-from repro.iommu.iommu import FullIOMMUPath
 from repro.mem.address import BLOCK_SIZE, PAGE_SHIFT
 from repro.mem.cache import Cache
 from repro.sim.stats import StatDomain
 from repro.vm.tlb import TLB, TLBEntry
 
-__all__ = ["CachedHierarchyPath", "FullIOMMUPathAdapter", "CAPIPathAdapter"]
+__all__ = ["CachedHierarchyPath"]
 
 
 class CachedHierarchyPath:
@@ -68,22 +67,37 @@ class CachedHierarchyPath:
         write: bool,
         data: Optional[bytes] = None,
     ) -> Generator:
-        vpn = vaddr >> PAGE_SHIFT
-        entry = self.l1_tlbs[cu_index].lookup(asid, vpn)
+        """The op's generator. On an L1 TLB hit that is the L1 cache's
+        own access, so every resume of the op skips a frame here."""
+        entry = self.l1_tlbs[cu_index].lookup(asid, vaddr >> PAGE_SHIFT)
         if entry is None:
-            result = yield from self.ats.translate(self.accel_id, asid, vpn)
-            if result is None:
-                self._translation_faults.inc()
-                return None
-            entry = TLBEntry(
-                asid=asid,
-                vpn=result.vpn,
-                ppn=result.ppn,
-                perms=result.perms,
-                pages=result.pages_covered,
-            )
-            self.l1_tlbs[cu_index].insert(entry)
-        paddr = ((entry.ppn + vpn - entry.vpn) << PAGE_SHIFT) | (vaddr & 0xFFF)
+            return self._translate_and_access(cu_index, asid, vaddr, write, data)
+        return self._l1_access(cu_index, entry, vaddr, write, data)
+
+    def _translate_and_access(
+        self, cu_index: int, asid: int, vaddr: int, write: bool, data: Optional[bytes]
+    ) -> Generator:
+        """L1 TLB miss: translate through the ATS, fill the TLB, access."""
+        result = yield from self.ats.translate(self.accel_id, asid, vaddr >> PAGE_SHIFT)
+        if result is None:
+            self._translation_faults.inc()
+            return None
+        entry = TLBEntry(
+            asid=asid,
+            vpn=result.vpn,
+            ppn=result.ppn,
+            perms=result.perms,
+            pages=result.pages_covered,
+        )
+        self.l1_tlbs[cu_index].insert(entry)
+        return (yield from self._l1_access(cu_index, entry, vaddr, write, data))
+
+    def _l1_access(
+        self, cu_index: int, entry: TLBEntry, vaddr: int, write: bool, data: Optional[bytes]
+    ) -> Generator:
+        """The L1 cache access for a translated op, clipped to its block."""
+        ppn = entry.ppn + (vaddr >> PAGE_SHIFT) - entry.vpn  # large pages: offset
+        paddr = (ppn << PAGE_SHIFT) | (vaddr & 0xFFF)
         rem = BLOCK_SIZE - (paddr & (BLOCK_SIZE - 1))
         if write and data is not None:
             size = len(data)
@@ -91,9 +105,7 @@ class CachedHierarchyPath:
                 size = rem
         else:
             size = rem
-        return (
-            yield from self.l1_caches[cu_index].access(paddr, size, write, data)
-        )
+        return self.l1_caches[cu_index].access(paddr, size, write, data)
 
     # -- maintenance ------------------------------------------------------
 
@@ -118,71 +130,4 @@ class CachedHierarchyPath:
             for l1 in self.l1_caches:
                 written += yield from l1.flush_page(ppn)
             written += yield from self.l2_cache.flush_page(ppn)
-        return written
-
-
-class FullIOMMUPathAdapter:
-    """Table 2's full-IOMMU row: no accelerator TLBs or caches at all."""
-
-    def __init__(self, accel_id: str, iommu: FullIOMMUPath) -> None:
-        self.accel_id = accel_id
-        self.iommu = iommu
-
-    def mem_op(
-        self,
-        cu_index: int,
-        asid: int,
-        vaddr: int,
-        write: bool,
-        data: Optional[bytes] = None,
-    ) -> Generator:
-        return (
-            yield from self.iommu.mem_op(self.accel_id, asid, vaddr, write, data)
-        )
-
-    def shootdown(self, asid: int, vpn: Optional[int] = None) -> None:
-        """Nothing to invalidate on the accelerator side (the IOMMU's own
-        L2 TLB is shot down by the kernel through the ATS listener)."""
-
-    def flush_caches(self) -> Generator:
-        return 0
-        yield  # pragma: no cover
-
-    def flush_pages(self, ppns: Iterable[int]) -> Generator:
-        return 0
-        yield  # pragma: no cover
-
-
-class CAPIPathAdapter:
-    """Table 2's CAPI-like row: trusted TLB and shared L2 only."""
-
-    def __init__(self, accel_id: str, capi: CAPILikePath) -> None:
-        self.accel_id = accel_id
-        self.capi = capi
-
-    def mem_op(
-        self,
-        cu_index: int,
-        asid: int,
-        vaddr: int,
-        write: bool,
-        data: Optional[bytes] = None,
-    ) -> Generator:
-        return (
-            yield from self.capi.mem_op(self.accel_id, asid, vaddr, write, data)
-        )
-
-    def shootdown(self, asid: int, vpn: Optional[int] = None) -> None:
-        """Translations live in the trusted ATS TLB; nothing private here."""
-
-    def flush_caches(self) -> Generator:
-        """The trusted L2 is flushed on process completion; its writebacks
-        are trusted and need no border check."""
-        written = yield from self.capi.flush()
-        return written
-
-    def flush_pages(self, ppns: Iterable[int]) -> Generator:
-        written = 0
-        for ppn in ppns:
-            written += yield from self.capi.trusted_l2.flush_page(ppn)
         return written

@@ -110,9 +110,9 @@ class BorderControlPort(MemoryPort):
     def _downstream_access(
         self, addr: int, size: int, write: bool, data: Optional[bytes]
     ) -> Generator:
-        """Forward one access downstream, policing it with the watchdog."""
-        if not self.request_timeout_ticks:
-            return (yield from self.downstream.access(addr, size, write, data))
+        """Forward one access downstream, policing it with the watchdog
+        (``request_timeout_ticks`` > 0; without one, :meth:`access` calls
+        the downstream port directly)."""
         attempt = 0
         while True:
             proc = self._engine.process(
@@ -170,6 +170,8 @@ class BorderControlPort(MemoryPort):
             if not decision.allowed:
                 self._blocked.inc()
                 return None
+            if not self.request_timeout_ticks:
+                return (yield from self.downstream.access(addr, size, True, data))
             return (yield from self._downstream_access(addr, size, True, data))
         if not decision.allowed:
             # No data crosses the border; the memory read never issues.
@@ -180,7 +182,10 @@ class BorderControlPort(MemoryPort):
         # Read: the lookup overlaps the memory access; the slower of the
         # two determines when data may cross back into the accelerator.
         start = self._engine.now
-        result = yield from self._downstream_access(addr, size, False, None)
+        if not self.request_timeout_ticks:
+            result = yield from self.downstream.access(addr, size, False, None)
+        else:
+            result = yield from self._downstream_access(addr, size, False, None)
         elapsed = self._engine.now - start
         if delay > elapsed:
             yield delay - elapsed

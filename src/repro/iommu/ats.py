@@ -34,6 +34,8 @@ from repro.vm.tlb import TLB, TLBEntry
 
 __all__ = ["ATS", "ATSConfig", "TranslationResult"]
 
+_NO_ASIDS = frozenset()  # for accelerators allowed no address space
+
 
 @dataclass(frozen=True)
 class ATSConfig:
@@ -160,16 +162,12 @@ class ATS:
                 backoff = self.config.retry_backoff_ticks * (1 << (attempt - 1))
                 if backoff:
                     yield backoff
-        return (yield from self._translate_once(accel_id, asid, vpn, timed))
 
-    def _translate_once(
-        self, accel_id: str, asid: int, vpn: int, timed: bool
-    ) -> Generator:
-        """One translation attempt (the pre-resilience service path)."""
+        # The attempt that goes through (the pre-resilience service path).
         self._translations.inc()
         if timed and self.config.request_latency_ticks:
             yield self.config.request_latency_ticks
-        if asid not in self._accel_asids.get(accel_id, set()):
+        if asid not in self._accel_asids.get(accel_id, _NO_ASIDS):
             # §3.2.2: the ATS checks the ASID corresponds to a process
             # running on the requesting accelerator.
             self._rejected.inc()

@@ -11,7 +11,7 @@ accelerator L1s (the "longer TLB and cache access times" of §2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Generator, Iterable, List, Optional
 
 from repro.iommu.ats import ATS
 from repro.iommu.iommu import IOMMUViolation
@@ -23,7 +23,13 @@ __all__ = ["CAPILikePath"]
 
 
 class CAPILikePath:
-    """Accelerator memory interface through a trusted cache + TLB."""
+    """Accelerator memory interface through a trusted cache + TLB.
+
+    It is the accelerator's whole memory path (Table 2's CAPI-like row:
+    no private structures), with the path interface of
+    :class:`~repro.accel.paths.CachedHierarchyPath`; ``accel_id`` names
+    the accelerator whose requests it carries.
+    """
 
     def __init__(
         self,
@@ -31,7 +37,9 @@ class CAPILikePath:
         trusted_l2: Cache,
         link_latency_ticks: int,
         stats: Optional[StatDomain] = None,
+        accel_id: str = "gpu0",
     ) -> None:
+        self.accel_id = accel_id
         self.ats = ats
         self.trusted_l2 = trusted_l2
         self.link_latency_ticks = link_latency_ticks
@@ -46,18 +54,23 @@ class CAPILikePath:
 
     def mem_op(
         self,
-        accel_id: str,
+        cu_index: int,
         asid: int,
         vaddr: int,
         write: bool,
         data: Optional[bytes] = None,
     ) -> Generator:
-        """One accelerator request through the trusted front end."""
+        """One accelerator request through the trusted front end.
+
+        ``cu_index`` is the issuing compute unit; no structure here is
+        per-CU.
+        """
         self._requests.inc()
         # Cross the accelerator <-> trusted-unit link.
         if self.link_latency_ticks:
             yield self.link_latency_ticks
         vpn = vaddr >> 12
+        accel_id = self.accel_id
         result = yield from self.ats.translate(accel_id, asid, vpn)
         if result is None:
             return self._block(accel_id, vaddr, write, "untranslatable request")
@@ -80,9 +93,21 @@ class CAPILikePath:
         )
         return block
 
-    def flush(self) -> Generator:
-        """Flush the trusted cache (process completion path)."""
+    # -- maintenance ------------------------------------------------------
+
+    def shootdown(self, asid: int, vpn: Optional[int] = None) -> None:
+        """Translations live in the trusted ATS TLB; nothing private here."""
+
+    def flush_caches(self) -> Generator:
+        """Flush the trusted cache (process completion path); its
+        writebacks are trusted and need no border check."""
         written = yield from self.trusted_l2.flush_all()
+        return written
+
+    def flush_pages(self, ppns: Iterable[int]) -> Generator:
+        written = 0
+        for ppn in ppns:
+            written += yield from self.trusted_l2.flush_page(ppn)
         return written
 
     def _block(self, accel_id: str, vaddr: int, write: bool, reason: str) -> None:

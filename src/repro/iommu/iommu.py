@@ -12,7 +12,7 @@ DRAM round trip — the configuration whose overhead Fig. 4 shows at 374%
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional
+from typing import Callable, Generator, Iterable, List, Optional
 
 from repro.iommu.ats import ATS
 from repro.mem.address import BLOCK_SIZE
@@ -33,7 +33,13 @@ class IOMMUViolation:
 
 
 class FullIOMMUPath:
-    """Accelerator memory interface: translate + check every request."""
+    """Accelerator memory interface: translate + check every request.
+
+    It is the accelerator's whole memory path (Table 2's full-IOMMU row:
+    no accelerator TLBs or caches), with the path interface of
+    :class:`~repro.accel.paths.CachedHierarchyPath`; ``accel_id`` names
+    the accelerator whose requests it carries.
+    """
 
     def __init__(
         self,
@@ -41,7 +47,9 @@ class FullIOMMUPath:
         memory: MemoryPort,
         processing_latency_ticks: int,
         stats: Optional[StatDomain] = None,
+        accel_id: str = "gpu0",
     ) -> None:
+        self.accel_id = accel_id
         self.ats = ats
         self.memory = memory
         self.processing_latency_ticks = processing_latency_ticks
@@ -56,17 +64,22 @@ class FullIOMMUPath:
 
     def mem_op(
         self,
-        accel_id: str,
+        cu_index: int,
         asid: int,
         vaddr: int,
         write: bool,
         data: Optional[bytes] = None,
     ) -> Generator:
-        """One accelerator request, block-granular. Returns bytes or None."""
+        """One accelerator request, block-granular. Returns bytes or None.
+
+        ``cu_index`` is the issuing compute unit; no structure here is
+        per-CU.
+        """
         self._requests.inc()
         if self.processing_latency_ticks:
             yield self.processing_latency_ticks
         vpn = vaddr >> 12
+        accel_id = self.accel_id
         result = yield from self.ats.translate(accel_id, asid, vpn)
         if result is None:
             return self._block(accel_id, vaddr, write, "untranslatable request")
@@ -96,6 +109,20 @@ class FullIOMMUPath:
         if block is None:
             return None
         return block[offset : offset + BLOCK_SIZE - offset]
+
+    # -- maintenance ------------------------------------------------------
+
+    def shootdown(self, asid: int, vpn: Optional[int] = None) -> None:
+        """Nothing to invalidate on the accelerator side (the IOMMU's own
+        L2 TLB is shot down by the kernel through the ATS listener)."""
+
+    def flush_caches(self) -> Generator:
+        return 0
+        yield  # pragma: no cover
+
+    def flush_pages(self, ppns: Iterable[int]) -> Generator:
+        return 0
+        yield  # pragma: no cover
 
     def _block(self, accel_id: str, vaddr: int, write: bool, reason: str) -> None:
         self._blocked.inc()

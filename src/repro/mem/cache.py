@@ -160,9 +160,30 @@ class Cache(MemoryPort):
                     return None
                 self._hits.value += 1
             else:
-                line = yield from self._fill(block_addr)
-                if line is None:
+                # Miss: fetch the block downstream and insert it.
+                self._misses.value += 1
+                done = self._engine.event()
+                self._pending[block_addr] = done
+                try:
+                    fetched = yield from self.downstream.access(
+                        block_addr, self._block_size, False
+                    )
+                finally:
+                    self._pending.pop(block_addr, None)
+                if fetched is None:
+                    self._blocked_fills.inc()
+                    done.succeed(None)
                     return None
+                line = Line(block_addr, fetched)
+                victim = self._insert(line)
+                done.succeed(line)
+                if victim is not None and victim.dirty:
+                    # Evicted dirty data drains through a writeback buffer;
+                    # it does not stall the access that triggered the
+                    # eviction.
+                    self._engine.process(
+                        self._write_back(victim), name=f"{self.name}-writeback"
+                    )
 
         if not write:
             return bytes(line.data[offset : offset + size])
@@ -185,32 +206,6 @@ class Cache(MemoryPort):
         return b""
 
     # -- fills and evictions ---------------------------------------------------
-
-    def _fill(self, block_addr: int) -> Generator:
-        """Miss path: fetch the block downstream and insert it."""
-        self._misses.value += 1
-        done = self._engine.event()
-        self._pending[block_addr] = done
-        try:
-            fetched = yield from self.downstream.access(
-                block_addr, self.config.block_size, False
-            )
-        finally:
-            self._pending.pop(block_addr, None)
-        if fetched is None:
-            self._blocked_fills.inc()
-            done.succeed(None)
-            return None
-        line = Line(block_addr, fetched)
-        victim = self._insert(line)
-        done.succeed(line)
-        if victim is not None and victim.dirty:
-            # Evicted dirty data drains through a writeback buffer; it does
-            # not stall the access that triggered the eviction.
-            self._engine.process(
-                self._write_back(victim), name=f"{self.name}-writeback"
-            )
-        return line
 
     def _insert(self, line: Line) -> Optional[Line]:
         """Insert a line, returning the evicted victim (if any)."""

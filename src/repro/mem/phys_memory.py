@@ -141,6 +141,20 @@ class PhysicalMemory:
                 if backing is not None:
                     backing[offset : offset + length] = bytes(length)
             return
+        whole_frames = not (offset | length & _OFFSET_MASK)
+        if whole_frames and 0 < length and 0 <= paddr <= self.size - length:
+            # A run of fresh frames: drop the backed ones, scanning
+            # whichever of the range and the backing map is smaller.
+            frames = self._frames
+            first = paddr >> PAGE_SHIFT
+            end = first + (length >> PAGE_SHIFT)
+            if end - first > len(frames):
+                doomed = [frame for frame in frames if first <= frame < end]
+            else:
+                doomed = range(first, end)
+            for frame in doomed:
+                frames.pop(frame, None)
+            return
         self._check(paddr, length)
         end = paddr + length
         addr = paddr

@@ -19,7 +19,7 @@ serves both functional tests and the timed Fig. 7 downgrade experiment.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Generator, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.core.bcc import BCCConfig
 from repro.core.border_control import BorderControl, ViolationRecord
@@ -185,14 +185,6 @@ class Kernel:
         align = PAGES_PER_LARGE_PAGE if large else 1
         start_vpn = proc.reserve_vpns(num_pages, alignment_pages=align)
         frames: List[int] = []  # every frame this call allocated, in order
-
-        def alloc_frames() -> Iterator[int]:
-            # Lazy, so each data frame is allocated just before its page's
-            # table nodes: this order fixes every physical address.
-            for _ in range(num_pages):
-                frames.append(self.allocator.alloc())
-                yield frames[-1]
-
         try:
             if large:
                 for chunk in range(num_pages // PAGES_PER_LARGE_PAGE):
@@ -203,7 +195,7 @@ class Kernel:
                     vpn = start_vpn + chunk * PAGES_PER_LARGE_PAGE
                     proc.page_table.map(vpn, base_ppn, perms, large=True)
             else:
-                proc.page_table.map_pages(start_vpn, alloc_frames(), perms)
+                proc.page_table.map_pages(start_vpn, num_pages, perms, frames)
         except BaseException:
             self._rollback_mmap(proc, start_vpn, frames, align)
             raise

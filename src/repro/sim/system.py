@@ -15,14 +15,11 @@ chosen :class:`~repro.sim.config.SafetyMode`:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.accel.gpu import GPU, GPUGeometry, KernelTrace
-from repro.accel.paths import (
-    CachedHierarchyPath,
-    CAPIPathAdapter,
-    FullIOMMUPathAdapter,
-)
+from repro.accel.paths import CachedHierarchyPath
 from repro.core.border_control import BorderControl
 from repro.core.border_port import BorderControlPort
 from repro.iommu.ats import ATS, ATSConfig
@@ -39,6 +36,9 @@ from repro.sim.config import SafetyMode, SystemConfig
 from repro.sim.engine import Engine
 from repro.sim.stats import StatDomain
 from repro.vm.tlb import TLB
+
+if TYPE_CHECKING:
+    from repro.cpu.core import CPUCore
 
 __all__ = ["System"]
 
@@ -87,19 +87,6 @@ class System:
         self.ats = self._build_ats()
         self.kernel.register_shootdown_listener(self.ats)
 
-        # The trusted CPU core (Table 3: 64 KB L1, 2 MB L2 @ 3 GHz); it
-        # shares the DRAM channel with the accelerator.
-        from repro.cpu.core import CPUCore
-
-        self.cpu = CPUCore(
-            self.engine,
-            self.cpu_clock,
-            self.kernel,
-            self.memctl,
-            stats=self.stats.child("cpu"),
-        )
-        self.kernel.register_shootdown_listener(self.cpu)
-
         self.border_control: Optional[BorderControl] = None
         self.border_port: Optional[BorderControlPort] = None
         self.capi: Optional[CAPILikePath] = None
@@ -130,6 +117,26 @@ class System:
                 or self.border_control is None
                 or self.gpu.epoch >= self.border_control.epoch
             )
+
+    @cached_property
+    def cpu(self) -> "CPUCore":
+        """The trusted CPU core (Table 3: 64 KB L1, 2 MB L2 @ 3 GHz); it
+        shares the DRAM channel with the accelerator.
+
+        Built the first time it is read: only CPU programs use it, and
+        its two caches' sets would be most of a GPU cell's System.
+        """
+        from repro.cpu.core import CPUCore
+
+        cpu = CPUCore(
+            self.engine,
+            self.cpu_clock,
+            self.kernel,
+            self.memctl,
+            stats=self.stats.child("cpu"),
+        )
+        self.kernel.register_shootdown_listener(cpu)
+        return cpu
 
     # -- component builders ------------------------------------------------
 
@@ -168,11 +175,12 @@ class System:
                     self.config.timing.iommu_request_cycles
                 ),
                 stats=self.stats.child("full_iommu"),
+                accel_id=GPU_ID,
             )
             # IOMMU-refused requests notify the OS just like Border
             # Control violations do.
             self.full_iommu.on_violation(self._report_front_end_violation)
-            return FullIOMMUPathAdapter(GPU_ID, self.full_iommu)
+            return self.full_iommu
 
         if mode is SafetyMode.CAPI_LIKE:
             trusted_l2 = Cache(
@@ -194,9 +202,10 @@ class System:
                 trusted_l2,
                 link_latency_ticks=self._ticks(self.config.timing.capi_link_cycles),
                 stats=self.stats.child("capi"),
+                accel_id=GPU_ID,
             )
             self.capi.on_violation(self._report_front_end_violation)
-            return CAPIPathAdapter(GPU_ID, self.capi)
+            return self.capi
 
         # Cached hierarchy: unsafe baseline or Border Control.
         below_l2: MemoryPort = self.memctl

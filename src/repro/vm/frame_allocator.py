@@ -18,7 +18,7 @@ representations produce bit-identical allocation orders.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.errors import MemoryError_
 from repro.mem.address import PAGE_SHIFT, PAGE_SIZE
@@ -87,6 +87,33 @@ class FrameAllocator:
         if zero:
             self.phys.zero_range(ppn << PAGE_SHIFT, PAGE_SIZE)
         return ppn
+
+    def alloc_run(self, count: int) -> Sequence[int]:
+        """Allocate ``count`` zeroed frames; returns the PPNs that
+        ``count`` :meth:`alloc` calls would, in the same order.
+
+        When the ``count`` frames from the hint up are all free they are
+        taken in one step; otherwise the frames come from the per-frame
+        scan. Running out part way frees the frames this call took
+        (zeroed, as :meth:`alloc` leaves them) and raises.
+        """
+        start = max(self._next_hint, self.base_frame)
+        end = start + count
+        used = self._used
+        if end <= self.num_frames and used.isdisjoint(range(start, end)):
+            used.update(range(start, end))
+            self._next_hint = end
+            self.phys.zero_range(start << PAGE_SHIFT, count * PAGE_SIZE)
+            return range(start, end)
+        ppns: List[int] = []
+        try:
+            for _ in range(count):
+                ppns.append(self.alloc())
+        except OutOfFramesError:
+            for ppn in ppns:
+                self.free(ppn)
+            raise
+        return ppns
 
     def alloc_contiguous(self, count: int, zero: bool = True, align: int = 1) -> int:
         """Allocate ``count`` physically contiguous frames; returns base PPN.

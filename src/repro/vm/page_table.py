@@ -17,8 +17,9 @@ PTE format (bits):
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.core.permissions import PERM_BY_BITS, Perm
 from repro.errors import MemoryError_
@@ -43,6 +44,8 @@ _FLAG_WRITE = 1 << 2
 _FLAG_LARGE = 1 << 7
 _PPN_SHIFT = 12
 _PPN_MASK = ((1 << 40) - 1) << _PPN_SHIFT
+#: Maps a PTE's low byte to its present bit.
+_PRESENT_BIT = bytes(byte & _FLAG_PRESENT for byte in range(256))
 
 
 @dataclass(frozen=True)
@@ -115,46 +118,61 @@ class PageTable:
         single level-2 entry covering 512 base pages; the entry must not
         be present yet (neither a large page nor a leaf node).
         """
-        if not large:
-            self.map_pages(vpn, (ppn,), perms)
-            return
         if perms is Perm.NONE:
             raise MemoryError_("mapping with no permissions; use unmap instead")
-        if vpn % PAGES_PER_LARGE_PAGE or ppn % PAGES_PER_LARGE_PAGE:
-            raise MemoryError_("large mappings must be 2 MB aligned")
         idx = self._indices(vpn)
-        node = self._descend_to(idx, depth=2, create=True)
-        if self._read_pte(node, idx[2]) & _FLAG_PRESENT:
+        if large:
+            if vpn % PAGES_PER_LARGE_PAGE or ppn % PAGES_PER_LARGE_PAGE:
+                raise MemoryError_("large mappings must be 2 MB aligned")
+            node, slot = self._descend_to(idx, depth=2, create=True), idx[2]
+        else:
+            node, slot = self._descend_to(idx, depth=3, create=True), idx[3]
+        if self._read_pte(node, slot) & _FLAG_PRESENT:
             raise MemoryError_(f"vpn {vpn:#x} already mapped")
-        self._write_pte(node, idx[2], _encode(ppn, perms, large=True))
+        self._write_pte(node, slot, _encode(ppn, perms, large=large))
 
-    def map_pages(self, start_vpn: int, ppns: Iterable[int], perms: Perm) -> None:
-        """Map 4 KB pages ``start_vpn, start_vpn + 1, ...`` to ``ppns`` in order.
+    def map_pages(
+        self, start_vpn: int, num_pages: int, perms: Perm, frames: List[int]
+    ) -> None:
+        """Map 4 KB pages ``start_vpn, start_vpn + 1, ...`` to fresh frames.
 
-        Descends to a leaf node once per 512 pages rather than once per
-        page. Each frame is taken from ``ppns`` before its page's leaf
-        node is created, so a lazy iterable of allocations interleaves
-        data frames and table nodes exactly as a per-page :meth:`map`
-        loop does. Raises on the first page already mapped; the pages
-        before it stay mapped.
+        Appends each data frame to ``frames`` as it is allocated. Fills
+        one leaf node at a time, in the allocation order of a per-page
+        :meth:`map` loop over :meth:`FrameAllocator.alloc` frames: the
+        leaf's first data frame, then the table nodes the leaf needs,
+        then one :meth:`FrameAllocator.alloc_run` for the rest of the
+        leaf. One read checks the leaf's slots for present entries and
+        one write fills them. Raises on the first page already mapped,
+        leaving the pages before it mapped and its own frame allocated,
+        as the per-page loop does.
         """
         if perms is Perm.NONE:
             raise MemoryError_("mapping with no permissions; use unmap instead")
         flags = _encode(0, perms)
-        read_u64 = self.phys.read_u64
-        write_u64 = self.phys.write_u64
+        allocator = self.allocator
+        phys = self.phys
         vpn = start_vpn
-        leaf = -1  # physical address of the current leaf node
-        for ppn in ppns:
+        end_vpn = start_vpn + num_pages
+        while vpn < end_vpn:
             index = vpn & 0x1FF
-            if leaf < 0 or not index:
-                leaf = self._descend_to(self._indices(vpn), depth=3, create=True)
-                leaf <<= PAGE_SHIFT
-            pte_addr = leaf + index * _PTE_SIZE
-            if read_u64(pte_addr) & _FLAG_PRESENT:
-                raise MemoryError_(f"vpn {vpn:#x} already mapped")
-            write_u64(pte_addr, flags | ((ppn << _PPN_SHIFT) & _PPN_MASK))
-            vpn += 1
+            count = min(end_vpn - vpn, _ENTRIES_PER_NODE - index)
+            first = allocator.alloc()
+            frames.append(first)
+            leaf = self._descend_to(self._indices(vpn), depth=3, create=True)
+            slots = (leaf << PAGE_SHIFT) + index * _PTE_SIZE
+            # The present bit is bit 0 of each little-endian PTE's low byte.
+            low_bytes = phys.read(slots, count * _PTE_SIZE)[::_PTE_SIZE]
+            mapped = low_bytes.translate(_PRESENT_BIT).find(1)
+            fresh = count if mapped < 0 else mapped  # pages to map here
+            rest = allocator.alloc_run(count - 1 if mapped < 0 else mapped)
+            frames.extend(rest)
+            if fresh:
+                ptes = [flags | (first << _PPN_SHIFT)]
+                ptes += [flags | (ppn << _PPN_SHIFT) for ppn in rest[: fresh - 1]]
+                phys.write(slots, struct.pack(f"<{fresh}Q", *ptes))
+            if mapped >= 0:
+                raise MemoryError_(f"vpn {vpn + mapped:#x} already mapped")
+            vpn += count
 
     def unmap(self, vpn: int) -> Optional[Translation]:
         """Remove a mapping; returns the old translation (None if absent)."""

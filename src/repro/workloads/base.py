@@ -28,9 +28,10 @@ L2 lines later cross the border as writebacks.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
-from typing import List
+from math import log
+from typing import Dict, List
 
 from repro.accel.gpu import KernelTrace, Op
 from repro.core.permissions import Perm
@@ -43,20 +44,19 @@ __all__ = ["WorkloadSpec", "generate_trace", "clear_trace_cache"]
 
 BLOCKS_PER_PAGE = PAGE_SIZE // BLOCK_SIZE  # 32
 
-# Memoized traces. The op streams are a pure function of
-# (spec, threading, seed, ops_scale, large_pages, base_vaddr): the RNG is
-# seeded fresh below and never observes any other state. Sweeps and
-# benchmarks run the same cell many times (every safety mode shares one
-# trace), so reusing the materialized stream removes the whole generation
-# phase from repeat runs. The mmap
-# + CPU-touch side effects above the cache lookup still replay per run.
-_TRACE_CACHE: "OrderedDict[tuple, KernelTrace]" = OrderedDict()
-_TRACE_CACHE_MAX = 8
+# The trace this process generated last. The op streams are a pure
+# function of (spec, threading, seed, ops_scale, large_pages, base_vaddr):
+# the RNG is seeded fresh below and never observes any other state.
+# Sweeps and benchmarks run every safety mode of a cell back to back on
+# one trace, so one slot removes the generation phase from each repeat
+# without holding older traces. The mmap + CPU-touch side effects above
+# the lookup still replay per run.
+_TRACE_MEMO: Dict[tuple, KernelTrace] = {}
 
 
 def clear_trace_cache() -> None:
-    """Drop memoized traces (tests; bounding memory between sweeps)."""
-    _TRACE_CACHE.clear()
+    """Drop the memoized trace (tests; freeing memory between sweeps)."""
+    _TRACE_MEMO.clear()
 
 
 @dataclass(frozen=True)
@@ -125,10 +125,12 @@ class _AddressStream:
         region_blocks = max(1, spec.l2_region_bytes // BLOCK_SIZE)
         self.region_start = (cu_index * region_blocks) % self.total_blocks
         self.region_blocks = region_blocks
-        # Recent blocks for L1 reuse, prefilled so reuse starts immediately.
+        # Recent blocks for L1 reuse, prefilled so reuse starts immediately;
+        # a cold block pushes out the oldest, so the length stays fixed.
         self.recent: "deque[int]" = deque(
-            (self.slice_start + self.cursor + i) % self.total_blocks
-            for i in range(spec.recent_window)
+            ((self.slice_start + self.cursor + i) % self.total_blocks
+             for i in range(spec.recent_window)),
+            maxlen=spec.recent_window,
         )
         # Random per-wavefront base for the structured patterns (tiles,
         # stencil rows, diagonals, row windows). Real kernels assign each
@@ -143,89 +145,123 @@ class _AddressStream:
         # graph-pattern state
         self.run_remaining = 0
         self.run_block = 0
+        self._run_rate = 1.0 / spec.run_length
         # stencil/diagonal/rows state
         self.step = 0
-        # Trace generation is a measurable slice of a cell's wall time, so
-        # next_address avoids per-call attribute chases: reuse thresholds
-        # are precomputed (same float arithmetic, so identical draws) and
-        # uniform draws go through Random._randbelow, which is exactly what
-        # randrange(n) calls for a positive int bound.
-        self._l1_reuse = spec.l1_reuse
-        self._reuse_cum = spec.l1_reuse + spec.l2_reuse
-        self._recent_window = spec.recent_window
-        self._randbelow = getattr(rng, "_randbelow", None) or rng.randrange
+        self._next_cold = getattr(self, f"_cold_{spec.pattern}", None)
+        if self._next_cold is None:
+            raise ValueError(f"unknown access pattern {spec.pattern!r}")
 
-    def _addr(self, block_index: int) -> int:
-        return self.base + (block_index % self.total_blocks) * BLOCK_SIZE
+    def ops(self, count: int, gap_rate: float, write_fraction: float) -> List[Op]:
+        """This wavefront's next ``count`` ``(gap, vaddr, is_write)`` ops.
 
-    def next_address(self) -> int:
-        rng = self.rng
+        Per op the RNG draws, in order: the compute gap (skipped when
+        ``gap_rate`` is 0), the locality draw and any index it needs, and
+        the store coin. Trace generation is a measurable slice of a
+        cell's wall time, so the loop runs the arithmetic of
+        ``expovariate`` and the ``getrandbits`` loop of ``randrange(n)``
+        inline: the draws, and so the trace, are identical.
+        """
+        rand = self.rng.random
+        getrandbits = self.rng.getrandbits
         recent = self.recent
-        draw = rng.random()
-        if recent and draw < self._l1_reuse:
-            block = recent[self._randbelow(len(recent))]
-        elif draw < self._reuse_cum:
-            block = self.region_start + self._randbelow(self.region_blocks)
-        else:
-            block = self._next_cold_block()
-            recent.append(block)
-            if len(recent) > self._recent_window:
-                recent.popleft()
-        return self.base + (block % self.total_blocks) * BLOCK_SIZE
+        remember = recent.append
+        num_recent = len(recent)
+        recent_bits = num_recent.bit_length()
+        l1_reuse = self.spec.l1_reuse
+        reuse_cum = self.spec.l1_reuse + self.spec.l2_reuse
+        region_start = self.region_start
+        region_blocks = self.region_blocks
+        region_bits = region_blocks.bit_length()
+        next_cold = self._next_cold
+        base = self.base
+        total_blocks = self.total_blocks
+        ops: List[Op] = []
+        append = ops.append
+        for _ in range(count):
+            gap = int(-log(1.0 - rand()) / gap_rate) if gap_rate else 0
+            draw = rand()
+            if draw < l1_reuse and num_recent:
+                r = getrandbits(recent_bits)
+                while r >= num_recent:
+                    r = getrandbits(recent_bits)
+                block = recent[r]
+            elif draw < reuse_cum:
+                r = getrandbits(region_bits)
+                while r >= region_blocks:
+                    r = getrandbits(region_bits)
+                block = region_start + r
+            else:
+                block = next_cold()
+                remember(block)
+            append((gap, base + (block % total_blocks) * BLOCK_SIZE, rand() < write_fraction))
+        return ops
 
-    def _next_cold_block(self) -> int:
+    # -- cold patterns: one is bound per stream as ``_next_cold`` ----------
+
+    def _cold_stream(self) -> int:
+        block = self.slice_start + (self.cursor % self.slice_blocks)
+        self.cursor += 1
+        return block
+
+    def _cold_random(self) -> int:
+        """``rng.randrange(total_blocks)``, as its ``getrandbits`` loop."""
+        n = self.total_blocks
+        bits = n.bit_length()
+        getrandbits = self.rng.getrandbits
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return r
+
+    def _cold_graph(self) -> int:
+        if self.run_remaining <= 0:
+            self.run_block = self._cold_random()
+            # ``rng.expovariate(1 / run_length)``
+            run = -log(1.0 - self.rng.random()) / self._run_rate
+            self.run_remaining = max(1, int(run))
+        self.run_remaining -= 1
+        block, self.run_block = self.run_block, self.run_block + 1
+        return block
+
+    def _cold_blocked(self) -> int:
         spec = self.spec
-        pattern = spec.pattern
-        if pattern == "stream":
-            block = self.slice_start + (self.cursor % self.slice_blocks)
-            self.cursor += 1
-            return block
-        if pattern == "random":
-            return self.rng.randrange(self.total_blocks)
-        if pattern == "graph":
-            if self.run_remaining <= 0:
-                self.run_block = self.rng.randrange(self.total_blocks)
-                self.run_remaining = max(
-                    1, int(self.rng.expovariate(1.0 / spec.run_length))
-                )
-            self.run_remaining -= 1
-            block, self.run_block = self.run_block, self.run_block + 1
-            return block
-        if pattern == "blocked":
-            block = self.pattern_base + self.tile_index * spec.tile_blocks + self.tile_pos
-            self.tile_pos += 1
-            if self.tile_pos >= spec.tile_blocks:
-                self.tile_pos = 0
-                self.tile_pass += 1
-                if self.tile_pass >= spec.tile_passes:
-                    self.tile_pass = 0
-                    self.tile_index += 1
-            return block
-        if pattern == "stencil":
-            row_blocks = spec.row_blocks
-            row, col = divmod(self.step, row_blocks)
-            self.step += 1
-            # Alternate between the current row and the two rows above it
-            # (the 5-point stencil's vertical neighbors).
-            touch_row = max(0, row - (self.step % 3))
-            return self.pattern_base + touch_row * row_blocks + col
-        if pattern == "diagonal":
-            row_blocks = spec.row_blocks
-            diag = self.step // row_blocks
-            pos = self.step % row_blocks
-            self.step += 1
-            if self.step % 2:
-                diag = max(0, diag - 1)  # revisit the previous diagonal
-            return self.pattern_base + pos * row_blocks + (diag % row_blocks)
-        if pattern == "rows":
-            row_blocks = spec.row_blocks
-            window_blocks = row_blocks * spec.row_window
-            block = self.pattern_base + self.step % window_blocks
-            self.step += 1
-            if self.step % window_blocks == 0:
-                self.pattern_base += row_blocks  # slide the window one row
-            return block
-        raise ValueError(f"unknown access pattern {pattern!r}")
+        block = self.pattern_base + self.tile_index * spec.tile_blocks + self.tile_pos
+        self.tile_pos += 1
+        if self.tile_pos >= spec.tile_blocks:
+            self.tile_pos = 0
+            self.tile_pass += 1
+            if self.tile_pass >= spec.tile_passes:
+                self.tile_pass = 0
+                self.tile_index += 1
+        return block
+
+    def _cold_stencil(self) -> int:
+        row_blocks = self.spec.row_blocks
+        row, col = divmod(self.step, row_blocks)
+        self.step += 1
+        # Alternate between the current row and the two rows above it
+        # (the 5-point stencil's vertical neighbors).
+        touch_row = max(0, row - (self.step % 3))
+        return self.pattern_base + touch_row * row_blocks + col
+
+    def _cold_diagonal(self) -> int:
+        row_blocks = self.spec.row_blocks
+        diag = self.step // row_blocks
+        pos = self.step % row_blocks
+        self.step += 1
+        if self.step % 2:
+            diag = max(0, diag - 1)  # revisit the previous diagonal
+        return self.pattern_base + pos * row_blocks + (diag % row_blocks)
+
+    def _cold_rows(self) -> int:
+        row_blocks = self.spec.row_blocks
+        window_blocks = row_blocks * self.spec.row_window
+        block = self.pattern_base + self.step % window_blocks
+        self.step += 1
+        if self.step % window_blocks == 0:
+            self.pattern_base += row_blocks  # slide the window one row
+        return block
 
 
 def generate_trace(
@@ -262,46 +298,24 @@ def generate_trace(
                 proc, base_vaddr + page * PAGE_SIZE, page.to_bytes(8, "little")
             )
     cache_key = (spec, threading, seed, ops_scale, large_pages, base_vaddr)
-    cached = _TRACE_CACHE.get(cache_key)
+    cached = _TRACE_MEMO.get(cache_key)
     if cached is not None:
-        _TRACE_CACHE.move_to_end(cache_key)
         return cached
     rng = random.Random(seed)
     num_cus = threading.num_cus
     wf_per_cu = threading.wavefronts_per_cu
     total_wf = num_cus * wf_per_cu
     ops_per_wf = max(1, int(spec.ops_per_wavefront * ops_scale))
-    gap_mean = spec.compute_gap_mean
-
-    # Hot generation loop: methods bound once, the exponential rate
-    # computed once (identical float, hence identical draws). RNG call
-    # order per op is unchanged: gap, address, write.
-    inv_gap = 1.0 / gap_mean if gap_mean > 0 else 0.0
-    expovariate = rng.expovariate
-    rand = rng.random
-    write_fraction = spec.write_fraction
+    # The exponential rate is computed once: the same float
+    # ``expovariate(1 / mean)`` would divide by.
+    gap_rate = 1.0 / spec.compute_gap_mean if spec.compute_gap_mean > 0 else 0.0
     cu_wavefronts: List[List[List[Op]]] = []
     wf_global = 0
     for cu in range(num_cus):
         wavefronts: List[List[Op]] = []
         for _wf in range(wf_per_cu):
             stream = _AddressStream(spec, base_vaddr, wf_global, total_wf, cu, rng)
-            next_address = stream.next_address
-            ops: List[Op] = []
-            append = ops.append
-            if gap_mean > 0:
-                for _i in range(ops_per_wf):
-                    append(
-                        (
-                            int(expovariate(inv_gap)),
-                            next_address(),
-                            rand() < write_fraction,
-                        )
-                    )
-            else:
-                for _i in range(ops_per_wf):
-                    append((0, next_address(), rand() < write_fraction))
-            wavefronts.append(ops)
+            wavefronts.append(stream.ops(ops_per_wf, gap_rate, spec.write_fraction))
             wf_global += 1
         cu_wavefronts.append(wavefronts)
     trace = KernelTrace(
@@ -309,7 +323,6 @@ def generate_trace(
         cu_wavefronts=cu_wavefronts,
         footprint_pages=spec.footprint_pages,
     )
-    _TRACE_CACHE[cache_key] = trace
-    if len(_TRACE_CACHE) > _TRACE_CACHE_MAX:
-        _TRACE_CACHE.popitem(last=False)
+    _TRACE_MEMO.clear()
+    _TRACE_MEMO[cache_key] = trace
     return trace

@@ -6,6 +6,7 @@ from repro.core.permissions import Perm
 from repro.cpu.core import CPUProgram
 from repro.errors import ProtectionFault
 from repro.mem.address import BLOCK_SIZE, PAGE_SIZE
+from repro.mem.cache import Cache
 from repro.sim.config import SafetyMode
 
 from tests.util import make_system
@@ -122,3 +123,36 @@ class TestEndToEndHSAFlow:
         )
         assert ticks > 0
         assert system.kernel.violation_log == []
+
+
+class TestBuiltOnFirstUse:
+    def test_fresh_system_builds_no_cpu_caches_until_cpu_is_read(self, monkeypatch):
+        built = []
+        original_init = Cache.__init__
+
+        def recording_init(self, engine, config, *args, **kwargs):
+            built.append(config.name)
+            original_init(self, engine, config, *args, **kwargs)
+
+        monkeypatch.setattr(Cache, "__init__", recording_init)
+        system = make_system(SafetyMode.BC_BCC)
+        proc = system.new_process("p")
+        system.attach_process(proc)
+        system.kernel.mmap(proc, 4, Perm.RW)
+        assert built and not [name for name in built if name.startswith("cpu-")]
+        cpu = system.cpu
+        assert sorted(name for name in built if name.startswith("cpu-")) == [
+            "cpu-l1",
+            "cpu-l2",
+        ]
+        assert system.cpu is cpu
+        assert cpu in system.kernel._shootdown_listeners
+
+    def test_core_built_late_still_sees_shootdowns(self, system):
+        proc = system.new_process("p")
+        system.attach_process(proc)
+        vaddr = system.kernel.mmap(proc, 1, Perm.RW)
+        system.cpu.execute(proc, CPUProgram.memscan(vaddr, BLOCK_SIZE))
+        assert system.cpu.tlb.occupancy > 0
+        system.kernel.downgrade_process(proc)
+        assert system.cpu.tlb.occupancy == 0

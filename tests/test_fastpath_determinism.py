@@ -29,14 +29,22 @@ from tests.util import small_config, tiny_spec
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "core_fastpath.json"
 
-#: One fig4-style cell per GPU configuration (plus a no-border baseline
-#: and a second access pattern), small enough for CI but large enough to
-#: exercise TLB/L1/L2/BCC fast paths, misses, and writebacks.
+#: One fig4-style cell per GPU configuration and safety mode (plus a
+#: no-border baseline and a second access pattern), small enough for CI
+#: but large enough to exercise TLB/L1/L2/BCC fast paths, misses, and
+#: writebacks. The last field is ``downgrade_interval_cycles``: the
+#: BC-BCC / ATS-only pair with a downgrade every 250 cycles pins the
+#: shootdown -> flush -> re-walk path.
 FIG4_CELLS = [
-    ("bfs", SafetyMode.BC_BCC, GPUThreading.HIGHLY),
-    ("bfs", SafetyMode.BC_BCC, GPUThreading.MODERATELY),
-    ("bfs", SafetyMode.ATS_ONLY, GPUThreading.HIGHLY),
-    ("hotspot", SafetyMode.BC_BCC, GPUThreading.HIGHLY),
+    ("bfs", SafetyMode.BC_BCC, GPUThreading.HIGHLY, None),
+    ("bfs", SafetyMode.BC_BCC, GPUThreading.MODERATELY, None),
+    ("bfs", SafetyMode.ATS_ONLY, GPUThreading.HIGHLY, None),
+    ("hotspot", SafetyMode.BC_BCC, GPUThreading.HIGHLY, None),
+    ("bfs", SafetyMode.FULL_IOMMU, GPUThreading.MODERATELY, None),
+    ("bfs", SafetyMode.CAPI_LIKE, GPUThreading.MODERATELY, None),
+    ("bfs", SafetyMode.BC_NO_BCC, GPUThreading.MODERATELY, None),
+    ("bfs", SafetyMode.BC_BCC, GPUThreading.MODERATELY, 250),
+    ("bfs", SafetyMode.ATS_ONLY, GPUThreading.MODERATELY, 250),
 ]
 
 FIG4_SEED = 1234
@@ -46,13 +54,19 @@ CHAOS_SEED = 23
 RECOVERY_SEED = 5
 
 
-def fig4_cell_key(workload: str, safety: SafetyMode, threading: GPUThreading) -> str:
-    return f"{workload}/{safety.value}/{threading.value}"
+def fig4_cell_key(workload: str, safety: SafetyMode, threading: GPUThreading,
+                  downgrade_interval_cycles=None) -> str:
+    key = f"{workload}/{safety.value}/{threading.value}"
+    if downgrade_interval_cycles is not None:
+        key += f"/downgrade-{downgrade_interval_cycles}"
+    return key
 
 
-def run_fig4_cell(workload: str, safety: SafetyMode, threading: GPUThreading):
+def run_fig4_cell(workload: str, safety: SafetyMode, threading: GPUThreading,
+                  downgrade_interval_cycles=None):
     return run_single(
-        workload, safety, threading, seed=FIG4_SEED, ops_scale=FIG4_OPS_SCALE
+        workload, safety, threading, seed=FIG4_SEED, ops_scale=FIG4_OPS_SCALE,
+        downgrade_interval_cycles=downgrade_interval_cycles,
     )
 
 
@@ -85,8 +99,8 @@ def record_goldens() -> dict:
     payload = {
         "schema": "core-fastpath-goldens-v1",
         "fig4": {
-            fig4_cell_key(w, s, t): _result_to_dict(run_fig4_cell(w, s, t))
-            for (w, s, t) in FIG4_CELLS
+            fig4_cell_key(*cell): _result_to_dict(run_fig4_cell(*cell))
+            for cell in FIG4_CELLS
         },
         "chaos_signature": run_chaos_cell().signature(),
         "recovery_signature": run_recovery_cell().signature(),
@@ -107,15 +121,11 @@ def _jsonify(value):
 
 
 @pytest.mark.parametrize(
-    "workload,safety,threading",
-    FIG4_CELLS,
-    ids=[fig4_cell_key(*cell) for cell in FIG4_CELLS],
+    "cell", FIG4_CELLS, ids=[fig4_cell_key(*cell) for cell in FIG4_CELLS],
 )
-def test_fig4_cell_matches_pre_optimization_golden(
-    goldens, workload, safety, threading
-):
-    result = run_fig4_cell(workload, safety, threading)
-    expected = goldens["fig4"][fig4_cell_key(workload, safety, threading)]
+def test_fig4_cell_matches_pre_optimization_golden(goldens, cell):
+    result = run_fig4_cell(*cell)
+    expected = goldens["fig4"][fig4_cell_key(*cell)]
     actual = _jsonify(_result_to_dict(result))
     # Field-by-field comparison so a mismatch names the drifted field.
     for field_name, expected_value in expected.items():

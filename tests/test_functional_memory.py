@@ -4,8 +4,10 @@ Each fast path is checked against a reference that does the same job the
 slow, obvious way:
 
 * ``PhysicalMemory``'s single-frame accessors against a flat bytearray;
-* ``Kernel.mmap`` (leaf-at-a-time ``PageTable.map_pages``) against a
-  per-page ``PageTable.map`` loop, down to every physical address;
+* ``Kernel.mmap`` (leaf-at-a-time ``PageTable.map_pages`` over
+  ``FrameAllocator.alloc_run``) against a per-page ``PageTable.map``
+  loop over ``FrameAllocator.alloc``, down to every physical address,
+  across used frames and onto an already-mapped page;
 * ``Perm``'s integer-bit methods against IntFlag arithmetic.
 """
 
@@ -15,11 +17,11 @@ from hypothesis import strategies as st
 
 from repro.core.permissions import PERM_BY_BITS, Perm
 from repro.core.protection_table import ProtectionTable
-from repro.errors import UnmappedAddressError
+from repro.errors import MemoryError_, UnmappedAddressError
 from repro.mem.address import PAGE_SHIFT, PAGE_SIZE
 from repro.mem.phys_memory import PhysicalMemory
 from repro.osmodel.kernel import Kernel
-from repro.vm.frame_allocator import FrameAllocator
+from repro.vm.frame_allocator import FrameAllocator, OutOfFramesError
 from repro.vm.page_table import _decode_perms, _encode
 
 from tests.util import profile_settings
@@ -186,10 +188,16 @@ MEM = 64 * 1024 * 1024
 def per_page_mmap(kernel, proc, num_pages):
     """The reference: allocate each data frame, then map it, one page at
     a time, so table nodes are allocated right after the frame of the
-    first page that needs them."""
+    first page that needs them. A failure rolls back as ``mmap`` does."""
     start_vpn = proc.reserve_vpns(num_pages)
-    for i in range(num_pages):
-        proc.page_table.map(start_vpn + i, kernel.allocator.alloc(), Perm.RW)
+    frames = []
+    try:
+        for i in range(num_pages):
+            frames.append(kernel.allocator.alloc())
+            proc.page_table.map(start_vpn + i, frames[-1], Perm.RW)
+    except MemoryError_:
+        kernel._rollback_mmap(proc, start_vpn, frames, 1)
+        raise
     return start_vpn
 
 
@@ -197,7 +205,26 @@ def kernel_mmap(kernel, proc, num_pages):
     return kernel.mmap(proc, num_pages, Perm.RW) >> PAGE_SHIFT
 
 
-def _memory_state(populate, boundary, num_pages=600):
+def _take_every_third_frame(kernel, proc, start_vpn):
+    """Frames in use past the allocator's hint break the free run from
+    it, so the fill falls back to the per-frame scan."""
+    allocator = kernel.allocator
+    for ppn in [allocator.alloc() for _ in range(900)]:
+        if ppn % 3:
+            allocator.free(ppn)
+
+
+def _map_a_page_mid_leaf(kernel, proc, start_vpn):
+    """Map page 300 of the range ``mmap`` will reserve, mid-way through
+    its second leaf, and leave stale bytes in the free frames after it:
+    a frame the fill takes and should not would show up zeroed."""
+    proc.page_table.map(start_vpn + 300, kernel.allocator.alloc(), Perm.R)
+    hint = kernel.allocator._next_hint
+    for ppn in range(hint, hint + 1200):
+        kernel.phys.write(ppn << PAGE_SHIFT, b"stale")
+
+
+def _memory_state(populate, boundary, prepare=None, num_pages=600):
     kernel = Kernel(PhysicalMemory(MEM))
     proc = kernel.create_process("p")
     # An earlier mmap leaves frames and a leaf node in use.
@@ -206,10 +233,18 @@ def _memory_state(populate, boundary, num_pages=600):
     # the gap lazily costs no frames.
     start_vpn = -(-next_vpn // boundary) * boundary - 5
     kernel.mmap_lazy(proc, start_vpn - next_vpn)
-    assert populate(kernel, proc, num_pages) == start_vpn
+    if prepare is not None:
+        prepare(kernel, proc, start_vpn)
+    error = None
+    try:
+        assert populate(kernel, proc, num_pages) == start_vpn
+    except MemoryError_ as exc:
+        error = str(exc)
     table = proc.page_table
     return {
+        "error": error,
         "used": kernel.allocator.snapshot_used(),
+        "hint": kernel.allocator._next_hint,
         "nodes": list(table._node_frames),
         "touched": [(frame, bytes(data)) for frame, data in kernel.phys.touched_frames()],
         "translations": [
@@ -218,9 +253,69 @@ def _memory_state(populate, boundary, num_pages=600):
     }
 
 
-@pytest.mark.parametrize("boundary", [512, 512 * 512], ids=["leaf", "level2"])
-def test_mmap_matches_per_page_map_loop(boundary):
-    assert _memory_state(kernel_mmap, boundary) == _memory_state(per_page_mmap, boundary)
+MMAP_CASES = {
+    "leaf": (512, None),
+    "level2": (512 * 512, None),
+    "used-frames": (512, _take_every_third_frame),
+    "mapped-page": (512, _map_a_page_mid_leaf),
+}
+
+
+@pytest.mark.parametrize("case", list(MMAP_CASES), ids=list(MMAP_CASES))
+def test_mmap_matches_per_page_map_loop(case):
+    boundary, prepare = MMAP_CASES[case]
+    state = _memory_state(kernel_mmap, boundary, prepare)
+    assert state == _memory_state(per_page_mmap, boundary, prepare)
+    if case == "mapped-page":
+        assert state["error"] == f"vpn {state['translations'][300].vpn:#x} already mapped"
+    else:
+        assert state["error"] is None
+
+
+def test_map_pages_stops_at_a_mapped_page_like_the_per_page_loop():
+    """Before any rollback: the pages up to the mapped one are mapped and
+    exactly one frame more is allocated, as the per-page loop leaves it."""
+    states = []
+    for fill in ("map_pages", "loop"):
+        kernel = Kernel(PhysicalMemory(MEM))
+        proc = kernel.create_process("p")
+        start_vpn = proc.reserve_vpns(40)
+        proc.page_table.map(start_vpn + 17, kernel.allocator.alloc(), Perm.R)
+        frames = []
+        with pytest.raises(MemoryError_, match="already mapped") as raised:
+            if fill == "map_pages":
+                proc.page_table.map_pages(start_vpn, 40, Perm.RW, frames)
+            else:
+                for i in range(40):
+                    frames.append(kernel.allocator.alloc())
+                    proc.page_table.map(start_vpn + i, frames[-1], Perm.RW)
+        states.append((
+            str(raised.value), frames, kernel.allocator.snapshot_used(),
+            kernel.allocator._next_hint,
+            [proc.page_table.translate_vpn(start_vpn + i) for i in range(40)],
+        ))
+    assert states[0] == states[1]
+    assert len(states[0][1]) == 18
+
+
+def test_alloc_run_returns_what_per_frame_allocs_would():
+    def allocator_with_holes():
+        allocator = FrameAllocator(PhysicalMemory(64 * PAGE_SIZE))
+        for ppn in [allocator.alloc() for _ in range(40)]:
+            if ppn % 4 == 0 or ppn > 30:
+                allocator.free(ppn)
+        return allocator
+
+    for count in (0, 1, 5, 20, 40):
+        runs, loops = allocator_with_holes(), allocator_with_holes()
+        assert list(runs.alloc_run(count)) == [loops.alloc() for _ in range(count)]
+        assert runs.snapshot_used() == loops.snapshot_used()
+        assert runs._next_hint == loops._next_hint
+    allocator = allocator_with_holes()
+    used = allocator.snapshot_used()
+    with pytest.raises(OutOfFramesError):
+        allocator.alloc_run(allocator.free_frames + 1)
+    assert allocator.snapshot_used() == used
 
 
 # -- (c) integer permission bits against IntFlag arithmetic ------------------------------

@@ -37,8 +37,8 @@ class TestFullIOMMU:
         table.map(0x40, frame, Perm.RW)
         vaddr = 0x40 * PAGE_SIZE
         payload = bytes(range(128))
-        engine.run_process(iommu.mem_op("gpu0", 1, vaddr, True, payload))
-        data = engine.run_process(iommu.mem_op("gpu0", 1, vaddr, False))
+        engine.run_process(iommu.mem_op(0, 1, vaddr, True, payload))
+        data = engine.run_process(iommu.mem_op(0, 1, vaddr, False))
         assert data == payload
         assert phys.read(frame * PAGE_SIZE, 8) == payload[:8]
 
@@ -48,7 +48,7 @@ class TestFullIOMMU:
         frame = allocator.alloc()
         table.map(0x40, frame, Perm.R)
         result = engine.run_process(
-            iommu.mem_op("gpu0", 1, 0x40 * PAGE_SIZE, True, b"x" * BLOCK_SIZE)
+            iommu.mem_op(0, 1, 0x40 * PAGE_SIZE, True, b"x" * BLOCK_SIZE)
         )
         assert result is None
         assert phys.read(frame * PAGE_SIZE, 8) == bytes(8)
@@ -56,7 +56,7 @@ class TestFullIOMMU:
 
     def test_unmapped_access_blocked(self, engine, parts):
         iommu = self._iommu(parts)
-        assert engine.run_process(iommu.mem_op("gpu0", 1, 0x999000, False)) is None
+        assert engine.run_process(iommu.mem_op(0, 1, 0x999000, False)) is None
         assert iommu.violations[0].reason == "untranslatable request"
 
     def test_wrong_asid_blocked(self, engine, parts, allocator):
@@ -64,7 +64,7 @@ class TestFullIOMMU:
         iommu = self._iommu(parts)
         table.map(0x40, allocator.alloc(), Perm.RW)
         assert (
-            engine.run_process(iommu.mem_op("gpu0", 77, 0x40 * PAGE_SIZE, False))
+            engine.run_process(iommu.mem_op(0, 77, 0x40 * PAGE_SIZE, False))
             is None
         )
 
@@ -75,7 +75,7 @@ class TestFullIOMMU:
         table.map(0x40, frame, Perm.RW)
         phys.write(frame * PAGE_SIZE, b"AAAABBBBCCCC")
         engine.run_process(
-            iommu.mem_op("gpu0", 1, 0x40 * PAGE_SIZE + 4, True, b"XX")
+            iommu.mem_op(0, 1, 0x40 * PAGE_SIZE + 4, True, b"XX")
         )
         assert phys.read(frame * PAGE_SIZE, 12) == b"AAAAXXBBCCCC"
 
@@ -83,7 +83,7 @@ class TestFullIOMMU:
         iommu = self._iommu(parts)
         seen = []
         iommu.on_violation(seen.append)
-        engine.run_process(iommu.mem_op("gpu0", 1, 0x1000, False))
+        engine.run_process(iommu.mem_op(0, 1, 0x1000, False))
         assert len(seen) == 1
 
 
@@ -105,10 +105,10 @@ class TestCAPILike:
         frame = allocator.alloc()
         table.map(0x40, frame, Perm.R)
         phys.write(frame * PAGE_SIZE, b"TRUSTED!")
-        data = engine.run_process(capi.mem_op("gpu0", 1, 0x40 * PAGE_SIZE, False))
+        data = engine.run_process(capi.mem_op(0, 1, 0x40 * PAGE_SIZE, False))
         assert data[:8] == b"TRUSTED!"
         # Second access hits the trusted L2.
-        engine.run_process(capi.mem_op("gpu0", 1, 0x40 * PAGE_SIZE, False))
+        engine.run_process(capi.mem_op(0, 1, 0x40 * PAGE_SIZE, False))
         assert l2.hits >= 1
 
     def test_write_permission_enforced(self, engine, parts, allocator, phys):
@@ -117,7 +117,7 @@ class TestCAPILike:
         frame = allocator.alloc()
         table.map(0x40, frame, Perm.R)
         result = engine.run_process(
-            capi.mem_op("gpu0", 1, 0x40 * PAGE_SIZE, True, b"evil")
+            capi.mem_op(0, 1, 0x40 * PAGE_SIZE, True, b"evil")
         )
         assert result is None
         assert capi.violations
@@ -127,10 +127,10 @@ class TestCAPILike:
         capi, _l2 = self._capi(engine, parts)
         frame = allocator.alloc()
         table.map(0x40, frame, Perm.RW)
-        engine.run_process(capi.mem_op("gpu0", 1, 0x40 * PAGE_SIZE, True, b"DATA"))
-        engine.run_process(capi.flush())
+        engine.run_process(capi.mem_op(0, 1, 0x40 * PAGE_SIZE, True, b"DATA"))
+        engine.run_process(capi.flush_caches())
         assert phys.read(frame * PAGE_SIZE, 4) == b"DATA"
 
     def test_unmapped_blocked(self, engine, parts):
         capi, _l2 = self._capi(engine, parts)
-        assert engine.run_process(capi.mem_op("gpu0", 1, 0xABC000, False)) is None
+        assert engine.run_process(capi.mem_op(0, 1, 0xABC000, False)) is None

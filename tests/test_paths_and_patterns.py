@@ -1,4 +1,4 @@
-"""Coverage for the memory-path adapters and workload pattern statistics."""
+"""Coverage for the memory paths' maintenance hooks and workload pattern statistics."""
 
 import pytest
 
@@ -25,7 +25,7 @@ class TestPathAdapters:
         vaddr = system.kernel.mmap(proc, 2, Perm.RW)
         ppn = proc.page_table.translate(vaddr).ppn
         system.engine.run_process(
-            system.capi.mem_op("gpu0", proc.asid, vaddr, True, b"z" * BLOCK_SIZE)
+            system.capi.mem_op(0, proc.asid, vaddr, True, b"z" * BLOCK_SIZE)
         )
         written = system.engine.run_process(system.gpu.path.flush_pages([ppn]))
         assert written == 1

@@ -179,7 +179,7 @@ class TestFrontEndViolationReporting:
         vaddr = system.kernel.mmap(proc, 1, Perm.R)
         # A store to a read-only page through the checking IOMMU.
         result = system.engine.run_process(
-            system.full_iommu.mem_op("gpu0", proc.asid, vaddr, True, b"x" * 128)
+            system.full_iommu.mem_op(0, proc.asid, vaddr, True, b"x" * 128)
         )
         assert result is None
         assert len(system.kernel.violation_log) == 1
@@ -190,7 +190,7 @@ class TestFrontEndViolationReporting:
         proc = system.new_process("p")
         system.attach_process(proc)
         result = system.engine.run_process(
-            system.capi.mem_op("gpu0", proc.asid, 0xDEAD000, False)
+            system.capi.mem_op(0, proc.asid, 0xDEAD000, False)
         )
         assert result is None
         assert len(system.kernel.violation_log) == 1

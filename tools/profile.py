@@ -16,6 +16,8 @@ Usage::
     PYTHONPATH=src python tools/profile.py -w bfs --threading moderately-threaded \
         --ops-scale 0.25 -n 40 --sort tottime
     PYTHONPATH=src python tools/profile.py --flame-depth 14
+    PYTHONPATH=src python tools/profile.py -w nw --threading moderately-threaded \
+        --ops-scale 0.5 --downgrade-interval 250         # a `downgrades` cell
     PYTHONPATH=src python tools/profile.py --dump /tmp/cell.pstats # for snakeviz etc.
 """
 
@@ -62,6 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=1234)
     parser.add_argument("--ops-scale", type=float, default=1.0)
+    parser.add_argument(
+        "--downgrade-interval", type=float, default=None, metavar="CYCLES",
+        help="inject a full permission downgrade every CYCLES GPU cycles "
+        "(the Fig. 7 event; default: none)",
+    )
     parser.add_argument(
         "-n", "--top", type=int, default=25,
         help="rows in the top-N table (default: 25)",
@@ -151,6 +158,8 @@ def main(argv=None) -> int:
         f"{args.workload}/{args.safety}/{args.threading} "
         f"seed={args.seed} ops_scale={args.ops_scale}"
     )
+    if args.downgrade_interval is not None:
+        cell += f" downgrade_interval={args.downgrade_interval:g}"
     print(f"profiling {cell} ...", flush=True)
 
     profiler = cProfile.Profile()
@@ -161,6 +170,7 @@ def main(argv=None) -> int:
         GPUThreading(args.threading),
         seed=args.seed,
         ops_scale=args.ops_scale,
+        downgrade_interval_cycles=args.downgrade_interval,
     )
     profiler.disable()
 
