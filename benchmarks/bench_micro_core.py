@@ -7,6 +7,7 @@ tuning the reproduction, and a regression guard for its performance.
 """
 
 import random
+import tracemalloc
 
 from repro.core.bcc import BCCConfig, BorderControlCache
 from repro.core.border_control import BorderControl
@@ -223,3 +224,33 @@ def test_wavefront_batched_replay(benchmark):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.mem_ops > 0
+
+
+def test_trace_footprint(benchmark):
+    """A full-scale bfs highly threaded trace (102,400 ops) stays under
+    3 MB: ``generate_trace`` packs each wavefront into flat arrays, not
+    one tuple of Python ints per op (11.2 MB). The measured allocation
+    includes the mmap the call makes for the workload's buffers."""
+    from repro.sim.config import GPUThreading, SystemConfig
+    from repro.sim.system import System
+    from repro.workloads.base import clear_trace_cache, generate_trace
+    from repro.workloads.registry import get_workload
+
+    def generate():
+        clear_trace_cache()
+        system = System(SystemConfig().with_threading(GPUThreading.HIGHLY))
+        proc = system.new_process("bfs")
+        tracemalloc.start()
+        try:
+            trace = generate_trace(
+                get_workload("bfs"), system.kernel, proc, GPUThreading.HIGHLY
+            )
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            clear_trace_cache()
+        return trace.total_mem_ops, held
+
+    ops, held = benchmark.pedantic(generate, rounds=1, iterations=1)
+    assert ops == 102_400
+    assert held < 3 * 1024 * 1024

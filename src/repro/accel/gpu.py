@@ -11,9 +11,11 @@ few wavefronts) cannot — reproducing the sensitivity split in Fig. 4.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from typing import Generator, Iterable, List, Optional, Sequence, Tuple
+from typing import Generator, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.accel.base import AcceleratorBase
 from repro.mem.address import BLOCK_SIZE
@@ -22,11 +24,54 @@ from repro.sim.engine import BandwidthServer, Engine, Process
 from repro.sim.clock import TICKS_PER_SECOND
 from repro.sim.stats import StatDomain
 
-__all__ = ["GPU", "GPUGeometry", "KernelTrace", "Op"]
+__all__ = ["GPU", "GPUGeometry", "KernelTrace", "Op", "WavefrontOps"]
 
 # One wavefront operation: (compute-gap cycles, vaddr or None, is_write).
 # vaddr None means a pure compute segment.
 Op = Tuple[int, Optional[int], bool]
+
+
+class WavefrontOps(SequenceABC):
+    """One wavefront's memory ops in flat arrays, read as :data:`Op` tuples.
+
+    A full-scale generated trace holds ~100k ops: ~11 MB as tuples of
+    Python ints, 17 bytes an op here (two ``array('Q')`` columns and a
+    ``bytes`` of store flags). Iterating or indexing yields the same
+    ``(gap, vaddr, is_write)`` tuples a list of ops would, with
+    ``is_write`` a ``bool``; iteration is a C-level ``zip`` over the
+    columns, so the GPU's per-op loop makes no Python call per op. Every
+    op carries an address: pure-compute ops (``vaddr`` ``None``) need a
+    plain list. Compares equal to any list or tuple of the same ops.
+    """
+
+    __slots__ = ("gaps", "vaddrs", "writes")
+
+    def __init__(
+        self, gaps: Iterable[int], vaddrs: Iterable[int], writes: Iterable[bool]
+    ) -> None:
+        self.gaps = array("Q", gaps)
+        self.vaddrs = array("Q", vaddrs)
+        self.writes = bytes(writes)
+        if not len(self.gaps) == len(self.vaddrs) == len(self.writes):
+            raise ValueError("gaps, vaddrs and writes differ in length")
+
+    def __len__(self) -> int:
+        return len(self.vaddrs)
+
+    def __iter__(self) -> Iterator[Op]:
+        return zip(self.gaps, self.vaddrs, map(bool, self.writes))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return WavefrontOps(
+                self.gaps[index], self.vaddrs[index], self.writes[index]
+            )
+        return (self.gaps[index], self.vaddrs[index], bool(self.writes[index]))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (WavefrontOps, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -57,7 +102,7 @@ class KernelTrace:
     """A workload's memory behavior, already coalesced to 128 B blocks."""
 
     name: str
-    cu_wavefronts: List[List[List[Op]]]  # [cu][wavefront][op]
+    cu_wavefronts: List[List[Sequence[Op]]]  # [cu][wavefront][op]
     footprint_pages: int = 0
 
     @property
@@ -178,7 +223,7 @@ class GPU(AcceleratorBase):
         cu_index: int,
         ops: Sequence[Op],
     ) -> Generator:
-        issue = self._issue_ports[cu_index]
+        request = self._issue_ports[cu_index].request
         clock = self.clock
         engine = self.engine
         period = clock.period_ticks
@@ -190,14 +235,6 @@ class GPU(AcceleratorBase):
         stores = self._stores
         spawn = engine.process
         op_name = f"{self.accel_id}-op"
-        # Inlined issue-port constants (BandwidthServer.request(1) — keep
-        # in lockstep with that method). ``iss_den == 1`` covers every
-        # integral ticks-per-byte rate (the GPU clock configs), where the
-        # half-even rounding collapses to identity.
-        iss_den = issue._tick_den
-        iss_cost = issue._tick_num
-        iss_simple = iss_den == 1
-        iss_inv_bpt = 1.0 / issue.bytes_per_tick
         for gap, vaddr, write in ops:
             if gap:
                 # Trace gaps are integer cycles; gap * period is exactly
@@ -219,22 +256,10 @@ class GPU(AcceleratorBase):
             if self._stall_until > engine.now:
                 # Post-resume pipeline restart delay.
                 yield self._stall_until - engine.now
-            # Inlined issue.request(1) — one memory instruction per CU
-            # cycle. Keep in lockstep with BandwidthServer.request; the
-            # ``iss_simple`` arm is the den == 1 specialization where
-            # rounding is the identity and the delay is always positive.
-            if iss_simple:
-                now = engine.now
-                free = issue._free_num
-                free = (free if free > now else now) + iss_cost
-                issue._free_num = free
-                issue.bytes_served += 1
-                issue.busy_ticks += iss_inv_bpt
-                yield free - now
-            else:
-                delay = issue.request(1)
-                if delay:
-                    yield delay
+            # One memory instruction per issue slot.
+            delay = request(1)
+            if delay:
+                yield delay
             while self._quiesce_depth > 0:
                 # The downgrade began while we waited for an issue slot;
                 # re-gate so the op translates after the shootdown.

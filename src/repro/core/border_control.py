@@ -148,6 +148,10 @@ class BorderControl:
         """Register an OS notification handler (kill process / disable accel)."""
         self._handlers.append(handler)
 
+    def off_violation(self, handler: ViolationHandler) -> None:
+        """Unregister a handler :meth:`on_violation` installed."""
+        self._handlers.remove(handler)
+
     def on_decision(self, handler: DecisionHandler) -> None:
         """Observe every allow/deny decision this engine makes.
 

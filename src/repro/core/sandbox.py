@@ -76,6 +76,12 @@ class SandboxManager:
         for sandbox in self._sandboxes.values():
             sandbox.on_violation(handler)
 
+    def off_violation(self, handler: Callable[[ViolationRecord], None]) -> None:
+        """Remove a handler :meth:`on_violation` installed, from every sandbox."""
+        self._violation_handlers.remove(handler)
+        for sandbox in self._sandboxes.values():
+            sandbox.off_violation(handler)
+
     # -- process lifecycle ----------------------------------------------------
 
     def attach(self, accel_id: str, asid: int) -> BorderControl:

@@ -52,6 +52,9 @@ class CAPILikePath:
     def on_violation(self, handler: Callable[[IOMMUViolation], None]) -> None:
         self._handlers.append(handler)
 
+    def off_violation(self, handler: Callable[[IOMMUViolation], None]) -> None:
+        self._handlers.remove(handler)
+
     def mem_op(
         self,
         cu_index: int,

@@ -62,6 +62,9 @@ class FullIOMMUPath:
     def on_violation(self, handler: Callable[[IOMMUViolation], None]) -> None:
         self._handlers.append(handler)
 
+    def off_violation(self, handler: Callable[[IOMMUViolation], None]) -> None:
+        self._handlers.remove(handler)
+
     def mem_op(
         self,
         cu_index: int,

@@ -173,46 +173,6 @@ class Process(Event):
         self._gen = gen
         self.name = name or getattr(gen, "__name__", "process")
 
-    def _step(self, send_value: Any) -> None:
-        # Engine.run() inlines this body in its dispatch loop; this method
-        # is the out-of-loop equivalent. Keep the two in lockstep.
-        try:
-            target = self._gen.send(send_value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        if target.__class__ is int:
-            # The hot case: an integer delay. Push the resume entry
-            # directly — no closure, no intermediate call.
-            if target > 0:
-                engine = self._engine
-                heapq.heappush(
-                    engine._queue,
-                    (engine.now + target, next(engine._seq), _KIND_RESUME, self, None),
-                )
-            elif target == 0:
-                self._engine._ready.append((_KIND_RESUME, self, None))
-            else:
-                raise SimulationError(f"negative delay {target!r} from {self.name}")
-        elif isinstance(target, Event):
-            target._add_waiter(self)
-        elif isinstance(target, (int, float)):
-            if target < 0:
-                raise SimulationError(f"negative delay {target!r} from {self.name}")
-            delay = int(target)
-            engine = self._engine
-            if delay:
-                heapq.heappush(
-                    engine._queue,
-                    (engine.now + delay, next(engine._seq), _KIND_RESUME, self, None),
-                )
-            else:
-                engine._ready.append((_KIND_RESUME, self, None))
-        else:
-            raise SimulationError(
-                f"process {self.name} yielded unsupported value {target!r}"
-            )
-
 
 class Engine:
     """The event queue and simulated clock."""
@@ -373,9 +333,8 @@ class Engine:
         for the current tick run first (they were scheduled at earlier
         ticks, so they outrank every ready-deque entry), then the ready
         deque drains FIFO, then the clock advances to the next heap entry.
-        ``Process._step`` is inlined in the loop (keep the two in
-        lockstep): one entry dispatch is the innermost operation of the
-        whole simulator.
+        Resuming a process is inlined in the loop: one entry dispatch is
+        the innermost operation of the whole simulator.
         """
         if self._running:
             raise SimulationError("engine is not reentrant")
@@ -406,7 +365,6 @@ class Engine:
                         self.now = until
                     break
                 if kind == _KIND_RESUME:
-                    # Inlined Process._step(value).
                     try:
                         result = target._gen.send(value)
                     except StopIteration as stop:
@@ -518,8 +476,7 @@ class BandwidthServer:
         """
         if nbytes < 0:
             raise SimulationError("negative transfer size")
-        # The per-DRAM-access hot path. GPU._run_wavefront inlines the
-        # same arithmetic for its issue ports; keep the two in lockstep.
+        # The per-DRAM-access and per-issue-slot hot path.
         now = self._engine.now
         den = self._tick_den
         now_num = now * den

@@ -147,68 +147,74 @@ def run_single(
     ``record_border`` captures the (ppn, is_write) stream crossing the
     border (Fig. 6 replays it); ``downgrade_interval_cycles`` injects a
     full permission downgrade — the Fig. 7 event — every N GPU cycles
-    while the kernel runs.
+    while the kernel runs. The cell's :class:`System` is closed on
+    return, so reference counting frees it there.
     """
     spec = spec or get_workload(workload)
     cfg = (config or SystemConfig()).with_safety(safety).with_threading(threading)
     system = System(cfg)
-    proc = system.new_process(spec.name)
-    system.attach_process(proc)
-    trace = generate_trace(
-        spec,
-        system.kernel,
-        proc,
-        threading,
-        seed=seed,
-        ops_scale=ops_scale,
-        large_pages=large_pages,
-    )
-    border_trace = None
-    if record_border and system.border_port is not None:
-        border_trace = []
-        system.border_port.ppn_recorder = border_trace
+    try:
+        proc = system.new_process(spec.name)
+        system.attach_process(proc)
+        trace = generate_trace(
+            spec,
+            system.kernel,
+            proc,
+            threading,
+            seed=seed,
+            ops_scale=ops_scale,
+            large_pages=large_pages,
+        )
+        border_trace = None
+        if record_border and system.border_port is not None:
+            border_trace = []
+            system.border_port.ppn_recorder = border_trace
 
-    downgrades = [0]
-    if downgrade_interval_cycles is None:
-        ticks = system.run_kernel(proc, trace)
-    else:
-        interval_ticks = system.gpu_clock.cycles_to_ticks(downgrade_interval_cycles)
-        start = system.engine.now
-        done = system.gpu.launch(proc.asid, trace)
-        end_time = [start]
-
-        def watcher():
-            yield done
-            end_time[0] = system.engine.now
-
-        def injector():
-            while not done.triggered:
-                yield interval_ticks
-                if done.triggered:
-                    break
-                yield from system.kernel.downgrade_process_g(proc)
-                downgrades[0] += 1
-
-        system.engine.process(watcher(), name="kernel-watcher")
-        system.engine.process(injector(), name="downgrade-injector")
-        system.engine.run()
-        if not done.triggered:
-            # Without this check, end_time[0] stays at `start` and a
-            # silent ticks=0 result poisons runtime_overhead downstream.
-            raise SimulationIncompleteError(
-                spec.name,
-                "event queue drained with the kernel still outstanding "
-                f"under downgrade injection (interval "
-                f"{downgrade_interval_cycles:g} cycles, "
-                f"{downgrades[0]} downgrade(s) injected)",
+        downgrades = [0]
+        if downgrade_interval_cycles is None:
+            ticks = system.run_kernel(proc, trace)
+        else:
+            interval_ticks = system.gpu_clock.cycles_to_ticks(
+                downgrade_interval_cycles
             )
-        ticks = end_time[0] - start
-        system.gpu.last_kernel_ticks = ticks
+            start = system.engine.now
+            done = system.gpu.launch(proc.asid, trace)
+            end_time = [start]
 
-    result = collect_result(system, spec.name, trace, ticks)
-    result.downgrades = downgrades[0]
-    result.border_trace = border_trace
-    return result
+            def watcher():
+                yield done
+                end_time[0] = system.engine.now
+
+            def injector():
+                while not done.triggered:
+                    yield interval_ticks
+                    if done.triggered:
+                        break
+                    yield from system.kernel.downgrade_process_g(proc)
+                    downgrades[0] += 1
+
+            system.engine.process(watcher(), name="kernel-watcher")
+            system.engine.process(injector(), name="downgrade-injector")
+            system.engine.run()
+            if not done.triggered:
+                # Without this check, end_time[0] stays at `start` and a
+                # silent ticks=0 result poisons runtime_overhead downstream.
+                raise SimulationIncompleteError(
+                    spec.name,
+                    "event queue drained with the kernel still outstanding "
+                    f"under downgrade injection (interval "
+                    f"{downgrade_interval_cycles:g} cycles, "
+                    f"{downgrades[0]} downgrade(s) injected)",
+                )
+            ticks = end_time[0] - start
+            system.gpu.last_kernel_ticks = ticks
+
+        result = collect_result(system, spec.name, trace, ticks)
+        result.downgrades = downgrades[0]
+        result.border_trace = border_trace
+        return result
+    finally:
+        system.close()
 
 
 def collect_result(

@@ -109,7 +109,8 @@ class System:
         # Epoch fence wiring (recovery): border and ATS compare the GPU's
         # believed attach epoch against the sandbox's authoritative one.
         # Both hooks read ``self.gpu`` dynamically because the chaos
-        # harness replaces the GPU object after construction.
+        # harness replaces the GPU object after construction; ``close``
+        # unhooks them.
         if self.border_port is not None:
             self.border_port.epoch_source = lambda: self.gpu.epoch
             self.ats.epoch_gate = (
@@ -137,6 +138,26 @@ class System:
         )
         self.kernel.register_shootdown_listener(cpu)
         return cpu
+
+    def close(self) -> None:
+        """Unhook the back-edges that make a wired system a reference cycle.
+
+        The epoch hooks and the full-IOMMU/CAPI violation handler point
+        back at this system, and the kernel's violation handler sits on
+        the sandboxes it owns. Until they are gone a finished system,
+        with its caches, page tables and frames, waits for the cyclic GC;
+        after ``close`` reference counting frees it as soon as the last
+        outside reference goes. Call it once the system is done running:
+        a closed system no longer fences stale epochs or reports
+        violations to the OS.
+        """
+        if self.border_port is not None:
+            self.border_port.epoch_source = None
+            self.ats.epoch_gate = None
+        for front_end in (self.full_iommu, self.capi):
+            if front_end is not None:
+                front_end.off_violation(self._report_front_end_violation)
+        self.kernel.sandboxes.off_violation(self.kernel._on_violation)
 
     # -- component builders ------------------------------------------------
 

@@ -320,19 +320,33 @@ def write_poison_bundle(
 _OWNER_POLL_SECONDS = 1.0
 
 
-def _worker_init() -> None:
+def _pid_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # alive, but another user's process
+        pass
+    return True
+
+
+def _worker_init(owner: int) -> None:
     """Pool initializer: the owner watch.
 
-    A daemon thread polls ``os.getppid()`` and ends the worker with
-    ``os._exit`` once the parent pid changes. A worker blocked on its
-    task queue would otherwise outlive an owner killed by SIGKILL,
-    reparented and asleep forever. Everything else a task needs travels
-    with the task (see :func:`repro.sweep.fan_out`).
+    A daemon thread polls the worker's parent pid and ends the worker
+    with ``os._exit`` once it changes, or once ``owner``, the pid of the
+    process that built the pool, no longer exists. A worker blocked on
+    its task queue would otherwise outlive an owner killed by SIGKILL,
+    reparented and asleep forever. The parent alone is not enough: an
+    owner killed between the fork and this call leaves the worker
+    already reparented, so the parent it sees here never changes.
+    Everything else a task needs travels with the task (see
+    :func:`repro.sweep.fan_out`).
     """
-    owner = os.getppid()
+    parent = os.getppid()
 
     def watch_owner() -> None:
-        while os.getppid() == owner:
+        while os.getppid() == parent and _pid_exists(owner):
             time.sleep(_OWNER_POLL_SECONDS)
         os._exit(1)
 
@@ -432,7 +446,9 @@ class _SharedPool:
                 multiprocessing.util.Finalize(self, self.shutdown, exitpriority=20)
                 self._exit_hook = True
             self._executor = ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init
+                max_workers=workers,
+                initializer=_worker_init,
+                initargs=(os.getpid(),),
             )
             self._workers[self._executor] = getattr(self._executor, "_processes", {})
             self._size = workers

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import log
 from typing import Dict, List
 
-from repro.accel.gpu import KernelTrace, Op
+from repro.accel.gpu import KernelTrace, WavefrontOps
 from repro.core.permissions import Perm
 from repro.mem.address import BLOCK_SIZE, PAGE_SIZE
 from repro.osmodel.kernel import Kernel
@@ -48,9 +48,10 @@ BLOCKS_PER_PAGE = PAGE_SIZE // BLOCK_SIZE  # 32
 # function of (spec, threading, seed, ops_scale, large_pages, base_vaddr):
 # the RNG is seeded fresh below and never observes any other state.
 # Sweeps and benchmarks run every safety mode of a cell back to back on
-# one trace, so one slot removes the generation phase from each repeat
-# without holding older traces. The mmap + CPU-touch side effects above
-# the lookup still replay per run.
+# one trace, so one slot removes the generation phase from each repeat.
+# A miss empties the slot before generating, so the old trace is freed
+# (unless a caller still holds it) before the new one is built. The
+# mmap + CPU-touch side effects above the lookup still replay per run.
 _TRACE_MEMO: Dict[tuple, KernelTrace] = {}
 
 
@@ -148,11 +149,12 @@ class _AddressStream:
         self._run_rate = 1.0 / spec.run_length
         # stencil/diagonal/rows state
         self.step = 0
-        self._next_cold = getattr(self, f"_cold_{spec.pattern}", None)
-        if self._next_cold is None:
+        if not hasattr(self, f"_cold_{spec.pattern}"):
             raise ValueError(f"unknown access pattern {spec.pattern!r}")
 
-    def ops(self, count: int, gap_rate: float, write_fraction: float) -> List[Op]:
+    def ops(
+        self, count: int, gap_rate: float, write_fraction: float
+    ) -> WavefrontOps:
         """This wavefront's next ``count`` ``(gap, vaddr, is_write)`` ops.
 
         Per op the RNG draws, in order: the compute gap (skipped when
@@ -160,7 +162,9 @@ class _AddressStream:
         the store coin. Trace generation is a measurable slice of a
         cell's wall time, so the loop runs the arithmetic of
         ``expovariate`` and the ``getrandbits`` loop of ``randrange(n)``
-        inline: the draws, and so the trace, are identical.
+        inline: the draws, and so the trace, are identical. The ops are
+        collected column by column and packed into a
+        :class:`~repro.accel.gpu.WavefrontOps` once.
         """
         rand = self.rng.random
         getrandbits = self.rng.getrandbits
@@ -173,13 +177,19 @@ class _AddressStream:
         region_start = self.region_start
         region_blocks = self.region_blocks
         region_bits = region_blocks.bit_length()
-        next_cold = self._next_cold
+        # Bound per call, not stored: a stream holding its own bound
+        # method is a reference cycle only the cyclic GC would free.
+        next_cold = getattr(self, f"_cold_{self.spec.pattern}")
         base = self.base
         total_blocks = self.total_blocks
-        ops: List[Op] = []
-        append = ops.append
+        gaps: List[int] = []
+        vaddrs: List[int] = []
+        writes: List[bool] = []
+        gap_append = gaps.append
+        vaddr_append = vaddrs.append
+        write_append = writes.append
         for _ in range(count):
-            gap = int(-log(1.0 - rand()) / gap_rate) if gap_rate else 0
+            gap_append(int(-log(1.0 - rand()) / gap_rate) if gap_rate else 0)
             draw = rand()
             if draw < l1_reuse and num_recent:
                 r = getrandbits(recent_bits)
@@ -194,10 +204,11 @@ class _AddressStream:
             else:
                 block = next_cold()
                 remember(block)
-            append((gap, base + (block % total_blocks) * BLOCK_SIZE, rand() < write_fraction))
-        return ops
+            vaddr_append(base + (block % total_blocks) * BLOCK_SIZE)
+            write_append(rand() < write_fraction)
+        return WavefrontOps(gaps, vaddrs, writes)
 
-    # -- cold patterns: one is bound per stream as ``_next_cold`` ----------
+    # -- cold patterns: ``ops`` binds the spec's one as ``next_cold`` -------
 
     def _cold_stream(self) -> int:
         block = self.slice_start + (self.cursor % self.slice_blocks)
@@ -301,6 +312,7 @@ def generate_trace(
     cached = _TRACE_MEMO.get(cache_key)
     if cached is not None:
         return cached
+    _TRACE_MEMO.clear()
     rng = random.Random(seed)
     num_cus = threading.num_cus
     wf_per_cu = threading.wavefronts_per_cu
@@ -309,10 +321,10 @@ def generate_trace(
     # The exponential rate is computed once: the same float
     # ``expovariate(1 / mean)`` would divide by.
     gap_rate = 1.0 / spec.compute_gap_mean if spec.compute_gap_mean > 0 else 0.0
-    cu_wavefronts: List[List[List[Op]]] = []
+    cu_wavefronts: List[List[WavefrontOps]] = []
     wf_global = 0
     for cu in range(num_cus):
-        wavefronts: List[List[Op]] = []
+        wavefronts: List[WavefrontOps] = []
         for _wf in range(wf_per_cu):
             stream = _AddressStream(spec, base_vaddr, wf_global, total_wf, cu, rng)
             wavefronts.append(stream.ops(ops_per_wf, gap_rate, spec.write_fraction))
@@ -323,6 +335,5 @@ def generate_trace(
         cu_wavefronts=cu_wavefronts,
         footprint_pages=spec.footprint_pages,
     )
-    _TRACE_MEMO.clear()
     _TRACE_MEMO[cache_key] = trace
     return trace

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.accel.gpu import GPUGeometry, KernelTrace
+from repro.accel.gpu import GPUGeometry, KernelTrace, WavefrontOps
 from repro.errors import AcceleratorDisabledError, ConfigurationError
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.workloads.base import generate_trace
@@ -88,6 +88,39 @@ class TestTraceProperties:
         )
         assert trace.total_mem_ops == expected
         assert trace.total_compute_cycles > 0
+
+
+class TestWavefrontOps:
+    OPS = [(3, 0x1000, False), (0, 0x1080, True), (7, 0x2000, False)]
+
+    def _ops(self):
+        gaps, vaddrs, writes = zip(*self.OPS)
+        return WavefrontOps(gaps, vaddrs, writes)
+
+    def test_reads_as_op_tuples(self):
+        ops = self._ops()
+        assert len(ops) == 3
+        assert list(ops) == self.OPS
+        assert ops[1] == (0, 0x1080, True)
+        assert ops[-1] == self.OPS[-1]
+        assert ops[1:] == self.OPS[1:]
+        assert all(type(write) is bool for _gap, _vaddr, write in ops)
+
+    def test_equals_lists_and_copies(self):
+        ops = self._ops()
+        assert ops == self.OPS and self.OPS == ops
+        assert ops == self._ops()
+        assert ops != self.OPS[:2]
+        assert ops[:2] != ops
+
+    def test_columns_must_match(self):
+        with pytest.raises(ValueError):
+            WavefrontOps([0, 1], [0x1000], [False])
+
+    def test_generated_trace_is_array_backed(self):
+        _system, _proc, trace = launch_system()
+        wavefronts = [wf for cu in trace.cu_wavefronts for wf in cu]
+        assert wavefronts and all(type(wf) is WavefrontOps for wf in wavefronts)
 
 
 class TestMaintenance:

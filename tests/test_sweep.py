@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import sweep
+from repro import supervisor, sweep
 from repro.errors import SimulationIncompleteError, SweepError, TransientCellError
 from repro.experiments import common, fig4
 from repro.journal import RunJournal, journal_dir, list_runs
@@ -869,6 +869,14 @@ def _pool_workers():
     }
 
 
+def _init_then_sleep(owner: int) -> None:
+    try:
+        supervisor._worker_init(owner)
+    except Exception:
+        os._exit(2)  # not the owner watch's exit status
+    time.sleep(60)
+
+
 class TestPoolWorkers:
     def test_workers_keep_no_system_between_cells(self):
         cells = [_bfs_cell(safety=safety) for safety in SafetyMode]
@@ -931,3 +939,21 @@ class TestPoolWorkers:
             for pid in workers:
                 with contextlib.suppress(OSError):
                     os.kill(pid, signal.SIGKILL)
+
+    def test_worker_exits_when_owner_died_before_init(self):
+        """An owner killed between the fork and the initializer leaves the
+        worker reparented before it looks: its parent never changes, yet
+        it must exit once the owner is gone."""
+        gone = subprocess.Popen([sys.executable, "-c", "pass"])
+        gone.wait()
+        worker = multiprocessing.get_context("fork").Process(
+            target=_init_then_sleep, args=(gone.pid,)
+        )
+        worker.start()
+        try:
+            worker.join(timeout=10)
+            assert worker.exitcode == 1
+        finally:
+            if worker.is_alive():
+                worker.kill()
+                worker.join()

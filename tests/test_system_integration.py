@@ -1,9 +1,13 @@
 """Integration tests: full systems across all five configurations."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.permissions import Perm
 from repro.mem.address import PAGE_SHIFT
+from repro.sim import runner
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.sim.runner import run_single, runtime_overhead
 from repro.workloads.base import generate_trace
@@ -167,6 +171,56 @@ class TestRunner:
         assert bc.check(ppn1 << PAGE_SHIFT, False).allowed
         assert not bc.check(ppn1 << PAGE_SHIFT, True).allowed
         assert bc.check(ppn2 << PAGE_SHIFT, True).allowed
+
+
+class TestCellLeavesNoCyclicGarbage:
+    """``run_single`` closes its System, so with the cyclic GC off the
+    whole simulated machine is freed by reference counting on return."""
+
+    CASES = [(mode, None) for mode in ALL_MODES] + [(SafetyMode.BC_BCC, 250)]
+
+    @pytest.mark.parametrize(
+        "mode,interval",
+        CASES,
+        ids=[m.value + (f"-downgrade{i}" if i else "") for m, i in CASES],
+    )
+    def test_finished_cell_is_freed(self, mode, interval, monkeypatch):
+        built = []
+
+        class RecordingSystem(runner.System):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runner, "System", RecordingSystem)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_single(
+                "bfs",
+                mode,
+                GPUThreading.MODERATELY,
+                ops_scale=0.05,
+                downgrade_interval_cycles=interval,
+            )
+            system = built.pop()
+            parts = {
+                "System": system,
+                "Kernel": system.kernel,
+                "GPU": system.gpu,
+                "Engine": system.engine,
+            }
+            caches = system.gpu_l1_caches + (
+                [system.gpu_l2] if system.gpu_l2 is not None else []
+            )
+            parts.update((cache.config.name, cache) for cache in caches)
+            refs = {name: weakref.ref(obj) for name, obj in parts.items()}
+            del system, parts, caches
+            alive = sorted(name for name, ref in refs.items() if ref() is not None)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert alive == []
 
 
 class TestFrontEndViolationReporting:

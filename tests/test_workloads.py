@@ -1,6 +1,7 @@
 """Unit tests for workload specs and trace generation."""
 
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -291,6 +292,12 @@ class TestTraceMatchesReferenceLoop:
         base_vaddr = next(iter(proc.areas.values())).start_vaddr
         expected = reference_trace(spec, base_vaddr, threading, seed, ops_scale)
         assert trace.cu_wavefronts == expected
+        assert all(
+            type(write) is bool
+            for cu in trace.cu_wavefronts
+            for wf in cu
+            for _gap, _vaddr, write in wf
+        )
 
 
 class TestTraceMemo:
@@ -306,6 +313,23 @@ class TestTraceMemo:
         for seed in (1, 2, 3):
             self._gen(seed)
         assert len(base._TRACE_MEMO) == 1
+
+    def test_miss_frees_the_old_trace_before_building(self, monkeypatch):
+        """At most one generated trace is alive at any time."""
+        clear_trace_cache()
+        old = weakref.ref(self._gen(1))
+        assert old() is not None  # the memo holds it
+        dead_at_first_stream = []
+        original = base._AddressStream.__init__
+
+        def spy(stream, *args, **kwargs):
+            if not dead_at_first_stream:
+                dead_at_first_stream.append(old() is None)
+            original(stream, *args, **kwargs)
+
+        monkeypatch.setattr(base._AddressStream, "__init__", spy)
+        self._gen(2)
+        assert dead_at_first_stream == [True]
 
     def test_consecutive_same_seed_cells_hit(self):
         clear_trace_cache()
