@@ -24,7 +24,7 @@ Subcommands:
 * ``serve`` — run the multi-tenant simulation job server
   (``repro.service``): sweep/chaos/recovery/verify jobs over HTTP with
   per-tenant quotas, durable crash-tolerant job state, and graceful
-  drain on SIGTERM. ``--fleet-listen`` accepts fleet workers so sweep
+  drain on SIGTERM. ``--fleet-listen`` accepts fleet workers so campaign
   jobs fan out across hosts; ``--retention-hours`` garbage-collects
   terminal jobs' run journals. See ``docs/API.md``.
 * ``worker`` — join a fleet (``repro.fleet``): connect to a
@@ -375,53 +375,6 @@ def _replay_cell(
         file=sys.stderr,
     )
 
-    if kind == "sweep":
-        from repro.sim.runner import run_single
-        from repro.sweep import Cell
-
-        cell = Cell.from_dict(bundle["cell"])
-        result = run_single(
-            cell.workload,
-            cell.safety,
-            cell.threading,
-            seed=cell.seed,
-            ops_scale=cell.ops_scale,
-            record_border=cell.record_border,
-            downgrade_interval_cycles=cell.downgrade_interval_cycles,
-        )
-        if args.json:
-            from repro.experiments.common import _result_to_dict
-
-            print(json.dumps(_result_to_dict(result), indent=2))
-        else:
-            _print_result(result)
-        print("replay completed without error (failure did not reproduce)",
-              file=sys.stderr)
-        return 0
-
-    if kind == "chaos":
-        from repro.faults import FaultKind
-        from repro.sim.runner import chaos_result_to_dict, run_chaos_single
-
-        spec = bundle["cell"]
-        run = run_chaos_single(
-            spec["workload"],
-            [FaultKind(k) for k in spec["kinds"]],
-            seed=spec["seed"],
-            ops_scale=spec["ops_scale"],
-        )
-        if args.json:
-            print(json.dumps(chaos_result_to_dict(run), indent=2))
-        else:
-            print(f"workload:       {run.workload}")
-            print(f"fault kinds:    {', '.join(run.kinds)}")
-            print(f"seed:           {run.seed}")
-            print(f"faults:         {run.result.faults_injected}")
-            print(f"ok:             {run.ok}")
-        print("replay completed without error (failure did not reproduce)",
-              file=sys.stderr)
-        return 0 if run.ok else 1
-
     if kind == "verify":
         from repro.verify import replay_counterexample
 
@@ -443,30 +396,26 @@ def _replay_cell(
               file=sys.stderr)
         return 0
 
-    if kind == "recovery":
-        from repro.recovery import recovery_result_to_dict, run_recovery_single
+    from repro.sweep import campaign_kind
 
-        spec = bundle["cell"]
-        run = run_recovery_single(
-            spec["workload"],
-            spec["scenario"],
-            seed=spec["seed"],
-            ops_scale=spec["ops_scale"],
-        )
-        if args.json:
-            print(json.dumps(recovery_result_to_dict(run), indent=2))
-        else:
-            print(f"workload:       {run.workload}")
-            print(f"scenario:       {run.scenario}")
-            print(f"seed:           {run.seed}")
-            print(f"outcome:        {run.outcome}")
-            print(f"ok:             {run.ok}")
-        print("replay completed without error (failure did not reproduce)",
-              file=sys.stderr)
-        return 0 if run.ok else 1
-
-    parser.error(f"bundle kind {kind!r} is not replayable")
-    return 2  # pragma: no cover
+    try:
+        campaign = campaign_kind(str(kind))
+    except ValueError:
+        parser.error(f"bundle kind {kind!r} is not replayable")
+    cell = campaign.cell_of(bundle["cell"])
+    result, _hit = campaign.split(campaign.cell_fn(campaign.task(cell, fresh=True)))
+    # Chaos and recovery runs carry invariants; a sweep cell has none.
+    failures = getattr(result, "invariant_failures", list)()
+    if args.json:
+        print(json.dumps(campaign.to_dict(result), indent=2))
+    else:
+        print(f"{campaign.name} cell {campaign.label_of(cell)}: "
+              + (f"{len(failures)} invariant failure(s)" if failures else "ok"))
+        for failure in failures:
+            print(f"  FAIL {failure}")
+    print("replay completed without error (failure did not reproduce)",
+          file=sys.stderr)
+    return 1 if failures else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -729,7 +678,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_serve.add_argument(
         "--fleet-listen", default=None, metavar="HOST:PORT",
-        help="accept fleet workers here; sweep jobs then fan out across "
+        help="accept fleet workers here; campaign jobs then fan out across "
         "the fleet (join with: border-control worker --connect ...)",
     )
 

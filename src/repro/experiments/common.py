@@ -132,7 +132,7 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def store_result(key: str, result: RunResult, use_disk: bool = True) -> None:
+def store_result(key: str, result: RunResult) -> None:
     """Adopt an externally computed result into the caches.
 
     The parallel sweep uses this to publish worker results into the
@@ -140,11 +140,10 @@ def store_result(key: str, result: RunResult, use_disk: bool = True) -> None:
     the worker died between computing and persisting).
     """
     _memory_cache[_memory_key(key)] = result
-    if use_disk:
-        path = cache_path(key)
-        if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            _write_atomic(path, json.dumps(_result_to_dict(result)))
+    path = cache_path(key)
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _write_atomic(path, json.dumps(_result_to_dict(result)))
 
 
 def cached_run_ex(
@@ -154,7 +153,6 @@ def cached_run_ex(
     seed: int = 1234,
     ops_scale: float = 1.0,
     downgrade_interval_cycles: Optional[float] = None,
-    use_disk: bool = True,
 ) -> Tuple[RunResult, str]:
     """Run (or retrieve) one simulation, reporting where the result came from.
 
@@ -177,7 +175,7 @@ def cached_run_ex(
     if mem_key in _memory_cache:
         return _memory_cache[mem_key], "memory"
     path = cache_path(key)
-    if use_disk and path.exists():
+    if path.exists():
         try:
             result = _result_from_dict(json.loads(path.read_text()))
             _memory_cache[mem_key] = result
@@ -200,9 +198,8 @@ def cached_run_ex(
         downgrade_interval_cycles=downgrade_interval_cycles,
     )
     _memory_cache[mem_key] = result
-    if use_disk:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_atomic(path, json.dumps(_result_to_dict(result)))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_atomic(path, json.dumps(_result_to_dict(result)))
     return result, "computed"
 
 
@@ -213,7 +210,6 @@ def cached_run(
     seed: int = 1234,
     ops_scale: float = 1.0,
     downgrade_interval_cycles: Optional[float] = None,
-    use_disk: bool = True,
 ) -> RunResult:
     """Run (or retrieve) one simulation. Border traces are never cached."""
     result, _source = cached_run_ex(
@@ -223,7 +219,6 @@ def cached_run(
         seed=seed,
         ops_scale=ops_scale,
         downgrade_interval_cycles=downgrade_interval_cycles,
-        use_disk=use_disk,
     )
     return result
 

@@ -1,11 +1,11 @@
 """``repro.fleet`` — a fault-tolerant distributed worker fleet.
 
-A single host's sweep workers are crash-contained; this
-package extends :mod:`repro.supervisor` + :mod:`repro.journal` across
-hosts (ROADMAP item 3): an asyncio coordinator fans sweep cells out to
-remote workers over length-prefixed JSON frames (the
-:func:`repro.service.wire.encode_frame` framing), and the whole stack
-is built so that *node failure is the common case*:
+A single host's campaign workers are crash-contained; this package
+extends :mod:`repro.supervisor` + :mod:`repro.journal` across hosts
+(ROADMAP item 3): an asyncio coordinator fans campaign cells (sweep,
+chaos or recovery) out to remote workers over length-prefixed JSON
+frames (the :func:`repro.service.wire.encode_frame` framing), and the
+whole stack is built so that *node failure is the common case*:
 
 * **Leases, not RPCs** — every cell is a lease with a deadline. A
   worker that dies (SIGKILL, OOM, unplugged) or vanishes behind a
@@ -32,7 +32,7 @@ is built so that *node failure is the common case*:
   :class:`repro.faults.FaultPlan`, the same seeded-plan machinery the
   simulated hardware uses.
 * **Graceful degradation** — zero connected workers is not an error:
-  ``run_sweep(fleet=...)`` hands unplaced cells back to the local
+  ``run_campaign(fleet=...)`` hands unplaced cells back to the local
   supervised pool.
 """
 

@@ -53,7 +53,7 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import FleetError
 from repro.faults.plan import FaultPlan
@@ -62,9 +62,9 @@ from repro.fleet.transport import FaultyTransport, FrameTransport
 from repro.service.wire import WireError
 from repro.supervisor import (
     ERROR_ABORTED, ERROR_CRASH, ERROR_DEADLINE, ERROR_DETERMINISTIC,
-    RetryLedger, SupervisorPolicy, SupervisorStats,
+    CampaignKind, RetryLedger, SupervisorPolicy, SupervisorStats,
 )
-from repro.sweep import SWEEP_CAMPAIGN, Cell, journal_entry
+from repro.sweep import journal_entry
 
 __all__ = ["FleetCoordinator"]
 
@@ -118,8 +118,8 @@ class _Campaign:
     def __init__(
         self,
         campaign_id: str,
-        cells: Sequence[Cell],
-        use_disk: bool,
+        kind: CampaignKind,
+        cells: Sequence[Any],
         fresh: bool,
         run_id: Optional[str],
         journal_dir: Optional[str],
@@ -128,8 +128,8 @@ class _Campaign:
         stats: SupervisorStats,
     ) -> None:
         self.id = campaign_id
+        self.kind = kind
         self.cells = list(cells)
-        self.use_disk = use_disk
         self.fresh = fresh
         self.run_id = run_id
         self.journal_dir = journal_dir
@@ -137,7 +137,7 @@ class _Campaign:
         self.pending: "deque[int]" = deque(range(len(cells)))
         self.leases: Dict[str, _Lease] = {}
         self.ledger = RetryLedger(
-            self.cells, policy, stats, SWEEP_CAMPAIGN.label_of, SWEEP_CAMPAIGN.describe
+            self.cells, policy, stats, kind.label_of, kind.describe
         )
         self.outcomes: Dict[int, dict] = {}
         self.grant_counter = 0
@@ -149,8 +149,8 @@ class _Campaign:
     def welcome_frame(self, heartbeat_seconds: float) -> dict:
         return protocol.welcome(
             self.id,
-            [cell.to_dict() for cell in self.cells],
-            self.use_disk,
+            self.kind.name,
+            [self.kind.recipe_of(cell) for cell in self.cells],
             self.fresh,
             heartbeat_seconds,
             run_id=self.run_id,
@@ -352,6 +352,18 @@ class FleetCoordinator:
             transport.close()
             return
         worker_id = str(frame.get("worker_id", "")) or f"anon-{id(transport)}"
+        version = frame.get("protocol")
+        if version != protocol.PROTOCOL_VERSION:
+            # A worker built for another wire would misread the WELCOME
+            # and sit on leases it never runs: tell it why, then hang up.
+            reason = f"protocol {version} refused (want {protocol.PROTOCOL_VERSION})"
+            self.log(f"fleet: worker {worker_id}: {reason}")
+            try:
+                await transport.send(protocol.shutdown(reason))
+            except (WireError, ConnectionError, OSError):
+                pass
+            transport.close()
+            return
         if isinstance(transport, FaultyTransport):
             transport.bind(worker_id)
         now = self._now()
@@ -470,7 +482,7 @@ class FleetCoordinator:
         if delay is None:
             outcome = camp.ledger.failed(index, wall, kind)
             self._finalize(
-                camp, index, journal_entry(SWEEP_CAMPAIGN, camp.cells[index], outcome)
+                camp, index, journal_entry(camp.kind, camp.cells[index], outcome)
             )
             return
         self.stats["reassigned"] += 1
@@ -554,8 +566,8 @@ class FleetCoordinator:
 
     def map_cells(
         self,
-        cells: Sequence[Cell],
-        use_disk: bool = True,
+        cells: Sequence[Any],
+        kind: CampaignKind,
         fresh: bool = False,
         run_id: Optional[str] = None,
         journal_dir: Optional[Path] = None,
@@ -564,8 +576,11 @@ class FleetCoordinator:
         policy: SupervisorPolicy = SupervisorPolicy(),
         stats: Optional[SupervisorStats] = None,
     ) -> Tuple[Dict[int, dict], List[int]]:
-        """Fan ``cells`` out to the fleet (synchronous, thread-safe).
+        """Fan one ``kind``'s ``cells`` out to the fleet (thread-safe).
 
+        Workers rebuild each cell from the kind's recipe and run the
+        task ``run_campaign`` runs locally (``fresh`` as there), so every
+        campaign kind rides the same leases, retry ledger and shards.
         Blocks until every cell is finalized or given up on; returns
         ``(outcomes, leftovers)``. ``on_entry(index, entry)`` fires on
         the coordinator thread as each result lands — the sweep layer
@@ -588,8 +603,8 @@ class FleetCoordinator:
                         f"{run_id or 'campaign'}"
                         f"@{os.getpid()}.{time.time_ns()}"
                     ),
+                    kind=kind,
                     cells=cells,
-                    use_disk=use_disk,
                     fresh=fresh,
                     run_id=run_id,
                     journal_dir=str(journal_dir) if journal_dir else None,

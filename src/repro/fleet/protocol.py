@@ -8,14 +8,18 @@ ends (and the tests) construct frames through them.
 Conversation shape::
 
     worker                        coordinator
-      | -- HELLO ------------------> |   (identity + slot count)
-      | <------------------ WELCOME |   (campaign: run id, cells, ...)
+      | -- HELLO ------------------> |   (identity, slot count, version)
+      | <------------------ WELCOME |   (campaign: kind, recipes, ...)
       | <------------------- ASSIGN |   (leases: cell indexes)
       | -- HEARTBEAT --------------> |   (held lease ids + running count)
       | -- RESULT -----------------> |   (one cell's journal entry)
       | <------------------- REVOKE |   (work-stealing / cleanup)
       | -- REVOKED ----------------> |   (queued leases actually released)
       | <----------------- SHUTDOWN |   (campaign over; standalone mode)
+
+A HELLO naming another :data:`PROTOCOL_VERSION` is answered with
+SHUTDOWN and the connection closed: such a worker would misread the
+WELCOME and hold leases it never runs.
 
 Failure taxonomy (who notices what):
 
@@ -66,7 +70,8 @@ __all__ = [
     "welcome",
 ]
 
-PROTOCOL_VERSION = 1
+#: Version 2: WELCOME names a campaign kind and ships recipes.
+PROTOCOL_VERSION = 2
 
 #: Heartbeat cadence a worker uses before its first WELCOME tells it
 #: the campaign cadence; the coordinator's connect-grace reaping of
@@ -94,8 +99,8 @@ def hello(worker_id: str, slots: int) -> Dict[str, object]:
 
 def welcome(
     campaign_id: str,
+    kind: str,
     cells: Sequence[Dict[str, object]],
-    use_disk: bool,
     fresh: bool,
     heartbeat_seconds: float,
     run_id: Optional[str] = None,
@@ -107,22 +112,25 @@ def welcome(
     coordinator appends a nonce to the run id): a worker keys its
     index-addressed memory on it, and a resumed run re-indexes the
     pending cells, so two campaigns must never share an id. Workers
-    additionally fingerprint the cell list and reinstall on any
-    mismatch.
+    additionally fingerprint the kind and cell list and reinstall on
+    any mismatch.
 
-    Cells travel as :meth:`repro.sweep.Cell.to_dict` payloads — the
-    worker rebuilds them and submits each leased cell to its host's
-    shared pool as the same task a single-host sweep submits. ``journal_dir``
-    (when the campaign journals) is where the worker opens its shard;
-    ``None`` disables sharding (nothing to resume into).
+    ``kind`` names a :class:`repro.supervisor.CampaignKind` (``sweep``,
+    ``chaos`` or ``recovery``; see :func:`repro.sweep.campaign_kind`)
+    and ``cells`` are that kind's ``recipe_of`` payloads. The worker
+    rebuilds each cell with the kind's ``cell_of`` and submits it to
+    its host's shared pool as the same task ``run_campaign`` submits
+    (``fresh`` as there). ``journal_dir`` (when the campaign journals)
+    is where the worker opens its shard; ``None`` disables sharding
+    (nothing to resume into).
     """
     return {
         "type": WELCOME,
         "campaign_id": campaign_id,
         "run_id": run_id,
         "journal_dir": journal_dir,
+        "kind": kind,
         "cells": list(cells),
-        "use_disk": use_disk,
         "fresh": fresh,
         "heartbeat_seconds": heartbeat_seconds,
     }
@@ -168,7 +176,7 @@ def result(
 ) -> Dict[str, object]:
     """One finished cell: its journal entry, verbatim.
 
-    ``entry`` is the same payload ``run_sweep`` journals locally
+    ``entry`` is the same payload ``run_campaign`` journals locally
     (label/ok/error/wall_seconds/attempts/cacheable/cache_hit/result),
     so the coordinator can append it to the authoritative journal
     unchanged; ``seq`` is the worker-shard sequence for provenance.

@@ -1,14 +1,16 @@
-"""``repro.fleet.worker`` — one remote host's share of a sweep.
+"""``repro.fleet.worker`` — one remote host's share of a campaign.
 
 A :class:`FleetWorker` dials the coordinator, announces itself
-(HELLO), receives the campaign context (WELCOME), and then executes
-assigned cells on this host's shared pool
-(:data:`repro.supervisor.shared_pool`, sized ``slots``) — the *same*
-tasks a single-host sweep submits (:func:`repro.sweep._run_cell` on
-``(cell, use_disk, fresh)``, behind the :func:`repro.sweep._pin_worker`
-prologue), so a cell computes identically whether it ran locally or
-across the fleet, and the pool's children exit when this worker
-process dies.
+(HELLO), receives the campaign context (WELCOME: a campaign kind's
+name and its cells' recipes), and then executes assigned cells on this
+host's shared pool (:data:`repro.supervisor.shared_pool`, sized
+``slots``). The kind (:func:`repro.sweep.campaign_kind`) rebuilds each
+cell from its recipe (``cell_of``) and makes the *same* task
+``run_campaign`` submits (``kind.cell_fn`` on ``kind.task(cell,
+fresh)``, behind the :func:`repro.sweep._pin_worker` prologue), so a
+sweep, chaos or recovery cell computes identically whether it ran
+locally or across the fleet, and the pool's children exit when this
+worker process dies.
 
 Robustness posture:
 
@@ -22,9 +24,9 @@ Robustness posture:
   retry and re-executes the cell;
 * the connection is disposable: on any error the worker reconnects
   with a fresh HELLO and the coordinator re-WELCOMEs it (same
-  campaign id *and* cell list → shard and finished-index memory are
-  kept; anything else reinstalls from scratch, so a stale campaign can
-  never replay the wrong cell for an index);
+  campaign id, kind *and* cell list → shard and finished-index memory
+  are kept; anything else reinstalls from scratch, so a stale campaign
+  can never replay the wrong cell for an index);
 * each lease runs its cell once; the coordinator charges a failure to
   the campaign's :class:`repro.supervisor.RetryLedger` and decides
   whether the cell runs again. A died pool process (the cell SIGKILLed
@@ -38,7 +40,6 @@ Robustness posture:
 from __future__ import annotations
 
 import asyncio
-import functools
 import hashlib
 import json
 import os
@@ -46,17 +47,16 @@ import re
 import socket
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.experiments import common
 from repro.fleet import protocol
 from repro.fleet.transport import FrameTransport
 from repro.journal import JournalShard
 from repro.service.wire import WireError
 from repro.supervisor import (
-    ERROR_CRASH, TaskOutcome, pool_error, shared_pool, traced_call,
+    ERROR_CRASH, CampaignKind, TaskOutcome, pool_error, shared_pool, traced_call,
 )
-from repro.sweep import SWEEP_CAMPAIGN, Cell, _pinned, _run_cell, journal_entry
+from repro.sweep import _pin, campaign_kind, journal_entry
 
 __all__ = ["FleetWorker", "sanitize_worker_id"]
 
@@ -91,10 +91,9 @@ class FleetWorker:
         # campaign state (survives reconnects within one campaign)
         self._campaign_id: Optional[str] = None
         self._campaign_digest: Optional[str] = None
-        self._cells: Tuple[Cell, ...] = ()
-        self._use_disk = True
+        self._kind: Optional[CampaignKind] = None
+        self._cells: Tuple[Any, ...] = ()
         self._fresh = False
-        self._cell_fn: Callable = _run_cell
         self._heartbeat_seconds = protocol.DEFAULT_HEARTBEAT_SECONDS
         self._shard: Optional[JournalShard] = None
         self._leases: Dict[str, int] = {}  # lease_id -> cell index
@@ -211,8 +210,8 @@ class FleetWorker:
         """Content hash of everything that defines cell-index meaning."""
         payload = json.dumps(
             [
+                frame.get("kind"),
                 frame.get("cells", []),
-                frame.get("use_disk", True),
                 frame.get("fresh", False),
                 frame.get("run_id"),
                 frame.get("journal_dir"),
@@ -241,17 +240,13 @@ class FleetWorker:
         self._teardown_campaign()
         self._campaign_id = campaign_id
         self._campaign_digest = digest
-        self._cells = tuple(Cell.from_dict(d) for d in frame.get("cells", []))
-        self._use_disk = bool(frame.get("use_disk", True))
+        self._kind = kind = campaign_kind(str(frame.get("kind")))
+        self._cells = tuple(kind.cell_of(d) for d in frame.get("cells", []))
         self._fresh = bool(frame.get("fresh", False))
         self._leases = {}
         self._running = set()
         self._done = {}
         self._sem = asyncio.Semaphore(self.slots)
-        # Pinned to this host's resolved cache dir, like a local sweep.
-        self._cell_fn = functools.partial(
-            _pinned, _run_cell, str(Path(common._cache_dir()).resolve())
-        )
         run_id = frame.get("run_id")
         journal_directory = frame.get("journal_dir")
         if run_id and journal_directory:
@@ -259,7 +254,7 @@ class FleetWorker:
                 str(run_id), self.worker_id, Path(str(journal_directory))
             )
         self.log(
-            f"campaign {campaign_id}: {len(self._cells)} cells, "
+            f"{kind.name} campaign {campaign_id}: {len(self._cells)} cells, "
             f"{self.slots} slot(s), shard="
             + (str(self._shard.path) if self._shard else "off")
         )
@@ -303,12 +298,13 @@ class FleetWorker:
 
     async def _compute(self, index: int):
         """Run one cell on the shared pool; ``None`` means it never ran."""
-        task = (self._cells[index], self._use_disk, self._fresh)
+        kind = self._kind
+        assert kind is not None
+        fn = _pin(kind.cell_fn)  # to this host's cache dir, like a local campaign
+        task = kind.task(self._cells[index], self._fresh)
         while True:
             try:
-                future, pool, _ = shared_pool.submit(
-                    self.slots, traced_call, self._cell_fn, task
-                )
+                future, pool, _ = shared_pool.submit(self.slots, traced_call, fn, task)
             except RuntimeError:
                 return None  # the interpreter is shutting down
             try:
@@ -335,12 +331,13 @@ class FleetWorker:
                 self._leases.pop(lease_id, None)
         if outcome is None:
             return
-        value, error, wall, kind = outcome
+        assert self._kind is not None
+        value, error, wall, error_kind = outcome
         cell = self._cells[index]
-        out = TaskOutcome(value, error, wall, 1, kind)
-        entry = journal_entry(SWEEP_CAMPAIGN, cell, out)
+        out = TaskOutcome(value, error, wall, 1, error_kind)
+        entry = journal_entry(self._kind, cell, out)
         entry["worker"] = self.worker_id
-        key = cell.journal_key()
+        key = self._kind.journal_key(cell)
         seq = None
         if self._shard is not None:
             # Shard first, frame second: once this append lands, the

@@ -78,7 +78,6 @@ __all__ = [
     "run_recovery_campaign",
     "RECOVERY_CAMPAIGN",
     "recovery_grid",
-    "recovery_cell_key",
     "recovery_result_to_dict",
     "recovery_result_from_dict",
     "DEFAULT_RECOVERY_WORKLOADS",
@@ -405,220 +404,223 @@ def run_recovery_single(
     policy = policy or RecoveryPolicy()
     cfg = (config or SystemConfig()).with_safety(safety).with_threading(threading)
     system = System(cfg, violation_policy=ViolationPolicy.QUARANTINE)
-    engine = system.engine
-    kernel = system.kernel
-    ticks_of = system.gpu_clock.cycles_to_ticks
-    kernel.quarantine_backoff_ticks = ticks_of(quarantine_backoff_cycles)
-    if scenario == "storm":
-        kernel.violation_storm_threshold = storm_threshold
+    try:
+        engine = system.engine
+        kernel = system.kernel
+        ticks_of = system.gpu_clock.cycles_to_ticks
+        kernel.quarantine_backoff_ticks = ticks_of(quarantine_backoff_cycles)
+        if scenario == "storm":
+            kernel.violation_storm_threshold = storm_threshold
 
-    plan = FaultPlan(seed, recovery_fault_specs(scenario))
-    border = system.border_port
-    assert border is not None and system.gpu_l2 is not None
+        plan = FaultPlan(seed, recovery_fault_specs(scenario))
+        border = system.border_port
+        assert border is not None and system.gpu_l2 is not None
 
-    hanging = None
-    if scenario in ("hang", "reset-replay", "fallback"):
-        hanging = HangingAccelerator.install(system)
+        hanging = None
+        if scenario in ("hang", "reset-replay", "fallback"):
+            hanging = HangingAccelerator.install(system)
 
-    replay_buffer: Optional[ReplayBuffer] = None
-    if scenario == "reset-replay":
-        replay_buffer = ReplayBuffer()
-        system.gpu_l2.downstream = RecordingPort(border, replay_buffer)
+        replay_buffer: Optional[ReplayBuffer] = None
+        if scenario == "reset-replay":
+            replay_buffer = ReplayBuffer()
+            system.gpu_l2.downstream = RecordingPort(border, replay_buffer)
 
-    # The secret holder: a process never granted to the accelerator.
-    secret = SecretPage(kernel, system.new_process("secret-holder"))
+        # The secret holder: a process never granted to the accelerator.
+        secret = SecretPage(kernel, system.new_process("secret-holder"))
 
-    # The victim: the GPU workload whose kernel gets interrupted.
-    victim = system.new_process(workload_spec.name)
-    system.attach_process(victim)
-    trace = generate_trace(
-        workload_spec, kernel, victim, threading, seed=seed, ops_scale=ops_scale
-    )
-    if hanging is not None:
-        hanging.arm(trace)
-
-    # The unaffected tenant: CPU-only work whose forward progress must
-    # not depend on the victim's recovery. Baseline measured solo,
-    # before any disruption exists, and warm: the first run misses in
-    # every cache, and every later one, contended or not, does not.
-    tenant = system.new_process("tenant")
-    tenant_vaddr = kernel.mmap(tenant, 4, Perm.RW)
-    tenant_program = CPUProgram(
-        name="tenant-loop",
-        ops=CPUProgram.memset(tenant_vaddr, 4 * PAGE_SIZE, gap=4).ops
-        + CPUProgram.memscan(tenant_vaddr, 4 * PAGE_SIZE, gap=4).ops,
-    )
-    system.cpu.execute(tenant, tenant_program)
-    tenant_baseline = system.cpu.execute(tenant, tenant_program)
-    tenant_stats = {"iterations": 0, "max_ticks": 0}
-
-    replay_stats = {"replayed": 0, "commits": 0}
-    replay_injector = plan.for_site("border.replay")
-
-    def replay_stale(old_epoch: int):
-        """Drain the pre-reset device's recorded queue at the old epoch."""
-        writes = list(replay_buffer.writes) if replay_buffer else []
-        if not writes:
-            # Nothing crossed the border before the wedge; the queued DMA
-            # burst still exists — model it as one arbitrary stale write.
-            writes = [(secret.paddr, BLOCK_SIZE, b"\xaa" * BLOCK_SIZE)]
-        for addr, size, data in writes:
-            spec = replay_injector.draw(write=True)
-            if spec is None:
-                continue
-            replay_stats["replayed"] += 1
-            committed = yield from border.access(
-                addr,
-                size or BLOCK_SIZE,
-                True,
-                data or b"\x00" * (size or BLOCK_SIZE),
-                epoch=old_epoch,
-            )
-            if committed is not None:
-                replay_stats["commits"] += 1
-
-    def rearm_wedge(old_epoch: int):
-        # The post-reset device is still broken: it wedges again a third
-        # of the way into every relaunch, so the retry budget exhausts
-        # and recovery must degrade to the CPU.
-        hanging.arm(trace)
-        return
-        yield  # pragma: no cover - empty generator
-
-    post_reset_hooks = {"reset-replay": replay_stale, "fallback": rearm_wedge}
-    manager = RecoveryManager(
-        system,
-        policy,
-        replay_hook=post_reset_hooks.get(scenario),
-        observer=observer,
-    )
-
-    resolved = [False]
-    outcome_box = ["failed"]
-    start = engine.now
-    end_time = [start]
-
-    def victim_driver():
-        try:
-            manager.launch_active = True
-            done = system.gpu.launch(victim.asid, trace)
-        except AcceleratorDisabledError:
-            done = None
-        if done is not None:
-            yield done
-        manager.launch_active = False
-        healthy = (
-            done is not None
-            and system.gpu.enabled
-            and not kernel.is_quarantined(GPU_ID)
-            and victim.alive
+        # The victim: the GPU workload whose kernel gets interrupted.
+        victim = system.new_process(workload_spec.name)
+        system.attach_process(victim)
+        trace = generate_trace(
+            workload_spec, kernel, victim, threading, seed=seed, ops_scale=ops_scale
         )
-        if healthy:
-            outcome_box[0] = "completed"
-        else:
-            outcome_box[0] = yield from manager.recover_g(victim, trace)
-        resolved[0] = True
-        end_time[0] = engine.now
+        if hanging is not None:
+            hanging.arm(trace)
 
-    # The rogue driver: the misbehaving device firing border requests at
-    # the secret holder's page — real violations, really sanctioned
-    # (unlike the chaos prober, this models the accelerator itself).
-    # Injections are paced by *device progress*, not wall time: one
-    # eligible shot per ``ops_step`` of retired kernel work, so short
-    # traces and long ones see proportionally timed rogue bursts.
-    rogue = EscapeTally()
-    rogue_injector = plan.for_site("accel.rogue")
-    rogue_poll = max(1, ticks_of(rogue_interval_cycles))
-    ops_step = max(4, trace.total_mem_ops // 8)
-    next_fire = [ops_step]
+        # The unaffected tenant: CPU-only work whose forward progress must
+        # not depend on the victim's recovery. Baseline measured solo,
+        # before any disruption exists, and warm: the first run misses in
+        # every cache, and every later one, contended or not, does not.
+        tenant = system.new_process("tenant")
+        tenant_vaddr = kernel.mmap(tenant, 4, Perm.RW)
+        tenant_program = CPUProgram(
+            name="tenant-loop",
+            ops=CPUProgram.memset(tenant_vaddr, 4 * PAGE_SIZE, gap=4).ops
+            + CPUProgram.memscan(tenant_vaddr, 4 * PAGE_SIZE, gap=4).ops,
+        )
+        system.cpu.execute(tenant, tenant_program)
+        tenant_baseline = system.cpu.execute(tenant, tenant_program)
+        tenant_stats = {"iterations": 0, "max_ticks": 0}
 
-    def rogue_driver():
-        while not resolved[0]:
-            yield rogue_poll
-            if resolved[0]:
-                return
-            if not system.gpu.enabled or not victim.alive:
-                continue
-            if system.gpu.mem_ops < next_fire[0]:
-                continue
-            next_fire[0] = system.gpu.mem_ops + ops_step
-            if rogue_injector.draw(write=True) is not None:
-                yield from rogue.probe(border, secret.paddr)
+        replay_stats = {"replayed": 0, "commits": 0}
+        replay_injector = plan.for_site("border.replay")
 
-    def tenant_driver():
-        while not resolved[0]:
-            t0 = engine.now
-            yield from system.cpu.run_program(tenant, tenant_program)
-            elapsed = engine.now - t0
-            tenant_stats["iterations"] += 1
-            tenant_stats["max_ticks"] = max(tenant_stats["max_ticks"], elapsed)
+        def replay_stale(old_epoch: int):
+            """Drain the pre-reset device's recorded queue at the old epoch."""
+            writes = list(replay_buffer.writes) if replay_buffer else []
+            if not writes:
+                # Nothing crossed the border before the wedge; the queued DMA
+                # burst still exists — model it as one arbitrary stale write.
+                writes = [(secret.paddr, BLOCK_SIZE, b"\xaa" * BLOCK_SIZE)]
+            for addr, size, data in writes:
+                spec = replay_injector.draw(write=True)
+                if spec is None:
+                    continue
+                replay_stats["replayed"] += 1
+                committed = yield from border.access(
+                    addr,
+                    size or BLOCK_SIZE,
+                    True,
+                    data or b"\x00" * (size or BLOCK_SIZE),
+                    epoch=old_epoch,
+                )
+                if committed is not None:
+                    replay_stats["commits"] += 1
 
-    # Progress watchdog: quarantines the device when an outstanding
-    # launch stops issuing (a wedge the violation path cannot see).
-    watchdog_ticks = max(1, ticks_of(watchdog_cycles))
-    watchdog = ProgressWatchdog(GPU_ID, max_stalled_fires)
+        def rearm_wedge(old_epoch: int):
+            # The post-reset device is still broken: it wedges again a third
+            # of the way into every relaunch, so the retry budget exhausts
+            # and recovery must degrade to the CPU.
+            hanging.arm(trace)
+            return
+            yield  # pragma: no cover - empty generator
 
-    def supervisor():
-        while not resolved[0]:
-            yield watchdog_ticks
-            if resolved[0]:
-                return
-            if not manager.launch_active:
-                continue
-            if not watchdog.fired(system.gpu.mem_ops + system.gpu.blocked_ops):
-                continue
-            quarantined = kernel.quarantine_accelerator(
-                GPU_ID, "recovery watchdog: accelerator stopped making progress"
+        post_reset_hooks = {"reset-replay": replay_stale, "fallback": rearm_wedge}
+        manager = RecoveryManager(
+            system,
+            policy,
+            replay_hook=post_reset_hooks.get(scenario),
+            observer=observer,
+        )
+
+        resolved = [False]
+        outcome_box = ["failed"]
+        start = engine.now
+        end_time = [start]
+
+        def victim_driver():
+            try:
+                manager.launch_active = True
+                done = system.gpu.launch(victim.asid, trace)
+            except AcceleratorDisabledError:
+                done = None
+            if done is not None:
+                yield done
+            manager.launch_active = False
+            healthy = (
+                done is not None
+                and system.gpu.enabled
+                and not kernel.is_quarantined(GPU_ID)
+                and victim.alive
             )
-            if not quarantined:
-                # Already quarantined yet still wedged: force the release.
-                system.gpu.disable()
-            watchdog.recovered(quarantined)
+            if healthy:
+                outcome_box[0] = "completed"
+            else:
+                outcome_box[0] = yield from manager.recover_g(victim, trace)
+            resolved[0] = True
+            end_time[0] = engine.now
 
-    engine.process(victim_driver(), name="recovery-victim")
-    if scenario in ("rogue-write", "storm"):
-        engine.process(rogue_driver(), name="recovery-rogue")
-    engine.process(tenant_driver(), name="recovery-tenant")
-    engine.process(supervisor(), name="recovery-supervisor")
-    engine.run()
-    # End with one trusted probe, as chaos does, so every scenario tests
-    # the border. Its escapes join the rogue's; rogue_writes counts shots.
-    shots = rogue.probes
-    engine.run_process(
-        rogue.trusted_probe(kernel, border, secret.paddr),
-        name="recovery-final-probe",
-    )
+        # The rogue driver: the misbehaving device firing border requests at
+        # the secret holder's page — real violations, really sanctioned
+        # (unlike the chaos prober, this models the accelerator itself).
+        # Injections are paced by *device progress*, not wall time: one
+        # eligible shot per ``ops_step`` of retired kernel work, so short
+        # traces and long ones see proportionally timed rogue bursts.
+        rogue = EscapeTally()
+        rogue_injector = plan.for_site("accel.rogue")
+        rogue_poll = max(1, ticks_of(rogue_interval_cycles))
+        ops_step = max(4, trace.total_mem_ops // 8)
+        next_fire = [ops_step]
 
-    ticks = end_time[0] - start
-    system.gpu.last_kernel_ticks = ticks
-    result = collect_result(system, workload_spec.name, trace, ticks)
-    result.faults_injected = plan.total_injected
-    result.watchdog_fires = watchdog.fires
+        def rogue_driver():
+            while not resolved[0]:
+                yield rogue_poll
+                if resolved[0]:
+                    return
+                if not system.gpu.enabled or not victim.alive:
+                    continue
+                if system.gpu.mem_ops < next_fire[0]:
+                    continue
+                next_fire[0] = system.gpu.mem_ops + ops_step
+                if rogue_injector.draw(write=True) is not None:
+                    yield from rogue.probe(border, secret.paddr)
 
-    return RecoveryRunResult(
-        workload=workload_spec.name,
-        scenario=scenario,
-        seed=seed,
-        result=result,
-        plan_signature=plan.signature(),
-        fault_counts=plan.counts_by_kind(),
-        trace_ops=trace.total_mem_ops,
-        outcome=outcome_box[0],
-        victim_alive=victim.alive,
-        victim_exit_reason=victim.exit_reason,
-        rogue_writes=shots,
-        rogue_conf_escapes=rogue.conf,
-        rogue_integ_escapes=rogue.integ,
-        replayed=replay_stats["replayed"],
-        replay_commits=replay_stats["commits"],
-        secret_intact=secret.intact(),
-        resets=system.stats.get("kernel.resets"),
-        watchdog_fires=watchdog.fires,
-        tenant_iterations=tenant_stats["iterations"],
-        tenant_baseline_ticks=tenant_baseline,
-        tenant_max_iteration_ticks=tenant_stats["max_ticks"],
-        tenant_tolerance=tenant_tolerance,
-    )
+        def tenant_driver():
+            while not resolved[0]:
+                t0 = engine.now
+                yield from system.cpu.run_program(tenant, tenant_program)
+                elapsed = engine.now - t0
+                tenant_stats["iterations"] += 1
+                tenant_stats["max_ticks"] = max(tenant_stats["max_ticks"], elapsed)
+
+        # Progress watchdog: quarantines the device when an outstanding
+        # launch stops issuing (a wedge the violation path cannot see).
+        watchdog_ticks = max(1, ticks_of(watchdog_cycles))
+        watchdog = ProgressWatchdog(GPU_ID, max_stalled_fires)
+
+        def supervisor():
+            while not resolved[0]:
+                yield watchdog_ticks
+                if resolved[0]:
+                    return
+                if not manager.launch_active:
+                    continue
+                if not watchdog.fired(system.gpu.mem_ops + system.gpu.blocked_ops):
+                    continue
+                quarantined = kernel.quarantine_accelerator(
+                    GPU_ID, "recovery watchdog: accelerator stopped making progress"
+                )
+                if not quarantined:
+                    # Already quarantined yet still wedged: force the release.
+                    system.gpu.disable()
+                watchdog.recovered(quarantined)
+
+        engine.process(victim_driver(), name="recovery-victim")
+        if scenario in ("rogue-write", "storm"):
+            engine.process(rogue_driver(), name="recovery-rogue")
+        engine.process(tenant_driver(), name="recovery-tenant")
+        engine.process(supervisor(), name="recovery-supervisor")
+        engine.run()
+        # End with one trusted probe, as chaos does, so every scenario tests
+        # the border. Its escapes join the rogue's; rogue_writes counts shots.
+        shots = rogue.probes
+        engine.run_process(
+            rogue.trusted_probe(kernel, border, secret.paddr),
+            name="recovery-final-probe",
+        )
+
+        ticks = end_time[0] - start
+        system.gpu.last_kernel_ticks = ticks
+        result = collect_result(system, workload_spec.name, trace, ticks)
+        result.faults_injected = plan.total_injected
+        result.watchdog_fires = watchdog.fires
+
+        return RecoveryRunResult(
+            workload=workload_spec.name,
+            scenario=scenario,
+            seed=seed,
+            result=result,
+            plan_signature=plan.signature(),
+            fault_counts=plan.counts_by_kind(),
+            trace_ops=trace.total_mem_ops,
+            outcome=outcome_box[0],
+            victim_alive=victim.alive,
+            victim_exit_reason=victim.exit_reason,
+            rogue_writes=shots,
+            rogue_conf_escapes=rogue.conf,
+            rogue_integ_escapes=rogue.integ,
+            replayed=replay_stats["replayed"],
+            replay_commits=replay_stats["commits"],
+            secret_intact=secret.intact(),
+            resets=system.stats.get("kernel.resets"),
+            watchdog_fires=watchdog.fires,
+            tenant_iterations=tenant_stats["iterations"],
+            tenant_baseline_ticks=tenant_baseline,
+            tenant_max_iteration_ticks=tenant_stats["max_ticks"],
+            tenant_tolerance=tenant_tolerance,
+        )
+    finally:
+        system.close()
 
 
 # ---------------------------------------------------------------------------
@@ -780,11 +782,10 @@ RECOVERY_CAMPAIGN = CampaignKind(
     cell_fn=_recovery_cell,
     label_of=_recovery_cell_label,
     recipe_of=_recovery_recipe,
+    cell_of=dict,  # a recovery recipe is its grid cell
     to_dict=recovery_result_to_dict,
     from_dict=recovery_result_from_dict,
 )
-#: Stable journal key for one recovery grid cell (its recipe's hash).
-recovery_cell_key = RECOVERY_CAMPAIGN.journal_key
 
 
 def run_recovery_campaign(
@@ -793,7 +794,6 @@ def run_recovery_campaign(
     seed: int = 1234,
     ops_scale: float = 1.0,
     quick: bool = False,
-    config: Optional[SystemConfig] = None,
     workers: Optional[int] = 1,
     policy=None,
     journal=None,
@@ -810,9 +810,6 @@ def run_recovery_campaign(
     cells = recovery_grid(
         workloads, scenarios, seed=seed, ops_scale=ops_scale, quick=quick
     )
-    if config is not None:
-        for cell in cells:
-            cell["config"] = config
     report = run_campaign(
         cells,
         RECOVERY_CAMPAIGN,

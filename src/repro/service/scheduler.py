@@ -85,6 +85,7 @@ def _report_payload(kind, report, key_of) -> Dict[str, Any]:
         "mode": report.mode,
         "workers": report.workers,
         "supervisor": report.stats.as_dict(),
+        "fleet": report.fleet,
         "failures": report.failures(),
     }
 
@@ -118,7 +119,7 @@ def _execute_sweep(
         fleet=fleet,
     )
     payload = _report_payload(sweep.SWEEP_CAMPAIGN, report, sweep.Cell.key)
-    payload.update(cache_hit_rate=report.cache_hit_rate, fleet=report.fleet)
+    payload.update(cache_hit_rate=report.cache_hit_rate)
     return payload
 
 
@@ -127,11 +128,13 @@ def _execute_campaign(
     journal: RunJournal,
     should_abort: Callable[[], bool],
     progress: Optional[Callable[[int, int, str, Optional[str]], None]],
+    fleet=None,
 ) -> Dict[str, Any]:
     """Chaos and recovery jobs: the kind's grid through ``run_campaign``.
 
     Like a sweep job, the payload lists every cell and reports failed
-    cells instead of raising, so ``allow_partial`` keeps the survivors.
+    cells instead of raising, so ``allow_partial`` keeps the survivors,
+    and the cells run on the ``fleet`` when the server has one.
     """
     from repro import sweep
 
@@ -149,12 +152,13 @@ def _execute_campaign(
 
         kinds = [FaultKind(name) for name in params.get("fault_types") or []]
         cells = runner.chaos_grid(kinds=kinds or None, **grid_args)
-        kind, verdicts = runner.CHAOS_CAMPAIGN, runner.ChaosReport(seed)
+        verdicts = runner.ChaosReport(seed)
     else:
         from repro import recovery
 
         cells = recovery.recovery_grid(scenarios=params.get("scenarios"), **grid_args)
-        kind, verdicts = recovery.RECOVERY_CAMPAIGN, recovery.RecoveryReport(seed)
+        verdicts = recovery.RecoveryReport(seed)
+    kind = sweep.campaign_kind(job.spec.kind)
     report = sweep.run_campaign(
         cells,
         kind,
@@ -162,6 +166,7 @@ def _execute_campaign(
         journal=journal,
         progress=progress,
         should_abort=should_abort,
+        fleet=fleet,
     )
     verdicts.runs = [out.result for out in report.outcomes if out.ok]
     payload = _report_payload(kind, report, kind.journal_key)
@@ -212,7 +217,7 @@ def execute_job(
         if job.spec.kind == "sweep":
             return _execute_sweep(job, journal, should_abort, progress, fleet=fleet)
         if job.spec.kind in ("chaos", "recovery"):
-            return _execute_campaign(job, journal, should_abort, progress)
+            return _execute_campaign(job, journal, should_abort, progress, fleet=fleet)
         raise ValueError(f"unknown job kind {job.spec.kind!r}")
     finally:
         journal.close()
@@ -250,7 +255,7 @@ class FairShareScheduler:
         self.store = store
         self.quota = quota or TenantQuota()
         self.max_concurrent = max(1, max_concurrent)
-        self.fleet = fleet  # FleetCoordinator sweep jobs fan out through
+        self.fleet = fleet  # FleetCoordinator campaign jobs fan out through
         self.draining = False
         self._queue: List[str] = []  # job ids, unsorted (picker sorts)
         self._running: Dict[str, _RunningJob] = {}

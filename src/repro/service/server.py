@@ -72,7 +72,7 @@ class ServiceConfig:
     #: many hours after they finish; None disables the GC entirely.
     retention_hours: Optional[float] = None
     retention_interval_seconds: float = 60.0
-    #: ``host:port`` to accept fleet workers on; sweep jobs then fan
+    #: ``host:port`` to accept fleet workers on; campaign jobs then fan
     #: out across the fleet instead of (only) the local pool.
     fleet_listen: Optional[str] = None
     log: Any = None  # callable(str) or None

@@ -52,7 +52,6 @@ __all__ = [
     "run_chaos_single",
     "run_chaos_campaign",
     "CHAOS_CAMPAIGN",
-    "chaos_cell_key",
     "chaos_grid",
     "chaos_result_from_dict",
     "chaos_result_to_dict",
@@ -513,158 +512,161 @@ def run_chaos_single(
     workload_spec = workload_spec or get_workload(workload)
     cfg = (config or SystemConfig()).with_safety(safety).with_threading(threading)
     system = System(cfg, violation_policy=ViolationPolicy.QUARANTINE)
-    engine = system.engine
-    kernel = system.kernel
-    ticks_of = system.gpu_clock.cycles_to_ticks
-    kernel.quarantine_backoff_ticks = ticks_of(quarantine_backoff_cycles)
+    try:
+        engine = system.engine
+        kernel = system.kernel
+        ticks_of = system.gpu_clock.cycles_to_ticks
+        kernel.quarantine_backoff_ticks = ticks_of(quarantine_backoff_cycles)
 
-    # Fleet-network kinds belong to repro.fleet's transport, not to the
-    # simulation; dropping them keeps chaos signatures independent of
-    # which transport kinds exist.
-    kinds = tuple(k for k in kinds if not k.fleet_only)
-    if plan is None:
-        plan = FaultPlan(seed, default_fault_specs(kinds, ticks_of(200.0)))
+        # Fleet-network kinds belong to repro.fleet's transport, not to the
+        # simulation; dropping them keeps chaos signatures independent of
+        # which transport kinds exist.
+        kinds = tuple(k for k in kinds if not k.fleet_only)
+        if plan is None:
+            plan = FaultPlan(seed, default_fault_specs(kinds, ticks_of(200.0)))
 
-    # Splice the interposers: accel L2 -> [l2.border] -> border port ->
-    # [border.mem] -> memory controller; plus the PT-fetch and ATS hooks.
-    fault_stats = system.stats.child("faults")
-    border = system.border_port
-    assert border is not None and system.gpu_l2 is not None
-    port_below = FaultyPort(
-        engine, system.memctl, plan, "border.mem", fault_stats.child("border_mem")
-    )
-    port_above = FaultyPort(
-        engine, border, plan, "l2.border", fault_stats.child("l2_border")
-    )
-    border.downstream = port_below
-    system.gpu_l2.downstream = port_above
-    faulty_ports = [port_above, port_below]
-    border.request_timeout_ticks = ticks_of(request_timeout_cycles)
-    border.retry_backoff_ticks = ticks_of(1_000.0)
+        # Splice the interposers: accel L2 -> [l2.border] -> border port ->
+        # [border.mem] -> memory controller; plus the PT-fetch and ATS hooks.
+        fault_stats = system.stats.child("faults")
+        border = system.border_port
+        assert border is not None and system.gpu_l2 is not None
+        port_below = FaultyPort(
+            engine, system.memctl, plan, "border.mem", fault_stats.child("border_mem")
+        )
+        port_above = FaultyPort(
+            engine, border, plan, "l2.border", fault_stats.child("l2_border")
+        )
+        border.downstream = port_below
+        system.gpu_l2.downstream = port_above
+        faulty_ports = [port_above, port_below]
+        border.request_timeout_ticks = ticks_of(request_timeout_cycles)
+        border.retry_backoff_ticks = ticks_of(1_000.0)
 
-    pt_injector = plan.for_site("border.pt")
+        pt_injector = plan.for_site("border.pt")
 
-    def pt_fault() -> int:
-        spec = pt_injector.draw()
-        return spec.param if spec is not None else 0
+        def pt_fault() -> int:
+            spec = pt_injector.draw()
+            return spec.param if spec is not None else 0
 
-    border.pt_fault_hook = pt_fault
+        border.pt_fault_hook = pt_fault
 
-    ats_injector = plan.for_site("ats")
-    system.ats.fault_injector = lambda: ats_injector.draw() is not None
-    system.ats.config = replace(
-        system.ats.config, max_retries=3, retry_backoff_ticks=ticks_of(100.0)
-    )
+        ats_injector = plan.for_site("ats")
+        system.ats.fault_injector = lambda: ats_injector.draw() is not None
+        system.ats.config = replace(
+            system.ats.config, max_retries=3, retry_backoff_ticks=ticks_of(100.0)
+        )
 
-    if hang_accelerator is None:
-        hang_accelerator = FaultKind.HANG in kinds
-    hanging = HangingAccelerator.install(system) if hang_accelerator else None
+        if hang_accelerator is None:
+            hang_accelerator = FaultKind.HANG in kinds
+        hanging = HangingAccelerator.install(system) if hang_accelerator else None
 
-    # The victim: a process that never touches the accelerator.
-    secret = SecretPage(kernel, system.new_process("victim"))
+        # The victim: a process that never touches the accelerator.
+        secret = SecretPage(kernel, system.new_process("victim"))
 
-    proc = system.new_process(workload_spec.name)
-    system.attach_process(proc)
-    trace = generate_trace(
-        workload_spec, kernel, proc, threading, seed=seed, ops_scale=ops_scale
-    )
-    if hanging is not None:
-        hanging.arm(trace)
+        proc = system.new_process(workload_spec.name)
+        system.attach_process(proc)
+        trace = generate_trace(
+            workload_spec, kernel, proc, threading, seed=seed, ops_scale=ops_scale
+        )
+        if hanging is not None:
+            hanging.arm(trace)
 
-    start = engine.now
-    done = system.gpu.launch(proc.asid, trace)
-    end_time = [start]
+        start = engine.now
+        done = system.gpu.launch(proc.asid, trace)
+        end_time = [start]
 
-    def watcher() -> object:
-        yield done
-        end_time[0] = engine.now
+        def watcher() -> object:
+            yield done
+            end_time[0] = engine.now
 
-    # The prober: sustained trusted probes of the secret page through
-    # the accelerator's border checkpoint, racing the injected faults.
-    probe_interval = max(1, ticks_of(probe_interval_cycles))
-    tally = EscapeTally()
+        # The prober: sustained trusted probes of the secret page through
+        # the accelerator's border checkpoint, racing the injected faults.
+        probe_interval = max(1, ticks_of(probe_interval_cycles))
+        tally = EscapeTally()
 
-    def prober() -> object:
-        while not done.triggered:
-            yield probe_interval
-            if done.triggered:
-                return
-            yield from tally.trusted_probe(kernel, border, secret.paddr)
+        def prober() -> object:
+            while not done.triggered:
+                yield probe_interval
+                if done.triggered:
+                    return
+                yield from tally.trusted_probe(kernel, border, secret.paddr)
 
-    # The supervisor: a progress-tracking watchdog. A fire with no new
-    # issued/completed operations means the device is wedged; recovery
-    # escalates from failing hung port accesses out to quarantining the
-    # accelerator (which resets and re-enables it after backoff).
-    watchdog_ticks = max(1, ticks_of(watchdog_cycles))
-    watchdog = ProgressWatchdog(GPU_ID, max_stalled_fires)
+        # The supervisor: a progress-tracking watchdog. A fire with no new
+        # issued/completed operations means the device is wedged; recovery
+        # escalates from failing hung port accesses out to quarantining the
+        # accelerator (which resets and re-enables it after backoff).
+        watchdog_ticks = max(1, ticks_of(watchdog_cycles))
+        watchdog = ProgressWatchdog(GPU_ID, max_stalled_fires)
 
-    def release_hangs() -> bool:
-        return sum(port.release_hangs() for port in faulty_ports) > 0
+        def release_hangs() -> bool:
+            return sum(port.release_hangs() for port in faulty_ports) > 0
 
-    def supervisor() -> object:
-        while not done.triggered:
-            outcome = yield engine.deadline(done, watchdog_ticks)
-            if outcome is not TIMEOUT:
-                return
-            if watchdog.fired(system.gpu.mem_ops + system.gpu.blocked_ops):
-                watchdog.recovered(
-                    release_hangs()
-                    or kernel.quarantine_accelerator(
-                        GPU_ID, "watchdog: accelerator stopped making progress"
+        def supervisor() -> object:
+            while not done.triggered:
+                outcome = yield engine.deadline(done, watchdog_ticks)
+                if outcome is not TIMEOUT:
+                    return
+                if watchdog.fired(system.gpu.mem_ops + system.gpu.blocked_ops):
+                    watchdog.recovered(
+                        release_hangs()
+                        or kernel.quarantine_accelerator(
+                            GPU_ID, "watchdog: accelerator stopped making progress"
+                        )
                     )
-                )
 
-    engine.process(watcher(), name="chaos-watcher")
-    engine.process(prober(), name="chaos-prober")
-    engine.process(supervisor(), name="chaos-supervisor")
-    engine.run()
+        engine.process(watcher(), name="chaos-watcher")
+        engine.process(prober(), name="chaos-prober")
+        engine.process(supervisor(), name="chaos-supervisor")
+        engine.run()
 
-    completed = bool(done.triggered)
-    ticks = end_time[0] - start
+        completed = bool(done.triggered)
+        ticks = end_time[0] - start
 
-    # Detach-style flush (Fig. 3e): drain the accelerator's dirty lines
-    # through the border so writeback-path faults (duplicated, dropped,
-    # or hung writebacks — and, after a quarantine, *blocked* stale
-    # writebacks) are exercised even when the kernel's working set never
-    # overflowed the L2. Hung flush accesses are released on a deadline
-    # so the flush always terminates.
-    flush_proc = engine.process(system.gpu.flush_caches(), name="chaos-flush")
+        # Detach-style flush (Fig. 3e): drain the accelerator's dirty lines
+        # through the border so writeback-path faults (duplicated, dropped,
+        # or hung writebacks — and, after a quarantine, *blocked* stale
+        # writebacks) are exercised even when the kernel's working set never
+        # overflowed the L2. Hung flush accesses are released on a deadline
+        # so the flush always terminates.
+        flush_proc = engine.process(system.gpu.flush_caches(), name="chaos-flush")
 
-    def flush_guard() -> object:
-        while not flush_proc.triggered:
-            outcome = yield engine.deadline(flush_proc, watchdog_ticks)
-            if outcome is not TIMEOUT:
-                return
-            watchdog.fired()  # a flush has no progress measure
-            watchdog.recovered(release_hangs())
+        def flush_guard() -> object:
+            while not flush_proc.triggered:
+                outcome = yield engine.deadline(flush_proc, watchdog_ticks)
+                if outcome is not TIMEOUT:
+                    return
+                watchdog.fired()  # a flush has no progress measure
+                watchdog.recovered(release_hangs())
 
-    engine.process(flush_guard(), name="chaos-flush-guard")
-    engine.run()
-    # One last probe after everything else: a run shorter than one probe
-    # interval still tests the border, and ``ticks`` cannot move.
-    engine.run_process(
-        tally.trusted_probe(kernel, border, secret.paddr), name="chaos-final-probe"
-    )
-    system.gpu.last_kernel_ticks = ticks
-    result = collect_result(system, workload_spec.name, trace, ticks)
-    result.faults_injected = plan.total_injected
-    result.watchdog_fires = watchdog.fires
+        engine.process(flush_guard(), name="chaos-flush-guard")
+        engine.run()
+        # One last probe after everything else: a run shorter than one probe
+        # interval still tests the border, and ``ticks`` cannot move.
+        engine.run_process(
+            tally.trusted_probe(kernel, border, secret.paddr), name="chaos-final-probe"
+        )
+        system.gpu.last_kernel_ticks = ticks
+        result = collect_result(system, workload_spec.name, trace, ticks)
+        result.faults_injected = plan.total_injected
+        result.watchdog_fires = watchdog.fires
 
-    return ChaosRunResult(
-        workload=workload_spec.name,
-        kinds=tuple(kind.value for kind in kinds),
-        seed=seed,
-        result=result,
-        plan_signature=plan.signature(),
-        fault_counts=plan.counts_by_kind(),
-        trace_ops=trace.total_mem_ops,
-        probes=tally.probes,
-        conf_escapes=tally.conf,
-        integ_escapes=tally.integ,
-        secret_intact=secret.intact(),
-        completed=completed,
-        hangs_released=fault_stats.total("released_hangs"),
-    )
+        return ChaosRunResult(
+            workload=workload_spec.name,
+            kinds=tuple(kind.value for kind in kinds),
+            seed=seed,
+            result=result,
+            plan_signature=plan.signature(),
+            fault_counts=plan.counts_by_kind(),
+            trace_ops=trace.total_mem_ops,
+            probes=tally.probes,
+            conf_escapes=tally.conf,
+            integ_escapes=tally.integ,
+            secret_intact=secret.intact(),
+            completed=completed,
+            hangs_released=fault_stats.total("released_hangs"),
+        )
+    finally:
+        system.close()
 
 
 def chaos_grid(
@@ -672,7 +674,6 @@ def chaos_grid(
     kinds: Optional[Sequence[FaultKind]] = None,
     seed: int = 1234,
     ops_scale: float = 1.0,
-    per_kind: bool = True,
     quick: bool = False,
 ) -> List[Dict[str, object]]:
     """The campaign's declarative grid: one kwargs dict per chaos run.
@@ -688,10 +689,8 @@ def chaos_grid(
         ops_scale = min(ops_scale, 0.25)
     cells: List[Dict[str, object]] = []
     for workload in workloads:
-        mixes: List[List[FaultKind]] = []
-        if per_kind:
-            mixes.extend([kind] for kind in kinds)
-        if len(kinds) > 1 or not per_kind:
+        mixes = [[kind] for kind in kinds]
+        if len(kinds) > 1:
             mixes.append(list(kinds))
         for mix in mixes:
             mix_name = "+".join(kind.value for kind in mix)
@@ -721,6 +720,12 @@ def _chaos_recipe(cell: Dict[str, object]) -> Dict[str, object]:
     }
 
 
+def _chaos_cell_of(recipe: Dict[str, object]) -> Dict[str, object]:
+    """The grid cell of a chaos recipe: kind names back to :class:`FaultKind`."""
+    kinds = [FaultKind(k) for k in recipe["kinds"]]  # type: ignore[union-attr]
+    return dict(recipe, kinds=kinds)
+
+
 def _chaos_cell_label(cell: Dict[str, object]) -> str:
     return "{}[{}]".format(
         cell["workload"],
@@ -744,11 +749,10 @@ CHAOS_CAMPAIGN = CampaignKind(
     cell_fn=_chaos_cell,
     label_of=_chaos_cell_label,
     recipe_of=_chaos_recipe,
+    cell_of=_chaos_cell_of,
     to_dict=chaos_result_to_dict,
     from_dict=chaos_result_from_dict,
 )
-#: Stable journal key for one chaos grid cell (its recipe's hash).
-chaos_cell_key = CHAOS_CAMPAIGN.journal_key
 
 
 def run_chaos_campaign(
@@ -756,9 +760,7 @@ def run_chaos_campaign(
     kinds: Optional[Sequence[FaultKind]] = None,
     seed: int = 1234,
     ops_scale: float = 1.0,
-    per_kind: bool = True,
     quick: bool = False,
-    config: Optional[SystemConfig] = None,
     workers: Optional[int] = 1,
     policy=None,
     journal=None,
@@ -779,13 +781,7 @@ def run_chaos_campaign(
     """
     from repro.sweep import run_campaign  # local: repro.sweep imports this module
 
-    cells = chaos_grid(
-        workloads, kinds, seed=seed, ops_scale=ops_scale,
-        per_kind=per_kind, quick=quick,
-    )
-    if config is not None:
-        for cell in cells:
-            cell["config"] = config
+    cells = chaos_grid(workloads, kinds, seed=seed, ops_scale=ops_scale, quick=quick)
     report = run_campaign(
         cells,
         CHAOS_CAMPAIGN,

@@ -143,13 +143,14 @@ class System:
         """Unhook the back-edges that make a wired system a reference cycle.
 
         The epoch hooks and the full-IOMMU/CAPI violation handler point
-        back at this system, and the kernel's violation handler sits on
-        the sandboxes it owns. Until they are gone a finished system,
-        with its caches, page tables and frames, waits for the cyclic GC;
-        after ``close`` reference counting frees it as soon as the last
-        outside reference goes. Call it once the system is done running:
-        a closed system no longer fences stale epochs or reports
-        violations to the OS.
+        back at this system, the kernel's violation handler sits on the
+        sandboxes it owns, and a CPU core, once built, is the kernel's
+        shootdown listener while it holds the kernel. Until they are gone
+        a finished system, with its caches, page tables and frames, waits
+        for the cyclic GC; after ``close`` reference counting frees it as
+        soon as the last outside reference goes. Call it once the system
+        is done running: a closed system no longer fences stale epochs,
+        reports violations to the OS or shoots down the CPU's TLB.
         """
         if self.border_port is not None:
             self.border_port.epoch_source = None
@@ -158,6 +159,9 @@ class System:
             if front_end is not None:
                 front_end.off_violation(self._report_front_end_violation)
         self.kernel.sandboxes.off_violation(self.kernel._on_violation)
+        cpu = self.__dict__.get("cpu")  # set only once :attr:`cpu` was read
+        if cpu is not None:
+            self.kernel._shootdown_listeners.remove(cpu)
 
     # -- component builders ------------------------------------------------
 

@@ -207,27 +207,37 @@ class TaskOutcome(NamedTuple):
 class CampaignKind:
     """One campaign kind as plain data for :func:`repro.sweep.run_campaign`.
 
-    ``cell_fn`` is the picklable worker entry point, ``label_of`` names a
-    cell, ``recipe_of`` is its JSON replay recipe (poison bundles embed
-    it) and ``to_dict``/``from_dict`` is the lossless result codec the
-    journal stores. The journal key is ``key_of(cell)`` when given, else
+    ``cell_fn`` is the picklable worker entry point and runs one
+    :meth:`task`. ``label_of`` names a cell, ``recipe_of`` is its JSON
+    replay recipe and ``cell_of`` its inverse: poison bundles embed the
+    recipe, ``replay-cell`` and fleet workers rebuild the cell from it.
+    ``to_dict``/``from_dict`` is the lossless result codec the journal
+    stores. The journal key is ``key_of(cell)`` when given, else
     ``"<name>-"`` plus a hash of the recipe.
 
     ``cacheable`` is set only for kinds backed by the result cache
-    (sweeps): their ``cell_fn`` takes ``(cell, use_disk, fresh)`` and
-    returns ``(result, cache_hit)``, and a cell it rejects is a trace
-    cell — journaled without a result, never resumed and never sent to
-    the fleet.
+    (sweeps): their ``cell_fn`` returns ``(result, cache_hit)``, and a
+    cell it rejects is a trace cell — journaled without a result, never
+    resumed and never sent to the fleet.
     """
 
     name: str
     cell_fn: Callable[[Any], Any]
     label_of: Callable[[Any], str]
     recipe_of: Callable[[Any], Dict[str, Any]]
+    cell_of: Callable[[Dict[str, Any]], Any]
     to_dict: Callable[[Any], Dict[str, Any]]
     from_dict: Callable[[Dict[str, Any]], Any]
     key_of: Optional[Callable[[Any], str]] = None
     cacheable: Optional[Callable[[Any], bool]] = None
+
+    def task(self, cell: Any, fresh: bool = False) -> Any:
+        """The ``cell_fn`` argument that runs ``cell``, wherever it runs.
+
+        A cacheable kind's task is ``(cell, fresh)``, where ``fresh``
+        bypasses the result cache; any other kind's is the cell itself.
+        """
+        return (cell, fresh) if self.cacheable is not None else cell
 
     def journal_key(self, cell: Any) -> str:
         if self.key_of is not None:

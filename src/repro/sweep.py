@@ -73,7 +73,7 @@ from repro.journal import RunJournal
 if TYPE_CHECKING:  # repro.fleet imports this module; no runtime cycle
     from repro.fleet import FleetCoordinator
 from repro.sim.config import GPUThreading, SafetyMode
-from repro.sim.runner import RunResult, run_single
+from repro.sim.runner import CHAOS_CAMPAIGN, RunResult, run_single
 from repro.supervisor import (
     ERROR_ABORTED,
     CampaignKind,
@@ -92,6 +92,7 @@ __all__ = [
     "SupervisorPolicy",
     "SupervisorStats",
     "SweepReport",
+    "campaign_kind",
     "dedup_cells",
     "fan_out",
     "grid_cells",
@@ -417,15 +418,20 @@ def _pinned(fn: Callable, cache_dir: str, task: Any) -> Any:
     return fn(task)
 
 
-def _run_cell(task: Tuple[Cell, bool, bool]) -> Tuple[RunResult, bool]:
-    """Execute one ``(cell, use_disk, fresh)`` task; returns ``(result, cache_hit)``.
+def _pin(fn: Callable) -> Callable:
+    """``fn`` as a pool task pinned to this process's resolved cache dir."""
+    return functools.partial(_pinned, fn, str(Path(common._cache_dir()).resolve()))
+
+
+def _run_cell(task: Tuple[Cell, bool]) -> Tuple[RunResult, bool]:
+    """Execute one ``(cell, fresh)`` task; returns ``(result, cache_hit)``.
 
     The hit flag is the provenance fact reported by
     :func:`repro.experiments.common.cached_run_ex` — *not* a separate
     existence probe of the cache file, which races against concurrent
     workers publishing the same key and misreports either way.
     """
-    cell, use_disk, fresh = task
+    cell, fresh = task
     if fresh or not cell.cacheable:
         result = run_single(
             cell.workload,
@@ -444,7 +450,6 @@ def _run_cell(task: Tuple[Cell, bool, bool]) -> Tuple[RunResult, bool]:
         seed=cell.seed,
         ops_scale=cell.ops_scale,
         downgrade_interval_cycles=cell.downgrade_interval_cycles,
-        use_disk=use_disk,
     )
     return result, source != "computed"
 
@@ -483,7 +488,7 @@ def fan_out(
     """
     workers = resolve_workers(workers)
     if workers > 1 and len(tasks) > 1:  # supervised_map's pool path
-        fn = functools.partial(_pinned, fn, str(Path(common._cache_dir()).resolve()))
+        fn = _pin(fn)
     return supervised_map(
         fn,
         tasks,
@@ -504,11 +509,26 @@ SWEEP_CAMPAIGN = CampaignKind(
     cell_fn=_run_cell,
     label_of=lambda cell: cell.label,
     recipe_of=Cell.to_dict,
+    cell_of=Cell.from_dict,
     to_dict=common._result_to_dict,
     from_dict=common._result_from_dict,
     key_of=Cell.journal_key,
     cacheable=lambda cell: cell.cacheable,
 )
+
+
+def campaign_kind(name: str) -> CampaignKind:
+    """The campaign kind called ``name``: ``sweep``, ``chaos`` or ``recovery``.
+
+    Poison bundles and the fleet's WELCOME frame name a cell's kind;
+    this turns the name back into the kind that decodes and runs it.
+    """
+    from repro.recovery import RECOVERY_CAMPAIGN  # local: it imports this module
+
+    for kind in (SWEEP_CAMPAIGN, CHAOS_CAMPAIGN, RECOVERY_CAMPAIGN):
+        if kind.name == name:
+            return kind
+    raise ValueError(f"unknown campaign kind {name!r}")
 
 
 def journal_entry(kind: CampaignKind, cell: Any, out: TaskOutcome) -> Dict[str, Any]:
@@ -542,7 +562,6 @@ def run_campaign(
     progress: Optional[ProgressFn] = None,
     should_abort: Optional[Callable[[], bool]] = None,
     fresh: bool = False,
-    use_disk: bool = True,
     fleet: Optional["FleetCoordinator"] = None,
 ) -> SweepReport:
     """Run one campaign's cells: the driver every campaign kind shares.
@@ -552,6 +571,8 @@ def run_campaign(
     cell is journaled and reported alike for every worker count while
     every other cell still runs. Cells run through :func:`fan_out`:
     in-process for ``workers <= 1``, on a supervised pool otherwise.
+    Each runs as ``kind.cell_fn(kind.task(cell, fresh))``; ``fresh``
+    bypasses the result cache of a cacheable kind.
 
     With a ``journal``: worker shards are merged first; retry jitter is
     seeded from the run id, so a resumed run replays identical delays;
@@ -560,10 +581,10 @@ def run_campaign(
     each new cell is journaled as it lands, under the journal's signal
     guard, so SIGINT/SIGTERM unwind into a resumable run.
 
-    ``fleet`` (a started :class:`repro.fleet.FleetCoordinator`; sweep
-    cells only) runs pending cells on remote workers first, journaling
-    each result as it arrives; trace cells, whose payload the wire does
-    not carry, and whatever the fleet could not place run locally, all
+    ``fleet`` (a started :class:`repro.fleet.FleetCoordinator`) runs
+    pending cells of any kind on remote workers first, journaling each
+    result as it arrives; trace cells, whose payload the wire does not
+    carry, and whatever the fleet could not place run locally, all
     under one ``policy``: a cell fails the same way wherever it ran.
     ``should_abort`` stops dispatch cooperatively: unfinished cells come
     back as ``aborted`` failures, completed ones stay journaled.
@@ -636,7 +657,7 @@ def run_campaign(
 
         placed, leftovers = fleet.map_cells(
             fleet_cells,
-            use_disk=use_disk,
+            kind,
             fresh=fresh,
             run_id=journal.run_id if journal is not None else None,
             journal_dir=journal.path.parent if journal is not None else None,
@@ -659,11 +680,9 @@ def run_campaign(
 
     if pending:
         task_cells = [cells[i] for i in pending]
-        tasks: List[Any] = task_cells
-        if kind.cacheable is not None:
-            tasks = [(cell, use_disk, fresh) for cell in task_cells]
+        tasks = [kind.task(cell, fresh) for cell in task_cells]
 
-        def cell_of(task: Any) -> Any:
+        def cell_in(task: Any) -> Any:
             return task if kind.cacheable is None else task[0]
 
         def on_outcome(task_index: int, out: TaskOutcome) -> None:
@@ -678,10 +697,10 @@ def run_campaign(
                 tasks,
                 workers=workers,
                 progress=progress,
-                label_of=lambda task: kind.label_of(cell_of(task)),
+                label_of=lambda task: kind.label_of(cell_in(task)),
                 policy=policy,
                 stats=stats,
-                describe_task=lambda task: kind.describe(cell_of(task)),
+                describe_task=lambda task: kind.describe(cell_in(task)),
                 on_outcome=on_outcome,
                 should_abort=should_abort,
             )
@@ -704,7 +723,6 @@ def run_campaign(
 def run_sweep(
     cells: Sequence[Cell],
     workers: Optional[int] = None,
-    use_disk: bool = True,
     fresh: bool = False,
     progress: Optional[ProgressFn] = None,
     policy: Optional[SupervisorPolicy] = None,
@@ -730,13 +748,12 @@ def run_sweep(
         progress=progress,
         should_abort=should_abort,
         fresh=fresh,
-        use_disk=use_disk,
         fleet=fleet,
     )
     if not fresh:
         for out in report.outcomes:
             if out.result is not None and out.cell.cacheable:
-                common.store_result(out.cell.key(), out.result, use_disk=use_disk)
+                common.store_result(out.cell.key(), out.result)
     return report
 
 

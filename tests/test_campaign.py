@@ -12,6 +12,12 @@ Sweep, chaos and recovery campaigns all run through
   signature, including from an entry written without the fields older
   runs did not journal (``attempts``, ``error_kind``, ``cache_hit``).
 
+Chaos and recovery cells also run on an in-process fleet (one
+coordinator, one 2-slot worker) through the same driver: (a) their
+report equals the serial one, (b) a failing first cell reports the same
+failures as on the pool, (c) a reopened journal re-executes nothing,
+and a chaos or recovery service job runs on the server's fleet.
+
 A sweep cell also fails the same way serially, on a 2-worker pool and
 on an in-process fleet: the same ``attempts``, error kind, first error
 line and poison note per cell, and the same retry and poison counts.
@@ -22,6 +28,7 @@ a resume hint, and a failed cell exits 1 with one line per failure.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
@@ -41,9 +48,11 @@ from repro.faults import FaultKind
 from repro.fleet import FleetCoordinator, FleetWorker
 from repro.fleet import worker as fleet_worker
 from repro.journal import RunJournal, journal_dir
-from repro.recovery import recovery_cell_key, recovery_grid, run_recovery_campaign
+from repro.recovery import RecoveryReport, recovery_grid, run_recovery_campaign
+from repro.service.jobs import Job, JobSpec
+from repro.service.scheduler import execute_job
 from repro.sim.config import GPUThreading, SafetyMode
-from repro.sim.runner import chaos_cell_key, chaos_grid, run_chaos_campaign
+from repro.sim.runner import ChaosReport, chaos_grid, run_chaos_campaign
 from repro.supervisor import shared_pool, traced_call
 from repro.workloads.registry import get_workload
 
@@ -99,9 +108,7 @@ def _signature(kind, report):
 
 
 def _key(kind, cell):
-    if kind == "sweep":
-        return cell.journal_key()
-    return chaos_cell_key(cell) if kind == "chaos" else recovery_cell_key(cell)
+    return sweep.campaign_kind(kind).journal_key(cell)
 
 
 def _label(kind, cell):
@@ -190,6 +197,126 @@ def test_reopened_journal_reexecutes_nothing(kind, workers):
         assert resumed.resumed_cells == len(resumed.outcomes)
 
 
+def _quick_grid(kind):
+    """The kind's whole ``--quick`` grid, as the CLI builds it."""
+    if kind == "sweep":
+        return sweep.grid_union(["all"], ops_scale=0.25)[1]
+    return (chaos_grid if kind == "chaos" else recovery_grid)(quick=True)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_recipes_rebuild_their_cells(kind):
+    """``cell_of`` inverts ``recipe_of`` through JSON, as bundles and the
+    fleet wire carry it: the same recipe and the same journal key."""
+    campaign = sweep.campaign_kind(kind)
+    cells = _quick_grid(kind)
+    assert cells
+    for cell in cells:
+        recipe = campaign.recipe_of(cell)
+        rebuilt = campaign.cell_of(json.loads(json.dumps(recipe)))
+        assert campaign.recipe_of(rebuilt) == recipe
+        assert campaign.journal_key(rebuilt) == campaign.journal_key(cell)
+
+
+# ---------------------------------------------------------------------------
+# chaos and recovery on the fleet
+# ---------------------------------------------------------------------------
+
+FLEET_KINDS = ("chaos", "recovery")
+
+
+@contextlib.contextmanager
+def _fleet():
+    """An in-process coordinator with one connected 2-slot worker."""
+    with FleetCoordinator(heartbeat_seconds=0.1, wait_seconds=10.0) as coord:
+        worker = FleetWorker(
+            "127.0.0.1", coord.port, worker_id="w1", slots=2, reconnect_seconds=0.1
+        )
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            yield coord
+        finally:
+            coord.shutdown_fleet()
+            thread.join(10.0)
+    assert not thread.is_alive()
+
+
+def _run_campaign(kind, workloads=("bfs",), journal=None, fleet=None):
+    """The kind's grid through ``run_campaign`` on a 2-worker pool or ``fleet``."""
+    return sweep.run_campaign(
+        _cells(kind, workloads),
+        sweep.campaign_kind(kind),
+        workers=2,
+        journal=journal,
+        fleet=fleet,
+    )
+
+
+def _verdicts(kind, report):
+    """A ``run_campaign`` report's runs as the kind's own report (the
+    seeds ``_run`` gives the public entry points)."""
+    if kind == "chaos":
+        return ChaosReport(seed=1234, runs=report.results)
+    return RecoveryReport(seed=17, runs=report.results)
+
+
+@pytest.mark.parametrize("kind", FLEET_KINDS)
+def test_fleet_report_equals_serial(kind):
+    serial = _run(kind, workers=1)
+    with _fleet() as coord:
+        placed = _run_campaign(kind, fleet=coord)
+    assert placed.mode == "fleet"
+    assert placed.fleet["results"] == len(placed.outcomes)
+    assert _verdicts(kind, placed).to_dict() == serial.to_dict()
+
+
+@pytest.mark.parametrize("kind", FLEET_KINDS)
+def test_fleet_reports_a_failing_first_cell_as_the_pool_does(kind):
+    workloads = ["nope", "bfs"]
+    pooled = _run_campaign(kind, workloads)
+    with _fleet() as coord:
+        placed = _run_campaign(kind, workloads, fleet=coord)
+    assert (pooled.mode, placed.mode) == ("parallel", "fleet")
+    assert [_fate(out) for out in placed.outcomes] == [
+        _fate(out) for out in pooled.outcomes
+    ]
+    assert placed.failures()[0].splitlines()[0] == (
+        f"{_label(kind, _cells(kind, ['nope'])[0])}: {_unknown_workload_error()}"
+    )
+    assert [out.ok for out in placed.outcomes] == (
+        [False] * len(_cells(kind, ["nope"])) + [True] * len(_cells(kind, ["bfs"]))
+    )
+
+
+@pytest.mark.parametrize("kind", FLEET_KINDS)
+def test_fleet_run_reopened_journal_reexecutes_nothing(kind):
+    run_id = f"fleet-resume-{kind}"
+    with _fleet() as coord:
+        with RunJournal.create(run_id) as journal:
+            first = _run_campaign(kind, journal=journal, fleet=coord)
+        assert first.mode == "fleet"
+        path = journal_dir() / f"{run_id}.jsonl"
+        size = path.stat().st_size
+        with RunJournal.open(run_id) as journal:
+            resumed = _run_campaign(kind, journal=journal, fleet=coord)
+    assert path.stat().st_size == size  # no cell ran, so none was journaled
+    assert resumed.resumed_cells == len(resumed.outcomes)
+    assert _verdicts(kind, resumed).signature() == _verdicts(kind, first).signature()
+
+
+@pytest.mark.parametrize("kind", FLEET_KINDS)
+def test_service_campaign_job_runs_on_the_servers_fleet(kind):
+    """The job server hands its fleet to chaos and recovery jobs too."""
+    grid = {"fault_types": ["drop"]} if kind == "chaos" else {"scenarios": ["hang"]}
+    params = {"workloads": ["bfs"], "ops_scale": SCALE, **grid}
+    job = Job(id=f"job-{kind}", tenant="t", spec=JobSpec(kind, params, workers=2))
+    with _fleet() as coord:
+        payload = execute_job(job, lambda: False, fleet=coord)
+    assert (payload["mode"], payload["ok"]) == ("fleet", True)
+    assert payload["fleet"]["results"] == len(payload["cells"]) == 1
+
+
 # ---------------------------------------------------------------------------
 # one failure policy on every placement
 # ---------------------------------------------------------------------------
@@ -236,19 +363,8 @@ def _run_placed(placement, cells, flaky_dir):
     if placement != "fleet":
         workers = 1 if placement == "serial" else 2
         return sweep.run_sweep(cells, workers=workers, fresh=True)
-    with FleetCoordinator(heartbeat_seconds=0.1, wait_seconds=10.0) as coord:
-        worker = FleetWorker(
-            "127.0.0.1", coord.port, worker_id="w1", slots=2, reconnect_seconds=0.1
-        )
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        try:
-            report = sweep.run_sweep(cells, workers=2, fresh=True, fleet=coord)
-        finally:
-            coord.shutdown_fleet()
-            thread.join(10.0)
-    assert not thread.is_alive()
-    return report
+    with _fleet() as coord:
+        return sweep.run_sweep(cells, workers=2, fresh=True, fleet=coord)
 
 
 def _fate(out):
@@ -350,6 +466,30 @@ def test_sigterm_on_serial_campaign_exits_130_and_resumes(kind, tmp_path):
     assert resumed.returncode == 0, resumed.stderr
     # Each executed cell appends one entry: only the missing ones ran.
     assert _entries(journal) == total
+
+
+@pytest.mark.parametrize("kind", FLEET_KINDS)
+def test_replay_cell_reruns_a_campaign_bundle(kind, tmp_path, capsys):
+    """A chaos or recovery bundle replays its cell in-process: ``--json``
+    prints the run record and a healthy run exits 0; a bundle whose cell
+    still fails raises its error."""
+    campaign = sweep.campaign_kind(kind)
+    good, bad = _cells(kind, ["bfs"])[0], _cells(kind, ["nope"])[0]
+    paths = [
+        supervisor.write_poison_bundle(
+            tmp_path, cell, "OOMKilled (not reproducible in-process)", 3,
+            describe_task=campaign.describe, label=campaign.label_of(cell),
+        )
+        for cell in (good, bad)
+    ]
+    assert main(["replay-cell", str(paths[0]), "--json"]) == 0
+    out = capsys.readouterr()
+    replayed = campaign.from_dict(json.loads(out.out))
+    assert replayed.signature() == campaign.cell_fn(good).signature()
+    assert replayed.ok
+    assert "did not reproduce" in out.err
+    with pytest.raises(KeyError, match="nope"):
+        main(["replay-cell", str(paths[1]), "--json"])
 
 
 def test_failed_cell_exits_1_with_one_line_per_failure(capsys):

@@ -156,7 +156,7 @@ def test_verify_identical_over_small_sweep(tmp_path, monkeypatch):
             "fig4", threading=GPUThreading.HIGHLY, workloads=["bfs"],
             ops_scale=0.1,
         )
-        parallel = run_sweep(cells, workers=2, use_disk=False)
+        parallel = run_sweep(cells, workers=2)
         _serial, mismatches = verify_identical(cells, parallel)
     finally:
         common.clear_cache()

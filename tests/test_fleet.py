@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -35,6 +36,7 @@ from repro.fleet.worker import sanitize_worker_id
 from repro.journal import RunJournal
 from repro.service.wire import WireError, encode_frame, read_frame
 from repro.sim.config import GPUThreading, SafetyMode
+from repro.sweep import SWEEP_CAMPAIGN
 from repro.supervisor import (
     ERROR_CRASH,
     ERROR_DEADLINE,
@@ -76,6 +78,23 @@ def _read_one(data: bytes, **kwargs):
         reader.feed_data(data)
         reader.feed_eof()
         return loop.run_until_complete(read_frame(reader, **kwargs))
+    finally:
+        loop.close()
+
+
+def _read_all(data: bytes):
+    """Every frame in ``data``, in order."""
+    loop = asyncio.new_event_loop()
+    try:
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        frames = []
+        frame = loop.run_until_complete(read_frame(reader))
+        while frame is not None:
+            frames.append(frame)
+            frame = loop.run_until_complete(read_frame(reader))
+        return frames
     finally:
         loop.close()
 
@@ -293,8 +312,8 @@ class _StubTransport:
 def _campaign(cells=3, policy=SupervisorPolicy()):
     return _Campaign(
         campaign_id="camp",
+        kind=SWEEP_CAMPAIGN,
         cells=_cells(cells),
-        use_disk=True,
         fresh=False,
         run_id=None,
         journal_dir=None,
@@ -481,7 +500,7 @@ class TestLeaseBookkeeping:
 
     def test_map_cells_requires_started_coordinator(self):
         with pytest.raises(FleetError):
-            FleetCoordinator().map_cells(_cells(1))
+            FleetCoordinator().map_cells(_cells(1), SWEEP_CAMPAIGN)
 
     def test_half_open_unwelcomed_worker_is_reaped(self):
         coord = FleetCoordinator(heartbeat_seconds=0.5)
@@ -581,6 +600,7 @@ class TestWorkerLeases:
 
     def test_failed_cell_is_not_memoized_and_reexecutes(self):
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)
+        worker._kind = SWEEP_CAMPAIGN
         worker._cells = tuple(_cells(1))
         worker._sem = asyncio.Semaphore(1)
         worker._transport = transport = _AsyncCaptureTransport()
@@ -615,6 +635,7 @@ class TestWorkerLeases:
             seed=1,
             record_border=True,  # non-cacheable: no payload serialization
         )
+        worker._kind = SWEEP_CAMPAIGN
         worker._cells = (traced,)
         worker._sem = asyncio.Semaphore(1)
         worker._transport = transport = _AsyncCaptureTransport()
@@ -642,6 +663,7 @@ class TestWorkerLeases:
         monkeypatch.setattr(fleet_worker, "traced_call", _crashing_traced_call)
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=2)
         die, slow, healthy = _cells(3)
+        worker._kind = SWEEP_CAMPAIGN
         worker._cells = (
             dataclasses.replace(die, tag="die"),
             dataclasses.replace(slow, tag="slow"),
@@ -671,6 +693,7 @@ class TestWorkerLeases:
         lease with a crash RESULT instead of silently dropping it."""
         monkeypatch.setattr(fleet_worker, "traced_call", _unpicklable_call)
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)
+        worker._kind = SWEEP_CAMPAIGN
         worker._cells = tuple(_cells(1))
         worker._sem = asyncio.Semaphore(1)
         worker._transport = transport = _AsyncCaptureTransport()
@@ -684,10 +707,10 @@ class TestWorkerLeases:
     def test_install_reinstalls_when_cells_change_under_same_id(self):
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)
         first = protocol.welcome(
-            "camp", [c.to_dict() for c in _cells(2)], True, False, 0.5
+            "camp", "sweep", [c.to_dict() for c in _cells(2)], False, 0.5
         )
         second = protocol.welcome(
-            "camp", [c.to_dict() for c in _cells(3)], True, False, 0.5
+            "camp", "sweep", [c.to_dict() for c in _cells(3)], False, 0.5
         )
         loop = asyncio.new_event_loop()
         try:
@@ -757,7 +780,7 @@ class TestFleetEndToEnd:
             heartbeat_seconds=0.2, wait_seconds=10.0, telemetry_path=telemetry
         ) as coord:
             worker, thread = _spawn_worker_thread(coord, "w1", slots=2)
-            outcomes, leftovers = coord.map_cells(cells)
+            outcomes, leftovers = coord.map_cells(cells, SWEEP_CAMPAIGN)
             coord.shutdown_fleet()
             thread.join(10.0)  # SHUTDOWN frame stops the worker itself
             assert not thread.is_alive()
@@ -795,7 +818,7 @@ class TestFleetEndToEnd:
             wa, ta = _spawn_worker_thread(coord, "wa", slots=2)
             wb, tb = _spawn_worker_thread(coord, "wb", slots=2)
             try:
-                outcomes, leftovers = coord.map_cells(cells)
+                outcomes, leftovers = coord.map_cells(cells, SWEEP_CAMPAIGN)
             finally:
                 _join_worker(wa, ta)
                 _join_worker(wb, tb)
@@ -842,7 +865,7 @@ class TestFleetEndToEnd:
             done = threading.Event()
 
             def run_campaign():
-                results["value"] = coord.map_cells(cells)
+                results["value"] = coord.map_cells(cells, SWEEP_CAMPAIGN)
                 done.set()
 
             campaign = threading.Thread(target=run_campaign, daemon=True)
@@ -892,8 +915,12 @@ class TestFleetEndToEnd:
         with FleetCoordinator(heartbeat_seconds=0.2, wait_seconds=10.0) as coord:
             worker, thread = _spawn_worker_thread(coord, "w1", slots=2)
             try:
-                out1, left1 = coord.map_cells(first, run_id="resume-run")
-                out2, left2 = coord.map_cells(second, run_id="resume-run")
+                out1, left1 = coord.map_cells(
+                    first, SWEEP_CAMPAIGN, run_id="resume-run"
+                )
+                out2, left2 = coord.map_cells(
+                    second, SWEEP_CAMPAIGN, run_id="resume-run"
+                )
             finally:
                 _join_worker(worker, thread)
         assert left1 == [] and left2 == []
@@ -909,9 +936,28 @@ class TestFleetEndToEnd:
     def test_zero_workers_degrades_to_leftovers(self):
         cells = _cells(2)
         with FleetCoordinator(heartbeat_seconds=0.1, wait_seconds=0.3) as coord:
-            outcomes, leftovers = coord.map_cells(cells)
+            outcomes, leftovers = coord.map_cells(cells, SWEEP_CAMPAIGN)
         assert outcomes == {}
         assert leftovers == [0, 1]
+
+    def test_hello_of_another_protocol_version_is_closed_without_a_lease(self):
+        """A worker built for the version-1 wire is told why and hung up
+        on; the campaign it would have joined grants it nothing."""
+        with FleetCoordinator(heartbeat_seconds=0.1, wait_seconds=0.3) as coord:
+            with socket.create_connection(("127.0.0.1", coord.port), 10.0) as sock:
+                hello = dict(protocol.hello("old", slots=2), protocol=1)
+                sock.sendall(encode_frame(hello))
+                outcomes, leftovers = coord.map_cells(_cells(2), SWEEP_CAMPAIGN)
+                received = b""
+                chunk = sock.recv(65536)
+                while chunk:  # the coordinator closed the connection
+                    received += chunk
+                    chunk = sock.recv(65536)
+        frames = _read_all(received)
+        assert [frame["type"] for frame in frames] == [protocol.SHUTDOWN]
+        assert frames[0]["reason"].startswith("protocol 1 refused")
+        assert (outcomes, leftovers) == ({}, [0, 1])
+        assert coord.stats["assigned"] == 0 and coord.stats["workers_seen"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -431,7 +431,7 @@ class TestJournalResume:
         real_fan_out = sweep.fan_out
 
         def spying_fan_out(fn, tasks, **kwargs):
-            executed.extend(cell.label for cell, _use_disk, _fresh in tasks)
+            executed.extend(cell.label for cell, _fresh in tasks)
             return real_fan_out(fn, tasks, **kwargs)
 
         monkeypatch.setattr(sweep, "fan_out", spying_fan_out)
@@ -795,7 +795,7 @@ def _live_systems() -> int:
 
 
 def _systems_left_by_cell(task) -> int:
-    """Run one ``(cell, use_disk, fresh)`` task in this worker; return how
+    """Run one ``(cell, fresh)`` task in this worker; return how
     many more Systems are alive afterwards. A forked worker also inherits
     whatever its parent held, so count the difference."""
     before = _live_systems()
@@ -882,7 +882,7 @@ class TestPoolWorkers:
         cells = [_bfs_cell(safety=safety) for safety in SafetyMode]
         outcomes, mode = sweep.fan_out(
             _systems_left_by_cell,
-            [(cell, False, True) for cell in cells],
+            [(cell, True) for cell in cells],
             workers=2,
         )
         assert mode == "parallel"

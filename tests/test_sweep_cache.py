@@ -65,7 +65,7 @@ class TestCacheProvenance:
         assert source == "disk"
 
     def test_run_cell_hit_flag_is_provenance(self):
-        task = (_cell(), True, False)
+        task = (_cell(), False)
         _result, hit = sweep._run_cell(task)
         assert hit is False
         _result, hit = sweep._run_cell(task)
@@ -188,7 +188,7 @@ class TestWorkerInitEnv:
         ]
         for directory, cells in zip(dirs, grids):
             monkeypatch.setenv("REPRO_CACHE_DIR", str(directory))
-            report = sweep.run_sweep(cells, workers=2, use_disk=True)
+            report = sweep.run_sweep(cells, workers=2)
             assert report.mode == "parallel" and report.ok
         for directory, cells in zip(dirs, grids):
             cached = {path.name for path in directory.glob("*.json")}

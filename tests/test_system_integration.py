@@ -5,7 +5,9 @@ import weakref
 
 import pytest
 
+from repro import recovery
 from repro.core.permissions import Perm
+from repro.faults import FaultKind
 from repro.mem.address import PAGE_SHIFT
 from repro.sim import runner
 from repro.sim.config import GPUThreading, SafetyMode
@@ -173,8 +175,42 @@ class TestRunner:
         assert bc.check(ppn2 << PAGE_SHIFT, True).allowed
 
 
+def _parts_alive_after(module, monkeypatch, run_cell):
+    """Run one cell with the cyclic GC off; name the parts of the
+    ``module.System`` it built that are still alive afterwards."""
+    built = []
+
+    class RecordingSystem(module.System):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(module, "System", RecordingSystem)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run_cell()
+        system = built.pop()
+        parts = {
+            "System": system,
+            "Kernel": system.kernel,
+            "GPU": system.gpu,
+            "Engine": system.engine,
+        }
+        caches = system.gpu_l1_caches + (
+            [system.gpu_l2] if system.gpu_l2 is not None else []
+        )
+        parts.update((cache.config.name, cache) for cache in caches)
+        refs = {name: weakref.ref(obj) for name, obj in parts.items()}
+        del system, parts, caches
+        return sorted(name for name, ref in refs.items() if ref() is not None)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class TestCellLeavesNoCyclicGarbage:
-    """``run_single`` closes its System, so with the cyclic GC off the
+    """Every cell kind closes its System, so with the cyclic GC off the
     whole simulated machine is freed by reference counting on return."""
 
     CASES = [(mode, None) for mode in ALL_MODES] + [(SafetyMode.BC_BCC, 250)]
@@ -185,41 +221,34 @@ class TestCellLeavesNoCyclicGarbage:
         ids=[m.value + (f"-downgrade{i}" if i else "") for m, i in CASES],
     )
     def test_finished_cell_is_freed(self, mode, interval, monkeypatch):
-        built = []
-
-        class RecordingSystem(runner.System):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(runner, "System", RecordingSystem)
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            run_single(
+        alive = _parts_alive_after(
+            runner,
+            monkeypatch,
+            lambda: run_single(
                 "bfs",
                 mode,
                 GPUThreading.MODERATELY,
                 ops_scale=0.05,
                 downgrade_interval_cycles=interval,
-            )
-            system = built.pop()
-            parts = {
-                "System": system,
-                "Kernel": system.kernel,
-                "GPU": system.gpu,
-                "Engine": system.engine,
-            }
-            caches = system.gpu_l1_caches + (
-                [system.gpu_l2] if system.gpu_l2 is not None else []
-            )
-            parts.update((cache.config.name, cache) for cache in caches)
-            refs = {name: weakref.ref(obj) for name, obj in parts.items()}
-            del system, parts, caches
-            alive = sorted(name for name, ref in refs.items() if ref() is not None)
-        finally:
-            if was_enabled:
-                gc.enable()
+            ),
+        )
+        assert alive == []
+
+    def test_finished_chaos_cell_is_freed(self, monkeypatch):
+        kinds = [FaultKind.DROP, FaultKind.HANG]
+        alive = _parts_alive_after(
+            runner,
+            monkeypatch,
+            lambda: runner.run_chaos_single("bfs", kinds, ops_scale=0.05),
+        )
+        assert alive == []
+
+    def test_finished_recovery_cell_is_freed(self, monkeypatch):
+        alive = _parts_alive_after(
+            recovery,
+            monkeypatch,
+            lambda: recovery.run_recovery_single("bfs", "hang", ops_scale=0.05),
+        )
         assert alive == []
 
 

@@ -24,6 +24,12 @@ the full crash-tolerance contract checked on the way out:
 3. **Bit-identity.** Recompute the grid serially with all caches
    bypassed (``verify_identical``) and require zero field-level
    mismatches against the fleet-computed results.
+4. **Chaos and recovery on the fleet.** After the sweep, and before
+   the fleet shuts down, run the ``chaos --quick --seed 7`` and
+   ``recovery --quick --seed 11`` grids through ``run_campaign`` on the
+   same fleet, under the same fault plan. Each must run on the fleet
+   (``mode == fleet``) and its report's ``to_dict()`` must equal the
+   serial run's.
 
 The telemetry JSONL (campaign/lease/result/worker-dead events) is left
 in the working directory for CI to upload as an artifact.
@@ -54,6 +60,9 @@ OPS_SCALE = 0.05
 TELEMETRY = Path("FLEET_telemetry.jsonl").resolve()
 CONNECT_TIMEOUT = 30.0
 CAMPAIGN_TIMEOUT = 300.0
+#: The CI chaos and recovery smoke grids: ``<kind> --quick --seed <seed>``.
+CAMPAIGN_LEGS = (("chaos", 7), ("recovery", 11))
+QUICK_SCALE = 0.25  # the CLI's --quick ops scale
 
 #: A worker that accepts leases but never completes one: its only exit
 #: from the campaign is the SIGKILL below, which is the point. The wedge
@@ -97,6 +106,32 @@ def reap(proc: subprocess.Popen) -> None:
             killpg(proc, signal.SIGKILL)
             proc.wait()
     killpg(proc, signal.SIGKILL)  # any stragglers in the group
+
+
+def campaign_leg(name: str, seed: int, coordinator) -> None:
+    """Run one quick chaos or recovery grid on the fleet, then serially;
+    fail unless it ran on the fleet and the two reports are equal."""
+    from repro import sweep
+    from repro.recovery import RecoveryReport, recovery_grid, run_recovery_campaign
+    from repro.sim.runner import ChaosReport, chaos_grid, run_chaos_campaign
+
+    grid, report_of, run_serial = {
+        "chaos": (chaos_grid, ChaosReport, run_chaos_campaign),
+        "recovery": (recovery_grid, RecoveryReport, run_recovery_campaign),
+    }[name]
+    args = dict(seed=seed, ops_scale=QUICK_SCALE, quick=True)
+    report = sweep.run_campaign(
+        grid(**args), sweep.campaign_kind(name), workers=2, fleet=coordinator
+    )
+    if report.mode != "fleet":
+        fail(f"{name} leg: expected fleet execution, got mode={report.mode!r}")
+    if not report.ok:
+        fail(f"{name} leg lost cells: {report.failures()}")
+    placed = report_of(seed, report.results).to_dict()
+    if placed != run_serial(**args).to_dict():
+        fail(f"{name} leg: the fleet report differs from the serial one")
+    print(f"{name} leg OK: {len(report.outcomes)} cells on the fleet, "
+          "report equals serial")
 
 
 def main() -> None:
@@ -206,6 +241,9 @@ def main() -> None:
         campaign.join(CAMPAIGN_TIMEOUT)
         if campaign.is_alive():
             fail(f"campaign did not terminate within {CAMPAIGN_TIMEOUT:.0f}s")
+        if "error" not in report_box:
+            for name, seed in CAMPAIGN_LEGS:
+                campaign_leg(name, seed, coordinator)
     finally:
         coordinator.shutdown_fleet()
         coordinator.stop()
@@ -242,7 +280,7 @@ def main() -> None:
             f"{checkpointed}/{total} checkpointed"
         )
     print(
-        f"chaos campaign OK: {total} cells, "
+        f"fleet sweep OK: {total} cells, "
         f"dead_workers={stats['dead_workers']} "
         f"reassigned={stats['reassigned']} "
         f"partitioned={stats['frames_partitioned']} injected={injected}"
