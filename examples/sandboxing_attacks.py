@@ -131,8 +131,7 @@ def attack_ignored_flush() -> None:
 
 
 def attack_hardware_hang() -> None:
-    from repro import FaultKind
-    from repro.sim.runner import run_chaos_single
+    from repro import FaultKind, run_chaos_single
 
     run = run_chaos_single(
         "bfs",

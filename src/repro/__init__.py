@@ -25,132 +25,57 @@ Layers (see DESIGN.md for the full inventory):
 * :mod:`repro.workloads` — Rodinia-proxy trace generators.
 * :mod:`repro.experiments`, :mod:`repro.analysis` — the paper's tables
   and figures, regenerated.
+
+Every name below is imported on first access (PEP 562), so
+``from repro import run_single`` loads the simulator alone and none of
+the host layers (supervisor, sweep, journal, service, fleet).
 """
 
-from repro.core import (
-    AccessDecision,
-    BCCConfig,
-    BorderControl,
-    BorderControlCache,
-    Perm,
-    ProtectionTable,
-    SandboxManager,
-    ViolationRecord,
-)
-from repro.errors import (
-    AcceleratorDisabledError,
-    AcceleratorHangError,
-    BorderControlViolation,
-    BorderTimeoutError,
-    ConfigurationError,
-    PageFault,
-    ProtectionFault,
-    ReproError,
-    SimulationIncompleteError,
-    SweepError,
-    TransientCellError,
-    UnmappedAddressError,
-)
-from repro.faults import (
-    FaultKind,
-    FaultPlan,
-    FaultSpec,
-    FaultyPort,
-    HangingAccelerator,
-    RecordingPort,
-    ReplayBuffer,
-)
-from repro.recovery import (
-    RecoveryManager,
-    RecoveryPolicy,
-    RecoveryReport,
-    RecoveryRunResult,
-    run_recovery_campaign,
-    run_recovery_single,
-)
-from repro.sim.config import GPUThreading, SafetyMode, SystemConfig, TimingParams
-from repro.sim.runner import (
-    ChaosReport,
-    ChaosRunResult,
-    RunResult,
-    geometric_mean,
-    run_chaos_campaign,
-    run_chaos_single,
-    run_single,
-    runtime_overhead,
-)
-from repro.sim.system import System
-from repro.journal import RunJournal, journal_dir, list_runs, new_run_id
-from repro.osmodel import Kernel, Process, ViolationPolicy
-from repro.supervisor import SupervisorPolicy, SupervisorStats, supervised_map
-from repro.sweep import Cell, SweepReport, run_sweep, verify_identical
-from repro.workloads import WORKLOADS, WorkloadSpec, generate_trace
+from importlib import import_module
+from typing import Any, Dict, List
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AcceleratorDisabledError",
-    "AcceleratorHangError",
-    "AccessDecision",
-    "BCCConfig",
-    "BorderControl",
-    "BorderControlCache",
-    "BorderControlViolation",
-    "BorderTimeoutError",
-    "Cell",
-    "ChaosReport",
-    "ChaosRunResult",
-    "ConfigurationError",
-    "FaultKind",
-    "FaultPlan",
-    "FaultSpec",
-    "FaultyPort",
-    "GPUThreading",
-    "HangingAccelerator",
-    "Kernel",
-    "PageFault",
-    "Perm",
-    "Process",
-    "ProtectionFault",
-    "ProtectionTable",
-    "RecordingPort",
-    "RecoveryManager",
-    "RecoveryPolicy",
-    "RecoveryReport",
-    "RecoveryRunResult",
-    "ReplayBuffer",
-    "ReproError",
-    "RunJournal",
-    "RunResult",
-    "SafetyMode",
-    "SandboxManager",
-    "SimulationIncompleteError",
-    "SupervisorPolicy",
-    "SupervisorStats",
-    "SweepError",
-    "SweepReport",
-    "System",
-    "SystemConfig",
-    "TimingParams",
-    "TransientCellError",
-    "UnmappedAddressError",
-    "ViolationPolicy",
-    "ViolationRecord",
-    "WORKLOADS",
-    "WorkloadSpec",
-    "generate_trace",
-    "geometric_mean",
-    "journal_dir",
-    "list_runs",
-    "new_run_id",
-    "run_chaos_campaign",
-    "run_chaos_single",
-    "run_recovery_campaign",
-    "run_recovery_single",
-    "run_single",
-    "run_sweep",
-    "runtime_overhead",
-    "supervised_map",
-    "verify_identical",
-    "__version__",
-]
+#: Public name -> the module that defines it; ``__getattr__`` imports
+#: the module the first time the name is read.
+_EXPORTS: Dict[str, str] = {
+    name: module
+    for module, names in (
+        ("repro.core", "AccessDecision BCCConfig BorderControl BorderControlCache "
+         "Perm ProtectionTable SandboxManager ViolationRecord"),
+        ("repro.errors", "AcceleratorDisabledError AcceleratorHangError "
+         "BorderControlViolation BorderTimeoutError ConfigurationError PageFault "
+         "ProtectionFault ReproError SimulationIncompleteError SweepError "
+         "TransientCellError UnmappedAddressError"),
+        ("repro.faults", "FaultKind FaultPlan FaultSpec FaultyPort "
+         "HangingAccelerator RecordingPort ReplayBuffer"),
+        ("repro.chaos", "ChaosReport ChaosRunResult run_chaos_campaign "
+         "run_chaos_single"),
+        ("repro.recovery", "RecoveryManager RecoveryPolicy RecoveryReport "
+         "RecoveryRunResult run_recovery_campaign run_recovery_single"),
+        ("repro.sim.config", "GPUThreading SafetyMode SystemConfig TimingParams"),
+        ("repro.sim.runner", "RunResult geometric_mean run_single runtime_overhead"),
+        ("repro.sim.system", "System"),
+        ("repro.journal", "RunJournal journal_dir list_runs new_run_id"),
+        ("repro.osmodel", "Kernel Process ViolationPolicy"),
+        ("repro.supervisor", "SupervisorPolicy SupervisorStats supervised_map"),
+        ("repro.sweep", "Cell SweepReport run_sweep verify_identical"),
+        ("repro.workloads", "WORKLOADS WorkloadSpec generate_trace"),
+    )
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -720,7 +720,12 @@ def _dispatch(
 
     if args.command == "run":
         from repro.sim.runner import run_single
+        from repro.workloads.registry import WORKLOADS
 
+        if args.workload not in WORKLOADS:
+            parser.error(
+                f"unknown workload {args.workload!r}; choose from {list(WORKLOADS)}"
+            )
         result = run_single(
             args.workload,
             SafetyMode(args.safety),
@@ -799,7 +804,7 @@ def _dispatch(
         )
         if args.command == "chaos":
             from repro.faults import FaultKind
-            from repro.sim.runner import run_chaos_campaign
+            from repro.chaos import run_chaos_campaign
 
             try:
                 kinds = [FaultKind(name) for name in args.fault_types or []]

@@ -19,7 +19,7 @@ The matching resilience plumbing lives with the components it hardens:
 :class:`~repro.core.border_port.BorderControlPort` and the ATS,
 ``ViolationPolicy.QUARANTINE`` in :mod:`repro.osmodel.kernel`, the
 stall watchdog and escape oracle in :mod:`repro.adversary`, and the
-``run_chaos_campaign`` harness in :mod:`repro.sim.runner`.
+``run_chaos_campaign`` harness in :mod:`repro.chaos`.
 """
 
 from repro.faults.accel import HangingAccelerator

@@ -108,16 +108,27 @@ class SiteInjector:
 
     Every component that can fail holds exactly one injector and calls
     :meth:`draw` once per eligible operation, in simulation order — that
-    discipline is what makes the fault sequence reproducible.
+    discipline is what makes the fault sequence reproducible. Each
+    injection is appended to ``injected`` and tallied in ``counts``, the
+    plan's own log containers; the injector holds no reference to the
+    plan, so a finished run's plan is freed by reference counting.
     """
 
-    def __init__(self, plan: "FaultPlan", site: str, specs: List[FaultSpec]) -> None:
-        self._plan = plan
+    def __init__(
+        self,
+        seed: int,
+        site: str,
+        specs: List[FaultSpec],
+        injected: List[Tuple[str, int, str]],
+        counts: Dict[str, int],
+    ) -> None:
         self.site = site
         self.specs = specs
-        self._rng = random.Random(derive_seed(plan.seed, site))
+        self._rng = random.Random(derive_seed(seed, site))
         self._index = 0
         self._used: Dict[int, int] = {}  # spec position -> injections so far
+        self._injected = injected
+        self._counts = counts
 
     def draw(self, write: Optional[bool] = None) -> Optional[FaultSpec]:
         """Decide the fault (if any) for the next access at this site."""
@@ -136,7 +147,9 @@ class SiteInjector:
                 continue
             if roll < spec.rate:
                 self._used[pos] = self._used.get(pos, 0) + 1
-                self._plan._record(self.site, index, spec.kind)
+                kind = spec.kind.value
+                self._injected.append((self.site, index, kind))
+                self._counts[kind] = self._counts.get(kind, 0) + 1
                 return spec
         return None
 
@@ -162,13 +175,11 @@ class FaultPlan:
         injector = self._injectors.get(site)
         if injector is None:
             specs = [s for s in self.specs if s.site == site]
-            injector = SiteInjector(self, site, specs)
+            injector = SiteInjector(
+                self.seed, site, specs, self.injected, self._counts
+            )
             self._injectors[site] = injector
         return injector
-
-    def _record(self, site: str, index: int, kind: FaultKind) -> None:
-        self.injected.append((site, index, kind.value))
-        self._counts[kind.value] = self._counts.get(kind.value, 0) + 1
 
     # -- reporting ---------------------------------------------------------
 

@@ -49,6 +49,10 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Dict, Optional, Set, Tuple
 
+# campaign_kind looks the chaos and recovery kinds up lazily; import
+# them here, before any thread runs, because a pool worker forked while
+# another thread holds a module's import lock hangs on that import.
+from repro import chaos, recovery  # noqa: F401
 from repro.fleet import protocol
 from repro.fleet.transport import FrameTransport
 from repro.journal import JournalShard

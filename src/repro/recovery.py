@@ -803,7 +803,7 @@ def run_recovery_campaign(
 
     The :func:`recovery_grid` cells run through
     :func:`repro.sweep.run_campaign` under the same contract as
-    :func:`repro.sim.runner.run_chaos_campaign`. ``policy`` is the
+    :func:`repro.chaos.run_chaos_campaign`. ``policy`` is the
     *supervisor* policy; the recovery retry policy is a per-run
     :class:`RecoveryPolicy`.
     """

@@ -34,7 +34,12 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional
 
+# The job layers load here, before the scheduler starts a thread: a
+# pool worker forked while another thread holds a module's import lock
+# hangs on its first import of that module.
+from repro import chaos, recovery, sweep
 from repro.errors import JobCancelled, JournalLockedError, SweepError
+from repro.faults import FaultKind
 from repro.journal import RunJournal
 from repro.service.admission import TenantQuota
 from repro.service.jobs import (
@@ -97,8 +102,6 @@ def _execute_sweep(
     progress: Optional[Callable[[int, int, str, Optional[str]], None]],
     fleet=None,
 ) -> Dict[str, Any]:
-    from repro import sweep
-
     params = job.spec.params
     if params.get("cells"):
         cells = sweep.dedup_cells([sweep.Cell.from_dict(c) for c in params["cells"]])
@@ -136,8 +139,6 @@ def _execute_campaign(
     cells instead of raising, so ``allow_partial`` keeps the survivors,
     and the cells run on the ``fleet`` when the server has one.
     """
-    from repro import sweep
-
     params = job.spec.params
     seed = int(params.get("seed", 1234))
     grid_args = dict(
@@ -147,15 +148,10 @@ def _execute_campaign(
         quick=bool(params.get("quick", False)),
     )
     if job.spec.kind == "chaos":
-        from repro.faults import FaultKind
-        from repro.sim import runner
-
         kinds = [FaultKind(name) for name in params.get("fault_types") or []]
-        cells = runner.chaos_grid(kinds=kinds or None, **grid_args)
-        verdicts = runner.ChaosReport(seed)
+        cells = chaos.chaos_grid(kinds=kinds or None, **grid_args)
+        verdicts = chaos.ChaosReport(seed)
     else:
-        from repro import recovery
-
         cells = recovery.recovery_grid(scenarios=params.get("scenarios"), **grid_args)
         verdicts = recovery.RecoveryReport(seed)
     kind = sweep.campaign_kind(job.spec.kind)

@@ -73,7 +73,7 @@ from repro.journal import RunJournal
 if TYPE_CHECKING:  # repro.fleet imports this module; no runtime cycle
     from repro.fleet import FleetCoordinator
 from repro.sim.config import GPUThreading, SafetyMode
-from repro.sim.runner import CHAOS_CAMPAIGN, RunResult, run_single
+from repro.sim.runner import RunResult, run_single
 from repro.supervisor import (
     ERROR_ABORTED,
     CampaignKind,
@@ -523,7 +523,8 @@ def campaign_kind(name: str) -> CampaignKind:
     Poison bundles and the fleet's WELCOME frame name a cell's kind;
     this turns the name back into the kind that decodes and runs it.
     """
-    from repro.recovery import RECOVERY_CAMPAIGN  # local: it imports this module
+    from repro.chaos import CHAOS_CAMPAIGN  # local: both import this module
+    from repro.recovery import RECOVERY_CAMPAIGN
 
     for kind in (SWEEP_CAMPAIGN, CHAOS_CAMPAIGN, RECOVERY_CAMPAIGN):
         if kind.name == name:

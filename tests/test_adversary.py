@@ -12,12 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import ProgressWatchdog
+from repro.chaos import chaos_grid, run_chaos_single
 from repro.core.border_control import BorderControl, _decision
 from repro.core.permissions import Perm
 from repro.errors import AcceleratorHangError
 from repro.experiments.tables import verify_table1
 from repro.recovery import recovery_grid, run_recovery_single
-from repro.sim.runner import chaos_grid, run_chaos_single
 from repro.verify.harness import LockstepHarness, LockstepViolation
 
 

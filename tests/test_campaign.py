@@ -41,6 +41,7 @@ from pathlib import Path
 import pytest
 
 from repro import supervisor, sweep
+from repro.chaos import ChaosReport, chaos_grid, run_chaos_campaign
 from repro.cli import main
 from repro.errors import SweepError, TransientCellError
 from repro.experiments import common
@@ -52,7 +53,6 @@ from repro.recovery import RecoveryReport, recovery_grid, run_recovery_campaign
 from repro.service.jobs import Job, JobSpec
 from repro.service.scheduler import execute_job
 from repro.sim.config import GPUThreading, SafetyMode
-from repro.sim.runner import ChaosReport, chaos_grid, run_chaos_campaign
 from repro.supervisor import shared_pool, traced_call
 from repro.workloads.registry import get_workload
 

@@ -52,9 +52,17 @@ class TestCLI:
         assert "border checks" in out
         assert "runtime" in out
 
-    def test_run_unknown_workload_raises(self):
-        with pytest.raises(KeyError):
+    def test_run_unknown_workload_raises(self, capsys):
+        """A usage error naming the seven workloads, exit 2 — not a raw
+        KeyError traceback."""
+        with pytest.raises(SystemExit) as exc:
             main(["run", "quake", "--quick"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == (
+            "border-control: error: unknown workload 'quake'; choose from "
+            "['backprop', 'bfs', 'hotspot', 'lud', 'nn', 'nw', 'pathfinder']"
+        )
 
     def test_fig5_command_quick(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -19,11 +19,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import run_chaos_single
 from repro.experiments.common import _result_to_dict
 from repro.faults import FaultKind
 from repro.recovery import run_recovery_single
 from repro.sim.config import GPUThreading, SafetyMode
-from repro.sim.runner import run_chaos_single, run_single
+from repro.sim.runner import run_single
 
 from tests.util import small_config, tiny_spec
 

@@ -17,6 +17,7 @@ The load-bearing claims under test:
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.chaos import run_chaos_single
 from repro.core.permissions import Perm
 from repro.errors import BorderTimeoutError
 from repro.faults import FaultKind, FaultPlan, FaultSpec, FaultyPort
@@ -24,7 +25,6 @@ from repro.mem.address import BLOCK_SIZE, PAGE_SHIFT
 from repro.mem.port import MemoryPort
 from repro.osmodel.kernel import ViolationPolicy
 from repro.sim.engine import TIMEOUT, Engine
-from repro.sim.runner import run_chaos_single
 from repro.sim.system import GPU_ID
 
 from tests.util import make_system, profile_settings, small_config, tiny_spec

@@ -616,12 +616,12 @@ class TestGracefulDegradation:
 
 class TestChaosJournal:
     def test_chaos_result_dict_round_trip(self):
-        from repro.faults import FaultKind
-        from repro.sim.runner import (
+        from repro.chaos import (
             chaos_result_from_dict,
             chaos_result_to_dict,
             run_chaos_single,
         )
+        from repro.faults import FaultKind
 
         run = run_chaos_single("bfs", [FaultKind.DROP], ops_scale=0.1)
         clone = chaos_result_from_dict(chaos_result_to_dict(run))

@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from repro import recovery
+from repro import chaos, recovery
 from repro.core.permissions import Perm
 from repro.faults import FaultKind
 from repro.mem.address import PAGE_SHIFT
@@ -177,8 +177,10 @@ class TestRunner:
 
 def _parts_alive_after(module, monkeypatch, run_cell):
     """Run one cell with the cyclic GC off; name the parts of the
-    ``module.System`` it built that are still alive afterwards."""
+    ``module.System`` it built that are still alive afterwards, and
+    every ``module.FaultPlan`` it built (``"FaultPlan"``) if one is."""
     built = []
+    plans = []
 
     class RecordingSystem(module.System):
         def __init__(self, *args, **kwargs):
@@ -186,6 +188,15 @@ def _parts_alive_after(module, monkeypatch, run_cell):
             built.append(self)
 
     monkeypatch.setattr(module, "System", RecordingSystem)
+    has_plans = hasattr(module, "FaultPlan")
+    if has_plans:
+
+        class RecordingPlan(module.FaultPlan):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                plans.append(weakref.ref(self))
+
+        monkeypatch.setattr(module, "FaultPlan", RecordingPlan)
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -203,7 +214,11 @@ def _parts_alive_after(module, monkeypatch, run_cell):
         parts.update((cache.config.name, cache) for cache in caches)
         refs = {name: weakref.ref(obj) for name, obj in parts.items()}
         del system, parts, caches
-        return sorted(name for name, ref in refs.items() if ref() is not None)
+        alive = [name for name, ref in refs.items() if ref() is not None]
+        if has_plans:
+            assert plans, "the cell built no FaultPlan to check"
+            alive += ["FaultPlan" for plan in plans if plan() is not None]
+        return sorted(alive)
     finally:
         if was_enabled:
             gc.enable()
@@ -235,11 +250,13 @@ class TestCellLeavesNoCyclicGarbage:
         assert alive == []
 
     def test_finished_chaos_cell_is_freed(self, monkeypatch):
+        """Its System and its FaultPlan: the plan's site injectors log
+        into the plan's containers without pointing back at it."""
         kinds = [FaultKind.DROP, FaultKind.HANG]
         alive = _parts_alive_after(
-            runner,
+            chaos,
             monkeypatch,
-            lambda: runner.run_chaos_single("bfs", kinds, ops_scale=0.05),
+            lambda: chaos.run_chaos_single("bfs", kinds, ops_scale=0.05),
         )
         assert alive == []
 

@@ -112,8 +112,8 @@ def campaign_leg(name: str, seed: int, coordinator) -> None:
     """Run one quick chaos or recovery grid on the fleet, then serially;
     fail unless it ran on the fleet and the two reports are equal."""
     from repro import sweep
+    from repro.chaos import ChaosReport, chaos_grid, run_chaos_campaign
     from repro.recovery import RecoveryReport, recovery_grid, run_recovery_campaign
-    from repro.sim.runner import ChaosReport, chaos_grid, run_chaos_campaign
 
     grid, report_of, run_serial = {
         "chaos": (chaos_grid, ChaosReport, run_chaos_campaign),
