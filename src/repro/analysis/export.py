@@ -3,7 +3,8 @@
 ``export_all`` writes one CSV per figure plus a ``summary.json`` with the
 headline numbers — the artifact a downstream paper or plotting pipeline
 would consume (the ASCII charts in :mod:`repro.analysis.ascii_chart` are
-for terminals; these files are for matplotlib/pgfplots).
+for terminals; these files are for matplotlib/pgfplots). Each figure is
+one campaign of its own driver.
 """
 
 from __future__ import annotations
@@ -37,30 +38,23 @@ def export_all(
 ) -> Dict[str, str]:
     """Run every experiment and write CSV/JSON artifacts.
 
-    ``workers`` > 1 (or ``None`` = all cores) prewarms the cacheable
-    grids in parallel first. ``allow_partial`` writes empty CSV fields
-    for failed cells instead of aborting; ``journal`` makes the prewarm
-    resumable. Returns {artifact name: path written}.
+    ``workers``, ``allow_partial`` and ``journal`` go to every figure
+    driver: ``workers`` > 1 (or ``None`` = all cores) runs each grid on
+    a process pool, ``allow_partial`` writes empty CSV fields for failed
+    cells instead of raising, and a journal makes the export resumable.
+    Returns {artifact name: path written}.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ops_scale = 0.25 if quick else 1.0
-    if workers is None or workers > 1 or journal is not None:
-        from repro import sweep
-
-        cells = []
-        for grid_name in ("fig4", "fig5", "fig7"):
-            cells.extend(
-                sweep.grid_cells(
-                    grid_name, workloads=workloads, seed=seed, ops_scale=ops_scale
-                )
-            )
-        sweep.prewarm(
-            sweep.dedup_cells(cells),
-            workers=workers,
-            journal=journal,
-            allow_partial=allow_partial,
-        )
+    campaign = dict(
+        workloads=workloads,
+        seed=seed,
+        ops_scale=ops_scale,
+        workers=workers,
+        allow_partial=allow_partial,
+        journal=journal,
+    )
     written: Dict[str, str] = {}
     summary: Dict[str, object] = {"quick": quick, "seed": seed}
     if allow_partial:
@@ -70,13 +64,7 @@ def export_all(
     fig4_rows = []
     geomeans = {}
     for threading in (GPUThreading.HIGHLY, GPUThreading.MODERATELY):
-        result = fig4.run(
-            threading,
-            workloads=workloads,
-            seed=seed,
-            ops_scale=ops_scale,
-            allow_partial=allow_partial,
-        )
+        result = fig4.run(threading, **campaign)
         for mode in fig4.SAFETY_MODES:
             for name, overhead in result.overheads[mode].items():
                 fig4_rows.append(
@@ -94,12 +82,7 @@ def export_all(
     summary["fig4_geomeans"] = geomeans
 
     # Figure 5: border requests per cycle.
-    f5 = fig5.run(
-        workloads=workloads,
-        seed=seed,
-        ops_scale=ops_scale,
-        allow_partial=allow_partial,
-    )
+    f5 = fig5.run(**campaign)
     path = out / "fig5_requests_per_cycle.csv"
     write_csv(
         path,
@@ -113,14 +96,7 @@ def export_all(
     summary["fig5_average"] = f5.average
 
     # Figure 6: BCC miss-ratio sweep.
-    f6 = fig6.run(
-        workloads=workloads,
-        seed=seed,
-        ops_scale=ops_scale,
-        workers=workers,
-        allow_partial=allow_partial,
-        journal=journal,
-    )
+    f6 = fig6.run(**campaign)
     f6_rows = []
     for ppe, line in sorted(f6.miss_ratio.items()):
         for size, ratio in zip(f6.sizes_bytes, line):
@@ -132,12 +108,7 @@ def export_all(
     written["fig6"] = str(path)
 
     # Figure 7: downgrade-rate sweep.
-    f7 = fig7.run(
-        workloads=workloads,
-        seed=seed,
-        ops_scale=ops_scale,
-        allow_partial=allow_partial,
-    )
+    f7 = fig7.run(**campaign)
     f7_rows = []
     for mode in (SafetyMode.ATS_ONLY, SafetyMode.BC_BCC):
         for threading in (GPUThreading.HIGHLY, GPUThreading.MODERATELY):

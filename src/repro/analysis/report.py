@@ -2,8 +2,10 @@
 
 ``full_report()`` reruns (or reads from cache) every experiment and
 assembles the complete text report: Tables 1-3, Figures 4-7, and the
-storage overheads. The ``border-control report`` CLI command and the
-EXPERIMENTS.md generator both call this.
+storage overheads. Each figure is one campaign of its own driver, so
+the report fails, resumes and parallelizes exactly as the drivers do.
+The ``border-control report`` CLI command and the EXPERIMENTS.md
+generator both call this.
 """
 
 from __future__ import annotations
@@ -36,55 +38,32 @@ def full_report(
     """Run everything and render one text report.
 
     ``quick`` scales traces down 4x for a fast smoke pass; the shapes
-    survive, the exact percentages wobble. ``workers`` > 1 (or ``None``
-    = all cores) prewarms the union of every figure's grid across a
-    process pool first; the serial assembly below then reads the shared
-    cache, producing output identical to a serial run. ``allow_partial``
-    renders explicit gap markers for failed cells instead of aborting;
-    ``journal`` (:class:`repro.journal.RunJournal`) makes the prewarm
-    resumable after a crash or interrupt.
+    survive, the exact percentages wobble. ``workers``, ``allow_partial``
+    and ``journal`` (:class:`repro.journal.RunJournal`) go to every
+    figure driver: ``workers`` > 1 (or ``None`` = all cores) runs each
+    figure's grid on a process pool with output identical to a serial
+    run, ``allow_partial`` renders explicit gap markers for failed cells
+    instead of raising, and a journal makes the report resumable after a
+    crash or interrupt.
     """
     ops_scale = 0.25 if quick else 1.0
-    if workers is None or workers > 1 or journal is not None:
-        from repro import sweep
-
-        cells = []
-        # fig6's border-recording cells aren't cacheable; fig6.run below
-        # fans them out itself when given `workers`.
-        for grid_name in ("fig4", "fig5", "fig7", "workloads"):
-            cells.extend(
-                sweep.grid_cells(
-                    grid_name, workloads=workloads, seed=seed, ops_scale=ops_scale
-                )
-            )
-        sweep.prewarm(
-            sweep.dedup_cells(cells),
-            workers=workers,
-            journal=journal,
-            allow_partial=allow_partial,
-        )
+    campaign = dict(
+        workloads=workloads,
+        seed=seed,
+        ops_scale=ops_scale,
+        workers=workers,
+        allow_partial=allow_partial,
+        journal=journal,
+    )
     sections: List[str] = []
 
     sections.append(tables.table1())
     sections.append(tables.table2())
     sections.append(tables.table3())
-    sections.append(
-        workload_table.run(
-            workloads=workloads,
-            seed=seed,
-            ops_scale=ops_scale,
-            allow_partial=allow_partial,
-        ).render()
-    )
+    sections.append(workload_table.run(**campaign).render())
 
     for threading in (GPUThreading.HIGHLY, GPUThreading.MODERATELY):
-        result = fig4.run(
-            threading,
-            workloads=workloads,
-            seed=seed,
-            ops_scale=ops_scale,
-            allow_partial=allow_partial,
-        )
+        result = fig4.run(threading, **campaign)
         sections.append(result.render())
         full_iommu = {
             name: value
@@ -101,12 +80,7 @@ def full_report(
                 )
             )
 
-    f5 = fig5.run(
-        workloads=workloads,
-        seed=seed,
-        ops_scale=ops_scale,
-        allow_partial=allow_partial,
-    )
+    f5 = fig5.run(**campaign)
     sections.append(f5.render())
     f5_bars = {
         name: value
@@ -122,14 +96,7 @@ def full_report(
             )
         )
 
-    f6 = fig6.run(
-        workloads=workloads,
-        seed=seed,
-        ops_scale=ops_scale,
-        workers=workers,
-        allow_partial=allow_partial,
-        journal=journal,
-    )
+    f6 = fig6.run(**campaign)
     sections.append(f6.render())
     sections.append(
         line_chart(
@@ -139,12 +106,7 @@ def full_report(
         )
     )
 
-    f7 = fig7.run(
-        workloads=workloads,
-        seed=seed,
-        ops_scale=ops_scale,
-        allow_partial=allow_partial,
-    )
+    f7 = fig7.run(**campaign)
     sections.append(f7.render())
     sections.append(
         line_chart(

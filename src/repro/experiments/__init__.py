@@ -12,9 +12,11 @@ fig7      Fig. 7 — overhead vs. permission-downgrade rate
 storage   §5.2.3 — Protection Table / BCC space overheads
 ========  =======================================================
 
-Every driver exposes ``run(...)`` returning a plain-data result object
-with a ``render()`` method producing the text table/series, plus the
-paper's reference numbers for side-by-side comparison. Results are
+Every simulating driver exposes ``grid(...)``, its cells, and
+``run(...)``, which reads every cell's result from one campaign
+(:func:`repro.sweep.grid_results`) and returns a plain-data result
+object with a ``render()`` method producing the text table/series, plus
+the paper's reference numbers for side-by-side comparison. Results are
 memoized in-process and cached on disk (``.exp_cache/``), so benchmarks
 and report generation don't re-simulate unchanged configurations.
 """

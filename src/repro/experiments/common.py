@@ -49,28 +49,27 @@ def _memory_key(key: str) -> Tuple[str, str]:
 
 
 def _key(workload: str, safety: SafetyMode, threading: GPUThreading, **kwargs) -> str:
+    # A flag that is off leaves the key it had before the flag existed.
     blob = json.dumps(
         {
             "v": CACHE_VERSION,
             "workload": workload,
             "safety": safety.value,
             "threading": threading.value,
-            **{k: v for k, v in sorted(kwargs.items())},
+            **{k: v for k, v in sorted(kwargs.items()) if v is not False},
         },
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
 
 
-_SKIP_FIELDS = {"border_trace"}
-
-
 def _result_to_dict(result: RunResult) -> dict:
+    """A result as JSON: an unset optional field (no border trace) has no key."""
     out = {}
     for field in dataclasses.fields(RunResult):
-        if field.name in _SKIP_FIELDS:
-            continue
         value = getattr(result, field.name)
+        if value is None and field.default is None:
+            continue
         if isinstance(value, (SafetyMode, GPUThreading)):
             value = value.value
         out[field.name] = value
@@ -81,6 +80,8 @@ def _result_from_dict(data: dict) -> RunResult:
     data = dict(data)
     data["safety"] = SafetyMode(data["safety"])
     data["threading"] = GPUThreading(data["threading"])
+    if "border_trace" in data:  # JSON turned its (ppn, is_write) tuples into lists
+        data["border_trace"] = [tuple(pair) for pair in data["border_trace"]]
     return RunResult(**data)
 
 
@@ -91,8 +92,9 @@ def cache_key(
     seed: int = 1234,
     ops_scale: float = 1.0,
     downgrade_interval_cycles: Optional[float] = None,
+    record_border: bool = False,
 ) -> str:
-    """The cache key :func:`cached_run` uses for these parameters."""
+    """The cache key :func:`cached_run_ex` uses for these parameters."""
     return _key(
         workload,
         safety,
@@ -100,6 +102,7 @@ def cache_key(
         seed=seed,
         ops_scale=ops_scale,
         dgi=downgrade_interval_cycles,
+        record_border=record_border,
     )
 
 
@@ -153,6 +156,7 @@ def cached_run_ex(
     seed: int = 1234,
     ops_scale: float = 1.0,
     downgrade_interval_cycles: Optional[float] = None,
+    record_border: bool = False,
 ) -> Tuple[RunResult, str]:
     """Run (or retrieve) one simulation, reporting where the result came from.
 
@@ -162,14 +166,16 @@ def cached_run_ex(
     ``cache_path(...).exists()`` probe, which races against concurrent
     writers (another worker can publish the entry between the probe and
     the lookup, or vice versa) and misreports hits either way.
+    ``record_border`` results carry their border trace, cached with them.
     """
-    key = _key(
+    key = cache_key(
         workload,
         safety,
         threading,
         seed=seed,
         ops_scale=ops_scale,
-        dgi=downgrade_interval_cycles,
+        downgrade_interval_cycles=downgrade_interval_cycles,
+        record_border=record_border,
     )
     mem_key = _memory_key(key)
     if mem_key in _memory_cache:
@@ -195,6 +201,7 @@ def cached_run_ex(
         threading,
         seed=seed,
         ops_scale=ops_scale,
+        record_border=record_border,
         downgrade_interval_cycles=downgrade_interval_cycles,
     )
     _memory_cache[mem_key] = result
@@ -211,7 +218,7 @@ def cached_run(
     ops_scale: float = 1.0,
     downgrade_interval_cycles: Optional[float] = None,
 ) -> RunResult:
-    """Run (or retrieve) one simulation. Border traces are never cached."""
+    """Run (or retrieve) one simulation; see :func:`cached_run_ex`."""
     result, _source = cached_run_ex(
         workload,
         safety,

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.experiments.common import cached_run, fmt_percent, text_table
+from repro.experiments.common import cache_key, fmt_percent, text_table
 from repro.sim.config import GPUThreading, SafetyMode
-from repro.sim.runner import geometric_mean, runtime_overhead
+from repro.sim.runner import RunResult, geometric_mean, runtime_overhead
 from repro.workloads.registry import workload_names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
@@ -143,44 +143,34 @@ def run(
 ) -> Fig4Result:
     """Simulate every (workload, safety mode) pair for one GPU config.
 
-    With ``workers`` > 1 (or ``None`` = all cores) the grid is prewarmed
-    in parallel via :func:`repro.sweep.prewarm`; the assembly below then
-    consumes memoized results, so output is identical either way.
-    ``allow_partial`` degrades gracefully instead of aborting: failed
-    cells become ``None`` gaps in the result. A ``journal``
-    (:class:`repro.journal.RunJournal`) makes the prewarm resumable.
+    The grid runs as one campaign (:func:`repro.sweep.grid_results`) on
+    ``workers`` processes (``None`` = all cores), resumable through a
+    ``journal`` (:class:`repro.journal.RunJournal`); output is identical
+    either way. ``allow_partial`` degrades gracefully instead of
+    raising :class:`~repro.errors.SweepError`: failed cells become
+    ``None`` gaps in the result.
     """
-    if workers is None or workers > 1 or journal is not None:
-        from repro.sweep import prewarm
+    from repro.sweep import grid_results
 
-        prewarm(
-            grid(threading, workloads, seed, ops_scale),
-            workers=workers,
-            journal=journal,
-            allow_partial=allow_partial,
-        )
-    names = workloads or workload_names()
+    results = grid_results(
+        grid(threading, workloads, seed, ops_scale),
+        workers=workers,
+        journal=journal,
+        allow_partial=allow_partial,
+    )
     result = Fig4Result(threading=threading)
     for mode in SAFETY_MODES:
         result.overheads[mode] = {}
-    for name in names:
-        try:
-            base = cached_run(name, SafetyMode.ATS_ONLY, threading, seed, ops_scale)
-        except Exception:
-            if not allow_partial:
-                raise
-            base = None
+
+    def run_of(name: str, mode: SafetyMode) -> Optional[RunResult]:
+        return results[cache_key(name, mode, threading, seed, ops_scale)]
+
+    for name in workloads or workload_names():
+        base = run_of(name, SafetyMode.ATS_ONLY)
         result.baseline_cycles[name] = None if base is None else base.gpu_cycles
         for mode in SAFETY_MODES:
-            if base is None:
-                result.overheads[mode][name] = None
-                continue
-            try:
-                res = cached_run(name, mode, threading, seed, ops_scale)
-            except Exception:
-                if not allow_partial:
-                    raise
-                result.overheads[mode][name] = None
-                continue
-            result.overheads[mode][name] = runtime_overhead(res, base)
+            res = run_of(name, mode)
+            result.overheads[mode][name] = (
+                None if base is None or res is None else runtime_overhead(res, base)
+            )
     return result

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.experiments.common import cached_run, text_table
+from repro.experiments.common import text_table
 from repro.sim.config import GPUThreading, SafetyMode
 
 from repro.workloads.registry import workload_names
@@ -97,27 +97,20 @@ def run(
 ) -> Fig5Result:
     """Measure border-crossing request rates under Border Control-BCC.
 
-    ``allow_partial`` renders gaps for failed cells instead of aborting;
-    ``journal`` makes the parallel prewarm resumable.
+    The grid runs as one campaign (:func:`repro.sweep.grid_results`);
+    ``allow_partial`` renders gaps for failed cells instead of raising,
+    and a ``journal`` makes the run resumable.
     """
-    if workers is None or workers > 1 or journal is not None:
-        from repro.sweep import prewarm
+    from repro.sweep import grid_results
 
-        prewarm(
-            grid(threading, workloads, seed, ops_scale),
-            workers=workers,
-            journal=journal,
-            allow_partial=allow_partial,
-        )
-    names = workloads or workload_names()
+    cells = grid(threading, workloads, seed, ops_scale)
+    results = grid_results(
+        cells, workers=workers, journal=journal, allow_partial=allow_partial
+    )
     result = Fig5Result(threading=threading)
-    for name in names:
-        try:
-            res = cached_run(name, SafetyMode.BC_BCC, threading, seed, ops_scale)
-        except Exception:
-            if not allow_partial:
-                raise
-            result.requests_per_cycle[name] = None
-            continue
-        result.requests_per_cycle[name] = res.checks_per_cycle
+    for cell in cells:
+        res = results[cell.key()]
+        result.requests_per_cycle[cell.workload] = (
+            None if res is None else res.checks_per_cycle
+        )
     return result

@@ -11,7 +11,9 @@ Reproduction: we record the real (ppn, is_write) stream crossing the
 border during a Border Control-BCC run of each workload, then replay the
 stream through standalone BCC models of every swept geometry. Replaying
 the genuine stream keeps the miss ratio faithful to what the in-system
-BCC would see, without re-simulating the whole machine per point.
+BCC would see, without re-simulating the whole machine per point. Each
+recording run is an ordinary sweep cell: its trace is part of its
+result, so it is cached, journaled and placed on a fleet like any other.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.core.bcc import BCCConfig, BorderControlCache
 from repro.experiments.common import text_table
 from repro.sim.config import GPUThreading, SafetyMode
-from repro.sim.runner import run_single
 from repro.workloads.registry import workload_names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
@@ -93,9 +94,8 @@ def grid(
 ) -> List["Cell"]:
     """The figure's simulation grid: one border-recording run per workload.
 
-    These cells carry ``record_border=True`` so they bypass the disk
-    cache (traces are never cached) and ship the recorded stream back
-    from the worker.
+    These cells carry ``record_border=True``, so each result holds the
+    recorded stream, under its own cache key.
     """
     from repro.sweep import Cell
 
@@ -127,49 +127,27 @@ def run(
 ) -> Fig6Result:
     """Record border streams once per workload, replay over the sweep.
 
-    ``allow_partial`` averages the curves over workloads whose recording
-    run survived instead of aborting. Trace cells are never cached, so a
-    ``journal`` cannot skip them on resume, but it is still threaded to
-    :func:`run_sweep` for uniform interrupt handling.
+    The recording runs are one campaign (:func:`repro.sweep.grid_results`),
+    resumable through a ``journal``. ``allow_partial`` averages the
+    curves over workloads whose recording run survived instead of
+    raising.
     """
-    names = workloads or workload_names()
-    missing: List[str] = []
-    if workers is None or workers > 1 or journal is not None:
-        from repro.sweep import run_sweep
+    from repro.sweep import grid_results
 
-        report = run_sweep(
-            grid(threading, names, seed, ops_scale),
-            workers=workers,
-            journal=journal,
-        )
-        if allow_partial:
-            pairs = report.partial_results()
-            results = [res for _cell, res in pairs]
-            got = {cell.workload for cell, _res in pairs}
-            missing = [name for name in names if name not in got]
-        else:
-            results = report.results
-    else:
-        results = []
-        for name in names:
-            try:
-                results.append(
-                    run_single(
-                        name,
-                        SafetyMode.BC_BCC,
-                        threading,
-                        seed=seed,
-                        ops_scale=ops_scale,
-                        record_border=True,
-                    )
-                )
-            except Exception:
-                if not allow_partial:
-                    raise
-                missing.append(name)
-    streams = [res.border_trace for res in results if res.border_trace]
+    cells = grid(threading, workloads, seed, ops_scale)
+    results = grid_results(
+        cells, workers=workers, journal=journal, allow_partial=allow_partial
+    )
+    traced = {cell.workload: results[cell.key()] for cell in cells}
+    streams = [
+        res.border_trace
+        for res in traced.values()
+        if res is not None and res.border_trace
+    ]
     result = Fig6Result(
-        sizes_bytes=list(sizes_bytes), workloads=list(names), missing=missing
+        sizes_bytes=list(sizes_bytes),
+        workloads=list(traced),
+        missing=[name for name, res in traced.items() if res is None],
     )
     for ppe in pages_per_entry:
         ratios: List[Optional[float]] = []

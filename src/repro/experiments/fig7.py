@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from repro.experiments.common import cached_run, text_table
+from repro.experiments.common import cache_key, text_table
 from repro.sim.clock import TICKS_PER_SECOND
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.workloads.registry import workload_names
@@ -121,39 +121,30 @@ def run(
 ) -> Fig7Result:
     """Measure per-downgrade costs and build the Fig. 7 curves.
 
+    The grid runs as one campaign (:func:`repro.sweep.grid_results`);
     ``allow_partial`` averages each curve over the workloads whose
-    cells survived instead of aborting on the first failure;
-    ``journal`` makes the parallel prewarm resumable.
+    cells survived instead of raising, and a ``journal`` makes the run
+    resumable.
     """
-    if workers is None or workers > 1 or journal is not None:
-        from repro.sweep import prewarm
+    from repro.sweep import grid_results
 
-        prewarm(
-            grid(workloads, injection_interval_cycles, seed, ops_scale),
-            workers=workers,
-            journal=journal,
-            allow_partial=allow_partial,
-        )
-    names = workloads or workload_names()
+    results = grid_results(
+        grid(workloads, injection_interval_cycles, seed, ops_scale),
+        workers=workers,
+        journal=journal,
+        allow_partial=allow_partial,
+    )
     result = Fig7Result(rates=list(rates))
     for mode in MODES:
         result.cost_seconds[mode] = {}
         for threading in (GPUThreading.HIGHLY, GPUThreading.MODERATELY):
             costs: List[float] = []
-            for name in names:
-                try:
-                    plain = cached_run(name, mode, threading, seed, ops_scale)
-                    downgraded = cached_run(
-                        name,
-                        mode,
-                        threading,
-                        seed,
-                        ops_scale,
-                        downgrade_interval_cycles=injection_interval_cycles,
-                    )
-                except Exception:
-                    if not allow_partial:
-                        raise
+            for name in workloads or workload_names():
+                plain, downgraded = (
+                    results[cache_key(name, mode, threading, seed, ops_scale, dgi)]
+                    for dgi in (None, injection_interval_cycles)
+                )
+                if plain is None or downgraded is None:
                     continue  # cell failed: curve averages the survivors
                 if downgraded.downgrades <= 0:
                     continue

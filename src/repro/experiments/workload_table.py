@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.experiments.common import cached_run, text_table
+from repro.experiments.common import text_table
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.sim.runner import RunResult
 from repro.workloads.registry import WORKLOADS, workload_names
@@ -96,26 +96,20 @@ def run(
     allow_partial: bool = False,
     journal=None,
 ) -> WorkloadTable:
-    """``allow_partial`` drops failed workloads from the table with a
-    note instead of aborting; ``journal`` makes the prewarm resumable."""
-    if workers is None or workers > 1 or journal is not None:
-        from repro.sweep import prewarm
+    """The grid runs as one campaign (:func:`repro.sweep.grid_results`);
+    ``allow_partial`` drops failed workloads from the table with a note
+    instead of raising, and a ``journal`` makes the run resumable."""
+    from repro.sweep import grid_results
 
-        prewarm(
-            grid(threading, workloads, seed, ops_scale),
-            workers=workers,
-            journal=journal,
-            allow_partial=allow_partial,
-        )
-    names = workloads or workload_names()
+    cells = grid(threading, workloads, seed, ops_scale)
+    results = grid_results(
+        cells, workers=workers, journal=journal, allow_partial=allow_partial
+    )
     table = WorkloadTable(threading=threading)
-    for name in names:
-        try:
-            table.results[name] = cached_run(
-                name, SafetyMode.BC_BCC, threading, seed, ops_scale
-            )
-        except Exception:
-            if not allow_partial:
-                raise
-            table.missing.append(name)
+    for cell in cells:
+        res = results[cell.key()]
+        if res is None:
+            table.missing.append(cell.workload)
+        else:
+            table.results[cell.workload] = res
     return table

@@ -65,14 +65,14 @@ MAX_EVENTS_PER_JOB = 1000
 # ---------------------------------------------------------------------------
 
 
-def _report_payload(kind, report, key_of) -> Dict[str, Any]:
+def _report_payload(kind, report) -> Dict[str, Any]:
     """The job result fields every campaign kind reports, cell by cell."""
     return {
         "kind": kind.name,
         "cells": [
             {
                 "label": out.label,
-                "key": key_of(out.cell),
+                "key": kind.journal_key(out.cell),
                 "ok": out.ok,
                 "error": out.error,
                 "error_kind": out.error_kind,
@@ -121,7 +121,7 @@ def _execute_sweep(
         should_abort=should_abort,
         fleet=fleet,
     )
-    payload = _report_payload(sweep.SWEEP_CAMPAIGN, report, sweep.Cell.key)
+    payload = _report_payload(sweep.SWEEP_CAMPAIGN, report)
     payload.update(cache_hit_rate=report.cache_hit_rate)
     return payload
 
@@ -165,7 +165,7 @@ def _execute_campaign(
         fleet=fleet,
     )
     verdicts.runs = [out.result for out in report.outcomes if out.ok]
-    payload = _report_payload(kind, report, kind.journal_key)
+    payload = _report_payload(kind, report)
     failures = payload["failures"] + verdicts.invariant_failures()
     payload.update(verdicts.to_dict(), ok=not failures, failures=failures)
     return payload

@@ -215,10 +215,9 @@ class CampaignKind:
     stores. The journal key is ``key_of(cell)`` when given, else
     ``"<name>-"`` plus a hash of the recipe.
 
-    ``cacheable`` is set only for kinds backed by the result cache
-    (sweeps): their ``cell_fn`` returns ``(result, cache_hit)``, and a
-    cell it rejects is a trace cell — journaled without a result, never
-    resumed and never sent to the fleet.
+    ``cached`` marks a kind backed by the result cache (sweeps): its
+    task is ``(cell, fresh)`` and its ``cell_fn`` returns ``(result,
+    cache_hit)``.
     """
 
     name: str
@@ -229,15 +228,15 @@ class CampaignKind:
     to_dict: Callable[[Any], Dict[str, Any]]
     from_dict: Callable[[Dict[str, Any]], Any]
     key_of: Optional[Callable[[Any], str]] = None
-    cacheable: Optional[Callable[[Any], bool]] = None
+    cached: bool = False
 
     def task(self, cell: Any, fresh: bool = False) -> Any:
         """The ``cell_fn`` argument that runs ``cell``, wherever it runs.
 
-        A cacheable kind's task is ``(cell, fresh)``, where ``fresh``
+        A cached kind's task is ``(cell, fresh)``, where ``fresh``
         bypasses the result cache; any other kind's is the cell itself.
         """
-        return (cell, fresh) if self.cacheable is not None else cell
+        return (cell, fresh) if self.cached else cell
 
     def journal_key(self, cell: Any) -> str:
         if self.key_of is not None:
@@ -248,13 +247,9 @@ class CampaignKind:
     def describe(self, cell: Any) -> Dict[str, Any]:
         return {"kind": self.name, "cell": self.recipe_of(cell)}
 
-    def resumable(self, cell: Any) -> bool:
-        """Is this cell's result journaled, so a later run can resume it?"""
-        return self.cacheable is None or self.cacheable(cell)
-
     def split(self, value: Any) -> Tuple[Any, bool]:
         """``(result, cache_hit)`` of one ``cell_fn`` return value."""
-        if self.cacheable is None or value is None:
+        if not self.cached or value is None:
             return value, False
         return value
 

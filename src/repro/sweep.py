@@ -10,10 +10,9 @@ independent *cells*, each a pure function of its parameters:
   cells on a fleet when given one, and runs the rest through
   :func:`fan_out` — in-process for one worker, a supervised pool
   otherwise. A failing cell is reported alike for every worker count.
-* :class:`Cell` — one declarative simulation point. The figure drivers
-  (:mod:`repro.experiments.fig4` … ``fig7``, ``workload_table``) each
-  expose a ``grid(...)`` returning their cells; their ``run(...)``
-  entry points stay serial consumers of the shared result cache.
+* :class:`Cell` — one declarative simulation point; a Fig. 6 cell
+  also records its border trace, which is cached and journaled with
+  the rest of its result.
 * :func:`run_sweep` — :func:`run_campaign` over :class:`Cell` grids,
   adopting the results into the parent's caches. Results are
   **bit-identical** to serial execution: workers run the same
@@ -25,6 +24,10 @@ independent *cells*, each a pure function of its parameters:
   ``System`` between cells: every cell builds a fresh one, on a pool
   worker exactly as in-process. A worker exits when the process that
   owns its pool dies.
+* :func:`grid_results` — a figure as one campaign: the figure drivers
+  (:mod:`repro.experiments.fig4` … ``fig7``, ``workload_table``) each
+  build a ``grid(...)`` of cells and read every result from one
+  :func:`run_sweep`, whatever the worker count or journal.
 * **Checkpoint/resume** — with a :class:`repro.journal.RunJournal`,
   a later run rehydrates completed cells instead of recomputing them
   (``--resume <run-id>``); SIGINT/SIGTERM unwind cleanly, so an
@@ -96,10 +99,10 @@ __all__ = [
     "dedup_cells",
     "fan_out",
     "grid_cells",
+    "grid_results",
     "grid_union",
     "journal_entry",
     "parallel_measurement_validity",
-    "prewarm",
     "resolve_workers",
     "run_campaign",
     "run_sweep",
@@ -141,12 +144,8 @@ class Cell:
             parts.insert(0, self.tag)
         return "/".join(parts)
 
-    @property
-    def cacheable(self) -> bool:
-        """Border traces are never cached; everything else is."""
-        return not self.record_border
-
     def key(self) -> str:
+        """The result-cache key, which is also the run-journal key."""
         return common.cache_key(
             self.workload,
             self.safety,
@@ -154,11 +153,8 @@ class Cell:
             seed=self.seed,
             ops_scale=self.ops_scale,
             downgrade_interval_cycles=self.downgrade_interval_cycles,
+            record_border=self.record_border,
         )
-
-    def journal_key(self) -> str:
-        """The run-journal key (distinguishes trace cells from cached ones)."""
-        return self.key() + ("#trace" if self.record_border else "")
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable parameters, for repro bundles and journals."""
@@ -251,9 +247,7 @@ class SweepReport:
     def partial_results(self) -> List[Tuple[Cell, RunResult]]:
         """Every cell that *did* complete, in grid order.
 
-        The graceful-degradation companion to :attr:`results`: figure
-        drivers and reports use it (via ``--allow-partial``) to render
-        what survived a partially failed sweep instead of aborting.
+        The graceful-degradation companion to :attr:`results`.
         """
         return [
             (out.cell, out.result)
@@ -279,10 +273,9 @@ class SweepReport:
 
     @property
     def cache_hit_rate(self) -> float:
-        cacheable = [out for out in self.outcomes if out.cell.cacheable]
-        if not cacheable:
+        if not self.outcomes:
             return 0.0
-        return sum(out.cache_hit for out in cacheable) / len(cacheable)
+        return sum(out.cache_hit for out in self.outcomes) / len(self.outcomes)
 
     @property
     def sims_per_minute(self) -> float:
@@ -301,9 +294,7 @@ class SweepReport:
         def cache_col(out: CellOutcome) -> str:
             if out.resumed:
                 return "journal"
-            if out.cache_hit:
-                return "hit"
-            return "-" if out.cell.cacheable else "n/c"
+            return "hit" if out.cache_hit else "-"
 
         rows = [
             [
@@ -432,7 +423,7 @@ def _run_cell(task: Tuple[Cell, bool]) -> Tuple[RunResult, bool]:
     workers publishing the same key and misreports either way.
     """
     cell, fresh = task
-    if fresh or not cell.cacheable:
+    if fresh:
         result = run_single(
             cell.workload,
             cell.safety,
@@ -450,6 +441,7 @@ def _run_cell(task: Tuple[Cell, bool]) -> Tuple[RunResult, bool]:
         seed=cell.seed,
         ops_scale=cell.ops_scale,
         downgrade_interval_cycles=cell.downgrade_interval_cycles,
+        record_border=cell.record_border,
     )
     return result, source != "computed"
 
@@ -512,8 +504,8 @@ SWEEP_CAMPAIGN = CampaignKind(
     cell_of=Cell.from_dict,
     to_dict=common._result_to_dict,
     from_dict=common._result_from_dict,
-    key_of=Cell.journal_key,
-    cacheable=lambda cell: cell.cacheable,
+    key_of=Cell.key,
+    cached=True,
 )
 
 
@@ -536,11 +528,10 @@ def journal_entry(kind: CampaignKind, cell: Any, out: TaskOutcome) -> Dict[str, 
     """The journal entry for one cell whose fate ``out`` sealed.
 
     Every campaign kind journals this shape and fleet workers shard it.
-    Failures and trace cells carry no result, so they never resume.
-    Entries from older runs may lack ``attempts`` and ``error_kind``.
+    Failures carry no result, so they never resume. Entries from older
+    runs may lack ``attempts`` and ``error_kind``.
     """
     result, hit = kind.split(out.value)
-    keep = kind.resumable(cell)
     return {
         "label": kind.label_of(cell),
         "ok": out.ok,
@@ -548,9 +539,9 @@ def journal_entry(kind: CampaignKind, cell: Any, out: TaskOutcome) -> Dict[str, 
         "error_kind": out.error_kind,
         "wall_seconds": round(out.wall_seconds, 6),
         "attempts": out.attempts,
-        "cacheable": kind.cacheable is not None and keep,
+        "cacheable": kind.cached,
         "cache_hit": hit,
-        "result": kind.to_dict(result) if result is not None and keep else None,
+        "result": None if result is None else kind.to_dict(result),
     }
 
 
@@ -573,20 +564,19 @@ def run_campaign(
     every other cell still runs. Cells run through :func:`fan_out`:
     in-process for ``workers <= 1``, on a supervised pool otherwise.
     Each runs as ``kind.cell_fn(kind.task(cell, fresh))``; ``fresh``
-    bypasses the result cache of a cacheable kind.
+    bypasses the result cache of a cached kind.
 
     With a ``journal``: worker shards are merged first; retry jitter is
     seeded from the run id, so a resumed run replays identical delays;
     cells with a successful entry come back ``resumed`` without running
-    (``fresh=True`` skips this scan; trace cells are never resumed); and
-    each new cell is journaled as it lands, under the journal's signal
-    guard, so SIGINT/SIGTERM unwind into a resumable run.
+    (``fresh=True`` skips this scan); and each new cell is journaled as
+    it lands, under the journal's signal guard, so SIGINT/SIGTERM unwind
+    into a resumable run.
 
     ``fleet`` (a started :class:`repro.fleet.FleetCoordinator`) runs
-    pending cells of any kind on remote workers first, journaling each
-    result as it arrives; trace cells, whose payload the wire does not
-    carry, and whatever the fleet could not place run locally, all
-    under one ``policy``: a cell fails the same way wherever it ran.
+    pending cells on remote workers first, journaling each result as it
+    arrives; whatever the fleet could not place runs locally, under the
+    same ``policy``: a cell fails the same way wherever it ran.
     ``should_abort`` stops dispatch cooperatively: unfinished cells come
     back as ``aborted`` failures, completed ones stay journaled.
     """
@@ -624,7 +614,7 @@ def run_campaign(
     pending: List[int] = []
     for i, cell in enumerate(cells):
         entry = None
-        if journal is not None and not fresh and kind.resumable(cell):
+        if journal is not None and not fresh:
             entry = journal.completed(kind.journal_key(cell))
         if entry is not None and entry.get("result") is not None:
             result = kind.from_dict(entry["result"])
@@ -635,11 +625,8 @@ def run_campaign(
 
     mode = "serial"
     fleet_stats: Optional[Dict[str, int]] = None
-    fleet_pending = [
-        i for i in pending if fleet is not None and kind.resumable(cells[i])
-    ]
-    if fleet is not None and fleet_pending:
-        fleet_cells = [cells[i] for i in fleet_pending]
+    if fleet is not None and pending:
+        fleet_cells = [cells[i] for i in pending]
         done_lock = threading.Lock()
         done_boxed = [len(cells) - len(pending)]
 
@@ -670,21 +657,18 @@ def run_campaign(
         for local_index, entry in placed.items():
             payload, hit = entry.get("result"), bool(entry.get("cache_hit"))
             result = None if payload is None else kind.from_dict(payload)
-            outcome(fleet_pending[local_index], result, entry, cache_hit=hit)
+            outcome(pending[local_index], result, entry, cache_hit=hit)
         if placed:
             mode = "fleet"
         fleet_stats = fleet.stats_snapshot()
-        pending = sorted(
-            [i for i in pending if not kind.resumable(cells[i])]
-            + [fleet_pending[j] for j in leftovers]
-        )
+        pending = [pending[j] for j in sorted(leftovers)]
 
     if pending:
         task_cells = [cells[i] for i in pending]
         tasks = [kind.task(cell, fresh) for cell in task_cells]
 
         def cell_in(task: Any) -> Any:
-            return task if kind.cacheable is None else task[0]
+            return task[0] if kind.cached else task
 
         def on_outcome(task_index: int, out: TaskOutcome) -> None:
             if journal is not None:
@@ -753,34 +737,29 @@ def run_sweep(
     )
     if not fresh:
         for out in report.outcomes:
-            if out.result is not None and out.cell.cacheable:
+            if out.result is not None:
                 common.store_result(out.cell.key(), out.result)
     return report
 
 
-def prewarm(
+def grid_results(
     cells: Sequence[Cell],
     workers: Optional[int] = None,
-    progress: Optional[ProgressFn] = None,
-    policy: Optional[SupervisorPolicy] = None,
     journal: Optional[RunJournal] = None,
     allow_partial: bool = False,
-) -> SweepReport:
-    """Fan a grid out across cores so later serial reads are cache hits.
+) -> Dict[str, Optional[RunResult]]:
+    """Run a figure's grid through :func:`run_sweep`; each result by cache key.
 
-    This is how the figure drivers parallelize without changing their
-    result-assembly logic: ``run(..., workers=N)`` prewarms the grid,
-    then the existing serial loop consumes memoized results. Raises
-    :class:`~repro.errors.SweepError` if any cell failed — unless
-    ``allow_partial``, in which case the surviving cells are kept and
-    the caller renders explicit gaps for the rest.
+    This is the one way a figure driver gets its cells, for every worker
+    count and with or without a journal, so a cell fails the same way
+    however the figure ran. Raises :class:`~repro.errors.SweepError` if
+    any cell failed — unless ``allow_partial``, in which case a failed
+    cell's result is ``None`` and the driver renders it as a gap.
     """
-    report = run_sweep(
-        cells, workers=workers, progress=progress, policy=policy, journal=journal
-    )
+    report = run_sweep(cells, workers=workers, journal=journal)
     if not allow_partial:
         report.raise_failures()
-    return report
+    return {out.cell.key(): out.result for out in report.outcomes}
 
 
 # ---------------------------------------------------------------------------
@@ -871,14 +850,11 @@ def dedup_cells(cells: Sequence[Cell]) -> List[Cell]:
 
     Figure grids overlap (fig4's BC-BCC cells are fig5's whole grid);
     when sweeping a union, running each key once is enough — every
-    consumer reads the shared cache. Uncacheable cells are kept as-is.
+    consumer reads the shared cache.
     """
     seen = set()
     unique: List[Cell] = []
     for cell in cells:
-        if not cell.cacheable:
-            unique.append(cell)
-            continue
         key = cell.key()
         if key not in seen:
             seen.add(key)

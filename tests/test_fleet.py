@@ -26,7 +26,7 @@ import pytest
 
 from repro import sweep
 from repro.errors import FleetError
-from repro.experiments import common
+from repro.experiments import common, fig6
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.fleet import FleetCoordinator, FleetWorker, chaos_plan, protocol
 from repro.fleet.coordinator import _Campaign, _Lease, _WorkerState
@@ -627,23 +627,15 @@ class TestWorkerLeases:
 
     def test_successful_cell_is_memoized_for_duplicate_assigns(self):
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)
-        traced = sweep.Cell(
-            workload="bfs",
-            safety=SafetyMode.ATS_ONLY,
-            threading=GPUThreading.MODERATELY,
-            ops_scale=SCALE,
-            seed=1,
-            record_border=True,  # non-cacheable: no payload serialization
-        )
         worker._kind = SWEEP_CAMPAIGN
-        worker._cells = (traced,)
+        worker._cells = tuple(_cells(1))
         worker._sem = asyncio.Semaphore(1)
         worker._transport = transport = _AsyncCaptureTransport()
         calls = []
 
         async def fake_compute(index):
             calls.append(index)
-            return ((object(), False), None, 0.01, None)
+            return ((None, False), None, 0.01, None)  # ok, no payload to encode
 
         worker._compute = fake_compute
         self._drive(
@@ -999,32 +991,23 @@ class TestRunSweepFleet:
         _, mismatches = sweep.verify_identical(cells, report)
         assert mismatches == []
 
-    def test_trace_cells_stay_local_under_fleet(self):
-        cells = _cells(2) + [
-            sweep.Cell(
-                workload="bfs",
-                safety=SafetyMode.ATS_ONLY,
-                threading=GPUThreading.MODERATELY,
-                ops_scale=SCALE,
-                seed=1234,
-                record_border=True,
-            )
-        ]
+    def test_trace_cells_ride_the_fleet(self):
+        cells = fig6.grid(
+            GPUThreading.MODERATELY, workloads=["bfs", "nn"], ops_scale=SCALE
+        )
         with FleetCoordinator(heartbeat_seconds=0.2) as coord:
             worker, thread = _spawn_worker_thread(coord, "w1", slots=2)
             try:
                 report = sweep.run_sweep(cells, workers=1, fleet=coord)
             finally:
                 _join_worker(worker, thread)
-        assert report.ok
-        traced_out = report.outcomes[2]
-        assert traced_out.cell.record_border
-        # The trace payload is not wire-serializable; a fleet execution
-        # would have silently returned result=None.
-        assert traced_out.result is not None
-        # The cacheable cells did ride the fleet.
+        assert report.ok and report.mode == "fleet"
         assert report.fleet is not None
-        assert report.fleet["results"] == 2
+        assert report.fleet["results"] == len(cells)
+        # The traces crossed the wire intact: equal to a serial run's.
+        assert all(out.result.border_trace for out in report.outcomes)
+        _, mismatches = sweep.verify_identical(cells, report)
+        assert mismatches == []
 
     def test_workerless_fleet_falls_back_to_local_pool(self):
         cells = _cells(2)

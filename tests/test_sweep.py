@@ -6,7 +6,8 @@ dir), serial/parallel bit-identity, the bench snapshot schema, and the
 crash-tolerance story: supervised recovery from SIGKILL'd workers and
 transient failures with results field-identical to serial execution,
 journaled checkpoint/resume with zero recompute, graceful partial
-degradation of the figure drivers, and the pool workers' lifecycle: no
+degradation of the figure drivers, which run every grid as one campaign
+whatever the worker count, and the pool workers' lifecycle: no
 ``System`` kept between cells, one pool shared by consecutive sweeps,
 and no life after a SIGKILLed owner.
 """
@@ -30,7 +31,7 @@ import pytest
 
 from repro import supervisor, sweep
 from repro.errors import SimulationIncompleteError, SweepError, TransientCellError
-from repro.experiments import common, fig4
+from repro.experiments import common, fig4, fig5, fig6, fig7
 from repro.journal import RunJournal, journal_dir, list_runs
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.sim.engine import Engine
@@ -59,6 +60,22 @@ def _bfs_cell(**overrides):
     )
     params.update(overrides)
     return sweep.Cell(**params)
+
+
+def _figure(name: str, workers: int):
+    """One figure at ``SCALE``: the data its ``render()`` shows."""
+    if name == "fig4":
+        result = fig4.run(
+            GPUThreading.MODERATELY, workloads=["bfs"], ops_scale=SCALE,
+            workers=workers,
+        )
+        return result.overheads, result.baseline_cycles
+    if name == "fig6":  # two workloads, so the pool gets two trace cells
+        return fig6.run(
+            workloads=["bfs", "nn"], threading=GPUThreading.MODERATELY,
+            ops_scale=SCALE, workers=workers,
+        ).miss_ratio
+    return fig7.run(workloads=["bfs"], ops_scale=SCALE, workers=workers).cost_seconds
 
 
 def _race_worker(cache_dir: str, queue) -> None:
@@ -189,13 +206,11 @@ class TestSweepDeterminism:
                 ser_out.result
             )
 
-    def test_fig4_run_parallel_matches_serial(self):
-        kwargs = dict(workloads=["bfs"], ops_scale=SCALE)
-        par = fig4.run(GPUThreading.MODERATELY, workers=2, **kwargs)
+    @pytest.mark.parametrize("figure", ["fig4", "fig6", "fig7"])
+    def test_figure_run_parallel_matches_serial(self, figure):
+        par = _figure(figure, workers=2)
         common.clear_cache(disk=True)
-        ser = fig4.run(GPUThreading.MODERATELY, **kwargs)
-        assert par.overheads == ser.overheads
-        assert par.baseline_cycles == ser.baseline_cycles
+        assert _figure(figure, workers=1) == par
 
     def test_sweep_populates_shared_cache(self):
         cells = [_bfs_cell()]
@@ -204,6 +219,16 @@ class TestSweepDeterminism:
         again = sweep.run_sweep(cells, workers=2)
         assert again.cache_hit_rate == 1.0
         assert again.outcomes[0].result.ticks == report.outcomes[0].result.ticks
+
+    def test_fig6_repeat_sweep_is_all_cache_hits(self, tmp_path):
+        from repro.cli import main
+
+        argv = [
+            "sweep", "--grid", "fig6", "--quick", "--workloads", "bfs",
+            "--bench-repeat", "--min-cache-hit-rate", "1.0",
+            "--bench-out", str(tmp_path / "BENCH_sweep.json"),
+        ]
+        assert main(argv) == 0
 
 
 class TestSweepMechanics:
@@ -221,12 +246,12 @@ class TestSweepMechanics:
         with pytest.raises(SweepError):
             report.raise_failures()
 
-    def test_dedup_cells_by_key_keeps_uncacheable(self):
+    def test_dedup_cells_by_key(self):
         a = _bfs_cell(tag="fig4")
         b = _bfs_cell(tag="fig5")  # tag not part of the cache key
-        traced = _bfs_cell(record_border=True)
+        traced = _bfs_cell(record_border=True)  # its own key: result + trace
         unique = sweep.dedup_cells([a, b, traced, traced])
-        assert unique == [a, traced, traced]
+        assert unique == [a, traced]
 
     def test_grid_cells_all_names(self):
         for name in sweep.GRID_NAMES:
@@ -450,14 +475,29 @@ class TestJournalResume:
         _serial, mismatches = sweep.verify_identical(cells, resumed)
         assert mismatches == []
 
-    def test_trace_cells_never_resume(self):
-        traced = _bfs_cell(record_border=True)
+    def test_trace_cells_resume_with_identical_traces(self, monkeypatch):
+        cells = fig6.grid(
+            GPUThreading.MODERATELY, workloads=["bfs", "nn"], ops_scale=SCALE
+        )
         with RunJournal.create("test-trace") as journal:
-            first = sweep.run_sweep([traced], workers=1, journal=journal)
-            assert first.ok
-            again = sweep.run_sweep([traced], workers=1, journal=journal)
-        assert again.resumed_cells == 0  # payload deliberately not persisted
-        assert again.ok
+            first = sweep.run_sweep(cells, workers=2, journal=journal)
+        assert first.ok
+
+        executed = []
+        real_fan_out = sweep.fan_out
+
+        def spying_fan_out(fn, tasks, **kwargs):
+            executed.extend(tasks)
+            return real_fan_out(fn, tasks, **kwargs)
+
+        monkeypatch.setattr(sweep, "fan_out", spying_fan_out)
+        common.clear_cache(disk=True)  # journal, not cache, must rehydrate
+        with RunJournal.open("test-trace") as journal:
+            again = sweep.run_sweep(cells, workers=2, journal=journal)
+        assert again.resumed_cells == len(cells) and executed == []
+        assert all(out.result.border_trace for out in again.outcomes)
+        _serial, mismatches = sweep.verify_identical(cells, again)
+        assert mismatches == []
 
     def test_failed_entries_reexecute_on_resume(self):
         bad = _bfs_cell(workload="no-such-workload")
@@ -467,7 +507,7 @@ class TestJournalResume:
                 policy=SupervisorPolicy(retries=0),
             )
             assert not first.ok
-            assert journal.completed(bad.journal_key()) is None
+            assert journal.completed(bad.key()) is None
             again = sweep.run_sweep(
                 [bad], workers=1, journal=journal,
                 policy=SupervisorPolicy(retries=0),
@@ -578,7 +618,7 @@ class TestGracefulDegradation:
 
         monkeypatch.setattr(common, "run_single", failing_run_single)
         kwargs = dict(workloads=["bfs", "hotspot"], ops_scale=SCALE, workers=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(SweepError, match="injected driver failure"):
             fig4.run(GPUThreading.MODERATELY, **kwargs)
         result = fig4.run(GPUThreading.MODERATELY, allow_partial=True, **kwargs)
         assert not result.complete
@@ -588,12 +628,44 @@ class TestGracefulDegradation:
         rendered = result.render()
         assert "—" in rendered and "PARTIAL" in rendered
 
-    def test_prewarm_allow_partial_does_not_raise(self):
+    def test_grid_results_allow_partial_does_not_raise(self):
         cells = [_bfs_cell(), _bfs_cell(workload="no-such-workload")]
         with pytest.raises(SweepError):
-            sweep.prewarm(cells, workers=1)
-        report = sweep.prewarm(cells, workers=1, allow_partial=True)
-        assert report.completion_rate == pytest.approx(0.5)
+            sweep.grid_results(cells, workers=1)
+        results = sweep.grid_results(cells, workers=1, allow_partial=True)
+        assert results[cells[0].key()] is not None
+        assert results[cells[1].key()] is None
+
+    def test_same_failure_at_every_worker_count(self, capsys):
+        """A figure with a bad workload fails as a campaign does: exit 1
+        and one ``FAIL`` line, serially, on the pool and journaled."""
+        from repro.cli import main
+
+        first_fail = []
+        for flags in ([], ["--workers", "2"], ["--run-id", "fig5-nosuch"]):
+            argv = ["fig5", "--quick", "--workloads", "bfs", "nosuch", *flags]
+            assert main(argv) == 1, flags
+            err = capsys.readouterr().err.splitlines()
+            first_fail.append(next(line for line in err if line.startswith("FAIL")))
+        assert first_fail[0].startswith("FAIL fig5/nosuch/")
+        assert first_fail == [first_fail[0]] * 3
+
+    def test_no_cell_runs_after_its_campaign_returns(self, monkeypatch):
+        """The pool's failed cell is not run again in this process, and
+        the gap renders as it does serially."""
+        here, pid = [], os.getpid()
+
+        def spying_run_single(workload, *args, **kwargs):
+            if os.getpid() == pid:
+                here.append(workload)
+            return _REAL_RUN_SINGLE(workload, *args, **kwargs)
+
+        monkeypatch.setattr(common, "run_single", spying_run_single)
+        kwargs = dict(workloads=["bfs", "nosuch"], ops_scale=0.05, allow_partial=True)
+        pooled = fig5.run(workers=2, **kwargs)
+        assert "nosuch" not in here
+        assert pooled.requests_per_cycle["nosuch"] is None
+        assert pooled.render() == fig5.run(workers=1, **kwargs).render()
 
     def test_write_bench_atomic_with_supervisor_counters(self, tmp_path):
         report = sweep.run_sweep([_bfs_cell()], workers=1)

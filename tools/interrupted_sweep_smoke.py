@@ -3,8 +3,9 @@
 
 Drives the real CLI end to end through the crash-tolerance story:
 
-1. Start a 2-worker journaled sweep (``--run-id``) in a subprocess with
-   a cold, private cache dir.
+1. Start a 2-worker journaled sweep (``--run-id``) of the fig6 and fig4
+   grids in a subprocess with a cold, private cache dir. fig6's cells
+   record border traces, so the resume below covers trace cells too.
 2. Poll the run journal until a few cells have checkpointed, then
    deliver SIGTERM mid-run. The CLI must exit 130 with a resume hint.
 3. Wipe the result cache (keeping the journal) so resumed results can
@@ -40,6 +41,7 @@ SWEEP_ARGS = [
     "repro.cli",
     "sweep",
     "--grid",
+    "fig6",
     "fig4",
     "--workloads",
     "bfs",
