@@ -24,7 +24,7 @@ Table latencies lives in :mod:`repro.accel.border_port`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.core.bcc import BCCConfig, BorderControlCache
 from repro.core.permissions import Perm
@@ -33,6 +33,7 @@ from repro.errors import BorderControlViolation, ConfigurationError
 from repro.mem.address import PAGE_SHIFT
 from repro.mem.phys_memory import PhysicalMemory
 from repro.sim.stats import StatDomain
+from repro.sim.tracing import Events
 from repro.vm.frame_allocator import FrameAllocator
 
 __all__ = ["AccessDecision", "BorderControl", "ViolationRecord"]
@@ -68,13 +69,6 @@ class ViolationRecord:
         return f"{self.accel_id}: blocked {kind} at {self.paddr:#x} ({why})"
 
 
-ViolationHandler = Callable[[ViolationRecord], None]
-
-#: Observation hook signature: (paddr, write, decision). Fired on every
-#: border check — allowed or not — so a lockstep verifier can compare the
-#: engine's decision stream against an abstract reference monitor.
-DecisionHandler = Callable[[int, bool, AccessDecision], None]
-
 #: Interned :class:`AccessDecision` instances. The type is frozen and has
 #: only a handful of distinct values (allowed x perms x bcc_hit x oob), so
 #: the hot check path reuses singletons instead of allocating a dataclass
@@ -94,7 +88,11 @@ def _decision(
 
 
 class BorderControl:
-    """Sandboxes one accelerator's memory traffic."""
+    """Sandboxes one accelerator's memory traffic.
+
+    It emits on ``events``, its machine's stream: a ``decision`` for every
+    check and a ``violation`` for every block.
+    """
 
     def __init__(
         self,
@@ -105,6 +103,7 @@ class BorderControl:
         stats: Optional[StatDomain] = None,
         strict: bool = False,
         table_kind: str = "flat",
+        events: Optional[Events] = None,
     ) -> None:
         if table_kind not in ("flat", "sparse"):
             raise ConfigurationError(
@@ -129,10 +128,10 @@ class BorderControl:
         # are rejected without touching the Protection Table.
         self.epoch = 0
         self.violations: List[ViolationRecord] = []
-        self._handlers: List[ViolationHandler] = []
-        # Decision observers (repro.verify): empty in production, so the
-        # hot check path pays one falsy test and nothing else.
-        self._decision_hooks: List[DecisionHandler] = []
+        self.events = events if events is not None else Events()
+        # Held so the hot check path pays one falsy test and nothing else
+        # while no one observes decisions.
+        self._decided = self.events.subscribers("decision")
         self._checks = self.stats.counter("checks")
         self._read_checks = self.stats.counter("read_checks")
         self._write_checks = self.stats.counter("write_checks")
@@ -143,24 +142,6 @@ class BorderControl:
         self._stale_rejections = self.stats.counter("stale_epoch_rejections")
 
     # -- OS interface ------------------------------------------------------
-
-    def on_violation(self, handler: ViolationHandler) -> None:
-        """Register an OS notification handler (kill process / disable accel)."""
-        self._handlers.append(handler)
-
-    def off_violation(self, handler: ViolationHandler) -> None:
-        """Unregister a handler :meth:`on_violation` installed."""
-        self._handlers.remove(handler)
-
-    def on_decision(self, handler: DecisionHandler) -> None:
-        """Observe every allow/deny decision this engine makes.
-
-        The hook fires synchronously inside :meth:`check` with the same
-        ``(paddr, write, decision)`` the caller sees; it charges no
-        simulated time, so a lockstep verifier can shadow the engine
-        without perturbing any experiment's timing.
-        """
-        self._decision_hooks.append(handler)
 
     @property
     def active(self) -> bool:
@@ -247,7 +228,11 @@ class BorderControl:
     # -- (c) accelerator memory request ---------------------------------------------
 
     def check(self, paddr: int, write: bool) -> AccessDecision:
-        """Check one border crossing; blocks and notifies the OS on failure."""
+        """Check one border crossing; blocks and notifies the OS on failure.
+
+        Every check is a ``decision`` event, with the decision the caller
+        sees; a blocked one is also a ``violation`` event, after it.
+        """
         table = self._require_table()
         self._checks.value += 1
         if write:
@@ -257,9 +242,8 @@ class BorderControl:
         ppn = paddr >> PAGE_SHIFT
         if not table.covers(ppn):
             decision = _decision(False, Perm.NONE, bcc_hit=False, out_of_bounds=True)
-            if self._decision_hooks:
-                for hook in self._decision_hooks:
-                    hook(paddr, write, decision)
+            if self._decided:
+                self.events.emit("decision", self.accel_id, paddr, write, decision)
             self._report(paddr, write, decision)
             return decision
         if self.bcc is not None:
@@ -270,9 +254,8 @@ class BorderControl:
             hit, perms = False, table.get(ppn)
             self._pt_accesses.value += 1
         decision = _decision(perms.allows(write), perms, hit)
-        if self._decision_hooks:
-            for hook in self._decision_hooks:
-                hook(paddr, write, decision)
+        if self._decided:
+            self.events.emit("decision", self.accel_id, paddr, write, decision)
         if not decision.allowed:
             self._report(paddr, write, decision)
         return decision
@@ -287,8 +270,7 @@ class BorderControl:
         )
         self.violations.append(record)
         self._violation_count.inc()
-        for handler in self._handlers:
-            handler(record)
+        self.events.emit("violation", record)
         if self.strict:
             raise BorderControlViolation(paddr, write, self.accel_id)
 

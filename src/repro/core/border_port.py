@@ -33,7 +33,7 @@ from typing import Callable, Generator, Optional
 
 from repro.core.border_control import BorderControl
 from repro.errors import BorderTimeoutError
-from repro.mem.address import BLOCK_SIZE, PAGE_SHIFT
+from repro.mem.address import BLOCK_SIZE
 from repro.mem.dram import DRAM
 from repro.mem.port import MemoryPort
 from repro.sim.engine import Engine, TIMEOUT
@@ -92,9 +92,6 @@ class BorderControlPort(MemoryPort):
         self._retries = stats.counter("retries")
         self._abandoned = stats.counter("abandoned")
         self._stale_rejected = stats.counter("stale_epoch_rejections")
-        # Optional trace of (ppn, is_write) crossings, used by the Fig. 6
-        # BCC sensitivity sweep to replay real border streams offline.
-        self.ppn_recorder: Optional[list] = None
 
     def _check_delay(self, bcc_hit: bool) -> int:
         """Latency of the permission lookup; PT reads also consume DRAM
@@ -153,8 +150,6 @@ class BorderControlPort(MemoryPort):
         if not self.bc.admit_epoch(epoch):
             self._stale_rejected.inc()
             return None
-        if self.ppn_recorder is not None:
-            self.ppn_recorder.append((addr >> PAGE_SHIFT, write))
         decision = self.bc.check(addr, write)
         # The paper's whole point (§5.2.2): a BCC hit must be nearly free.
         # Mirror that on the host side — a hit charges the constant BCC

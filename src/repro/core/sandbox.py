@@ -9,14 +9,15 @@ touches. This is the "one Protection Table per active accelerator" rule of
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.bcc import BCCConfig
-from repro.core.border_control import BorderControl, ViolationRecord
+from repro.core.border_control import BorderControl
 from repro.core.permissions import Perm
 from repro.errors import ConfigurationError
 from repro.mem.phys_memory import PhysicalMemory
 from repro.sim.stats import StatDomain
+from repro.sim.tracing import Events
 from repro.vm.frame_allocator import FrameAllocator
 
 __all__ = ["SandboxManager"]
@@ -33,17 +34,19 @@ class SandboxManager:
         stats: Optional[StatDomain] = None,
         strict: bool = False,
         table_kind: str = "flat",
+        events: Optional[Events] = None,
     ) -> None:
         self.phys = phys
         self.allocator = allocator
         self.bcc_config = bcc_config
         self.strict = strict
         self.table_kind = table_kind
+        # The machine's stream, shared by every sandbox created here.
+        self.events = events if events is not None else Events()
         self.stats = stats or StatDomain("sandboxes")
         self._sandboxes: Dict[str, BorderControl] = {}
         # asid -> accelerator ids it currently runs on
         self._placements: Dict[int, Set[str]] = {}
-        self._violation_handlers: List[Callable[[ViolationRecord], None]] = []
 
     # -- registry ----------------------------------------------------------
 
@@ -59,9 +62,8 @@ class SandboxManager:
                 stats=self.stats.child(accel_id),
                 strict=self.strict,
                 table_kind=self.table_kind,
+                events=self.events,
             )
-            for handler in self._violation_handlers:
-                sandbox.on_violation(handler)
             self._sandboxes[accel_id] = sandbox
         return sandbox
 
@@ -69,18 +71,6 @@ class SandboxManager:
         """The Border Control guarding an accelerator, or None if one was
         never created (unlike :meth:`border_control_for`, never creates)."""
         return self._sandboxes.get(accel_id)
-
-    def on_violation(self, handler: Callable[[ViolationRecord], None]) -> None:
-        """Install an OS handler on every current and future sandbox."""
-        self._violation_handlers.append(handler)
-        for sandbox in self._sandboxes.values():
-            sandbox.on_violation(handler)
-
-    def off_violation(self, handler: Callable[[ViolationRecord], None]) -> None:
-        """Remove a handler :meth:`on_violation` installed, from every sandbox."""
-        self._violation_handlers.remove(handler)
-        for sandbox in self._sandboxes.values():
-            sandbox.off_violation(handler)
 
     # -- process lifecycle ----------------------------------------------------
 

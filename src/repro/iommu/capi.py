@@ -11,13 +11,14 @@ accelerator L1s (the "longer TLB and cache access times" of §2.3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, List, Optional
+from typing import Generator, Iterable, List, Optional
 
 from repro.iommu.ats import ATS
-from repro.iommu.iommu import IOMMUViolation
+from repro.iommu.iommu import FullIOMMUPath, IOMMUViolation
 from repro.mem.address import BLOCK_SIZE
 from repro.mem.cache import Cache
 from repro.sim.stats import StatDomain
+from repro.sim.tracing import Events
 
 __all__ = ["CAPILikePath"]
 
@@ -28,7 +29,8 @@ class CAPILikePath:
     It is the accelerator's whole memory path (Table 2's CAPI-like row:
     no private structures), with the path interface of
     :class:`~repro.accel.paths.CachedHierarchyPath`; ``accel_id`` names
-    the accelerator whose requests it carries.
+    the accelerator whose requests it carries. A refused request is a
+    ``violation`` on ``events``, the machine's stream.
     """
 
     def __init__(
@@ -38,6 +40,7 @@ class CAPILikePath:
         link_latency_ticks: int,
         stats: Optional[StatDomain] = None,
         accel_id: str = "gpu0",
+        events: Optional[Events] = None,
     ) -> None:
         self.accel_id = accel_id
         self.ats = ats
@@ -47,13 +50,7 @@ class CAPILikePath:
         self._requests = self.stats.counter("requests")
         self._blocked = self.stats.counter("blocked")
         self.violations: List[IOMMUViolation] = []
-        self._handlers: List[Callable[[IOMMUViolation], None]] = []
-
-    def on_violation(self, handler: Callable[[IOMMUViolation], None]) -> None:
-        self._handlers.append(handler)
-
-    def off_violation(self, handler: Callable[[IOMMUViolation], None]) -> None:
-        self._handlers.remove(handler)
+        self.events = events if events is not None else Events()
 
     def mem_op(
         self,
@@ -113,10 +110,5 @@ class CAPILikePath:
             written += yield from self.trusted_l2.flush_page(ppn)
         return written
 
-    def _block(self, accel_id: str, vaddr: int, write: bool, reason: str) -> None:
-        self._blocked.inc()
-        violation = IOMMUViolation(accel_id, vaddr, write, reason)
-        self.violations.append(violation)
-        for handler in self._handlers:
-            handler(violation)
-        return None
+    # A refusal is logged and reported exactly as the full IOMMU does it.
+    _block = FullIOMMUPath._block

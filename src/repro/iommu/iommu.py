@@ -12,12 +12,15 @@ DRAM round trip — the configuration whose overhead Fig. 4 shows at 374%
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, List, Optional
+from typing import Generator, Iterable, List, Optional
 
+from repro.core.border_control import ViolationRecord
+from repro.core.permissions import Perm
 from repro.iommu.ats import ATS
 from repro.mem.address import BLOCK_SIZE
 from repro.mem.port import MemoryPort
 from repro.sim.stats import StatDomain
+from repro.sim.tracing import Events
 
 __all__ = ["FullIOMMUPath", "IOMMUViolation"]
 
@@ -31,6 +34,13 @@ class IOMMUViolation:
     write: bool
     reason: str
 
+    def record(self) -> ViolationRecord:
+        """What the OS learns. The request never translated, so no
+        physical address exists: the record's ``paddr`` is the vaddr."""
+        return ViolationRecord(
+            self.accel_id, self.vaddr, self.write, False, Perm.NONE
+        )
+
 
 class FullIOMMUPath:
     """Accelerator memory interface: translate + check every request.
@@ -38,7 +48,8 @@ class FullIOMMUPath:
     It is the accelerator's whole memory path (Table 2's full-IOMMU row:
     no accelerator TLBs or caches), with the path interface of
     :class:`~repro.accel.paths.CachedHierarchyPath`; ``accel_id`` names
-    the accelerator whose requests it carries.
+    the accelerator whose requests it carries. A refused request is a
+    ``violation`` on ``events``, the machine's stream.
     """
 
     def __init__(
@@ -48,6 +59,7 @@ class FullIOMMUPath:
         processing_latency_ticks: int,
         stats: Optional[StatDomain] = None,
         accel_id: str = "gpu0",
+        events: Optional[Events] = None,
     ) -> None:
         self.accel_id = accel_id
         self.ats = ats
@@ -57,13 +69,7 @@ class FullIOMMUPath:
         self._requests = self.stats.counter("requests")
         self._blocked = self.stats.counter("blocked")
         self.violations: List[IOMMUViolation] = []
-        self._handlers: List[Callable[[IOMMUViolation], None]] = []
-
-    def on_violation(self, handler: Callable[[IOMMUViolation], None]) -> None:
-        self._handlers.append(handler)
-
-    def off_violation(self, handler: Callable[[IOMMUViolation], None]) -> None:
-        self._handlers.remove(handler)
+        self.events = events if events is not None else Events()
 
     def mem_op(
         self,
@@ -131,6 +137,5 @@ class FullIOMMUPath:
         self._blocked.inc()
         violation = IOMMUViolation(accel_id, vaddr, write, reason)
         self.violations.append(violation)
-        for handler in self._handlers:
-            handler(violation)
+        self.events.emit("violation", violation.record())
         return None

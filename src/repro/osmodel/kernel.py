@@ -19,7 +19,7 @@ serves both functional tests and the timed Fig. 7 downgrade experiment.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
 from repro.core.bcc import BCCConfig
 from repro.core.border_control import BorderControl, ViolationRecord
@@ -31,6 +31,7 @@ from repro.mem.phys_memory import PhysicalMemory
 from repro.osmodel.process import Process, ProcessState, VMArea
 from repro.sim.engine import Engine
 from repro.sim.stats import StatDomain
+from repro.sim.tracing import Events
 from repro.vm.frame_allocator import FrameAllocator
 from repro.vm.page_table import PageTable
 
@@ -72,14 +73,19 @@ class Kernel:
         # a VMM-private one for Protection Tables (paper §3.4.2).
         self.allocator = allocator or FrameAllocator(phys)
         self.stats = stats or StatDomain("kernel")
+        # The machine's one event stream (repro.sim.tracing). The
+        # violation policy subscribes first, so its sanction runs before
+        # any observer sees the violation.
+        self.events = Events()
+        self.events.subscribe("violation", self._on_violation)
         self.sandboxes = SandboxManager(
             phys,
             sandbox_allocator or self.allocator,
             bcc_config=bcc_config,
             stats=self.stats.child("sandboxes"),
             strict=strict_sandbox,
+            events=self.events,
         )
-        self.sandboxes.on_violation(self._on_violation)
         self.violation_policy = violation_policy
         self.selective_downgrade = selective_downgrade
         self.processes: Dict[int, Process] = {}
@@ -108,10 +114,6 @@ class Kernel:
         self.violation_storm_threshold: int = 0
         self._quarantine_until: Dict[str, int] = {}
         self._quarantine_strikes: Dict[str, int] = {}
-        # Lifecycle observers (repro.verify): called synchronously with
-        # (event, accel_id, info) on quarantine / storm-kill / readmit /
-        # reset transitions. Empty in production — one falsy test per event.
-        self._lifecycle_hooks: List[Callable[[str, str, Dict[str, object]], None]] = []
         self._downgrade_count = self.stats.counter("downgrades")
         self._quarantine_count = self.stats.counter("quarantines")
         self._permanent_quarantines = self.stats.counter("permanent_quarantines")
@@ -370,25 +372,6 @@ class Kernel:
         self._run(self.downgrade_process_g(proc))
 
     # ------------------------------------------------------------------
-    # lifecycle observation (repro.verify)
-    # ------------------------------------------------------------------
-
-    def on_lifecycle(self, handler: Callable[[str, str, Dict[str, object]], None]) -> None:
-        """Observe accelerator lifecycle transitions without perturbing them.
-
-        Events: ``quarantine`` (info: strikes, permanent), ``storm-kill``
-        (info: pid), ``readmit``, ``reset`` (info: epoch). Handlers run
-        synchronously after the kernel state change and charge no
-        simulated time.
-        """
-        self._lifecycle_hooks.append(handler)
-
-    def _emit_lifecycle(self, event: str, accel_id: str, **info: object) -> None:
-        if self._lifecycle_hooks:
-            for hook in self._lifecycle_hooks:
-                hook(event, accel_id, info)
-
-    # ------------------------------------------------------------------
     # page faults, copy-on-write, swap
     # ------------------------------------------------------------------
 
@@ -628,6 +611,9 @@ class Kernel:
             self._quarantine_until[accel_id] = -1
         self._emit_lifecycle("quarantine", accel_id, strikes=strikes, permanent=False)
         return True
+
+    def _emit_lifecycle(self, event: str, accel_id: str, **info: object) -> None:
+        self.events.emit("lifecycle", event, accel_id, info)
 
     def is_quarantined(self, accel_id: str) -> bool:
         until = self._quarantine_until.get(accel_id)

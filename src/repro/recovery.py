@@ -145,7 +145,6 @@ class RecoveryManager:
         system: System,
         policy: RecoveryPolicy = RecoveryPolicy(),
         replay_hook=None,
-        observer=None,
     ) -> None:
         self.system = system
         self.policy = policy
@@ -153,10 +152,6 @@ class RecoveryManager:
         # reset-replay scenario uses it to drain recorded writebacks at
         # the stale epoch (all of which must die at the fence).
         self.replay_hook = replay_hook
-        # Stage observer (repro.verify): called with (stage, info) at each
-        # step of the detect → contain → recover → degrade pipeline
-        # ("reset", "relaunch", "retry", "outcome"). Pure observation.
-        self.observer = observer
         self.backoff_ticks = system.gpu_clock.cycles_to_ticks(
             policy.retry_backoff_cycles
         )
@@ -171,8 +166,9 @@ class RecoveryManager:
         self.launch_active = False
 
     def _observe(self, stage: str, **info) -> None:
-        if self.observer is not None:
-            self.observer(stage, info)
+        """Emit one step of the detect → contain → recover → degrade
+        pipeline as a ``recovery`` event on the machine's stream."""
+        self.system.events.emit("recovery", stage, info)
 
     # The recovery loop is a simulation generator so retries, backoff
     # waits, and the fallback execution all consume simulated time and
@@ -381,7 +377,6 @@ def run_recovery_single(
     storm_threshold: int = 3,
     tenant_tolerance: float = 8.0,
     max_stalled_fires: int = 8,
-    observer=None,
 ) -> RecoveryRunResult:
     """One seeded end-to-end recovery run.
 
@@ -490,7 +485,6 @@ def run_recovery_single(
             system,
             policy,
             replay_hook=post_reset_hooks.get(scenario),
-            observer=observer,
         )
 
         resolved = [False]

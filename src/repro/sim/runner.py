@@ -17,6 +17,7 @@ from typing import List, Optional
 
 from repro.accel.gpu import KernelTrace
 from repro.errors import SimulationIncompleteError
+from repro.mem.address import PAGE_SHIFT
 from repro.sim.config import GPUThreading, SafetyMode, SystemConfig
 from repro.sim.system import System
 from repro.workloads.base import WorkloadSpec, generate_trace
@@ -113,10 +114,11 @@ def run_single(
     """Run one workload on one configuration; returns its measurements.
 
     ``record_border`` captures the (ppn, is_write) stream crossing the
-    border (Fig. 6 replays it); ``downgrade_interval_cycles`` injects a
-    full permission downgrade — the Fig. 7 event — every N GPU cycles
-    while the kernel runs. The cell's :class:`System` is closed on
-    return, so reference counting frees it there.
+    border, as a ``decision`` subscriber (Fig. 6 replays it);
+    ``downgrade_interval_cycles`` injects a full permission downgrade —
+    the Fig. 7 event — every N GPU cycles while the kernel runs. The
+    cell's :class:`System` is closed on return, so reference counting
+    frees it there.
     """
     spec = spec or get_workload(workload)
     cfg = (config or SystemConfig()).with_safety(safety).with_threading(threading)
@@ -136,7 +138,11 @@ def run_single(
         border_trace = None
         if record_border and system.border_port is not None:
             border_trace = []
-            system.border_port.ppn_recorder = border_trace
+
+            def record_crossing(accel_id, paddr, write, decision):
+                border_trace.append((paddr >> PAGE_SHIFT, write))
+
+            system.events.subscribe("decision", record_crossing)
 
         downgrades = [0]
         if downgrade_interval_cycles is None:

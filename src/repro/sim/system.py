@@ -78,6 +78,9 @@ class System:
             selective_downgrade=config.selective_downgrade,
             stats=self.stats.child("kernel"),
         )
+        # The machine's event stream (repro.sim.tracing), created by its
+        # kernel and shared by the sandboxes and front ends.
+        self.events = self.kernel.events
 
         self.kernel.downgrade_drain_ticks = self._ticks(
             config.timing.downgrade_drain_cycles
@@ -142,23 +145,21 @@ class System:
     def close(self) -> None:
         """Unhook the back-edges that make a wired system a reference cycle.
 
-        The epoch hooks and the full-IOMMU/CAPI violation handler point
-        back at this system, the kernel's violation handler sits on the
-        sandboxes it owns, and a CPU core, once built, is the kernel's
-        shootdown listener while it holds the kernel. Until they are gone
-        a finished system, with its caches, page tables and frames, waits
-        for the cyclic GC; after ``close`` reference counting frees it as
-        soon as the last outside reference goes. Call it once the system
-        is done running: a closed system no longer fences stale epochs,
-        reports violations to the OS or shoots down the CPU's TLB.
+        The epoch hooks point back at this system, the event stream the
+        kernel's sandboxes and front ends emit on holds the kernel's
+        violation policy and every observer, and a CPU core, once built,
+        is the kernel's shootdown listener while it holds the kernel.
+        Until they are gone a finished system, with its caches, page
+        tables and frames, waits for the cyclic GC; after ``close``
+        reference counting frees it as soon as the last outside reference
+        goes. Call it once the system is done running: a closed system no
+        longer fences stale epochs, reports violations to the OS or to any
+        observer, or shoots down the CPU's TLB.
         """
         if self.border_port is not None:
             self.border_port.epoch_source = None
             self.ats.epoch_gate = None
-        for front_end in (self.full_iommu, self.capi):
-            if front_end is not None:
-                front_end.off_violation(self._report_front_end_violation)
-        self.kernel.sandboxes.off_violation(self.kernel._on_violation)
+        self.events.clear()
         cpu = self.__dict__.get("cpu")  # set only once :attr:`cpu` was read
         if cpu is not None:
             self.kernel._shootdown_listeners.remove(cpu)
@@ -201,10 +202,8 @@ class System:
                 ),
                 stats=self.stats.child("full_iommu"),
                 accel_id=GPU_ID,
+                events=self.events,
             )
-            # IOMMU-refused requests notify the OS just like Border
-            # Control violations do.
-            self.full_iommu.on_violation(self._report_front_end_violation)
             return self.full_iommu
 
         if mode is SafetyMode.CAPI_LIKE:
@@ -228,8 +227,8 @@ class System:
                 link_latency_ticks=self._ticks(self.config.timing.capi_link_cycles),
                 stats=self.stats.child("capi"),
                 accel_id=GPU_ID,
+                events=self.events,
             )
-            self.capi.on_violation(self._report_front_end_violation)
             return self.capi
 
         # Cached hierarchy: unsafe baseline or Border Control.
@@ -297,24 +296,6 @@ class System:
             self.gpu_l2,
             stats=self.stats.child("gpu_path"),
         )
-
-    def _report_front_end_violation(self, violation) -> None:
-        """Adapt an IOMMU/CAPI refusal into the OS's violation flow.
-
-        These paths block by virtual address (no physical address ever
-        existed for the refused request); the record keeps the vaddr.
-        """
-        from repro.core.border_control import ViolationRecord
-        from repro.core.permissions import Perm
-
-        record = ViolationRecord(
-            accel_id=violation.accel_id,
-            paddr=violation.vaddr,  # virtual: the request never translated
-            write=violation.write,
-            out_of_bounds=False,
-            perms_held=Perm.NONE,
-        )
-        self.kernel._on_violation(record)
 
     # -- process/GPU plumbing ------------------------------------------------
 

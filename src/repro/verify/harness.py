@@ -138,7 +138,7 @@ class LockstepHarness:
             epoch_fence=cfg.monitor_epoch_fence,
         )
 
-        # Lifecycle event tallies from the kernel's observation hook,
+        # Lifecycle event tallies from the machine's event stream,
         # cross-checked against the monitor's transition counters.
         self.events: Dict[str, int] = {
             "quarantine": 0,
@@ -146,11 +146,12 @@ class LockstepHarness:
             "readmit": 0,
             "reset": 0,
         }
-        self.kernel.on_lifecycle(self._record_lifecycle)
+        self.kernel.events.subscribe("lifecycle", self._record_lifecycle)
 
-        # Decision stream from BorderControl.on_decision; cleared before
-        # each access op and checked against the op's outcome.
-        self._observed: List[Tuple[int, bool, object]] = []
+        # Every device's border decisions, from the same stream; cleared
+        # before each access op and checked against the op's outcome.
+        self._observed: List[Tuple[str, int, bool, object]] = []
+        self.kernel.events.subscribe("decision", self._record_decision)
 
         self.dev_ids: List[str] = [f"dev{i}" for i in range(cfg.devices)]
         self.accels: Dict[str, AcceleratorBase] = {}
@@ -159,7 +160,6 @@ class LockstepHarness:
             self.accels[dev_id] = accel
             sandbox = self.kernel.attach_accelerator(self.victim, accel)
             assert sandbox is not None
-            sandbox.on_decision(self._record_decision)
             self.monitor.attach(dev_id)
 
         #: mmap'd victim areas, as start VPNs, in creation order. Ops
@@ -173,8 +173,10 @@ class LockstepHarness:
     def _record_lifecycle(self, event: str, accel_id: str, info: Dict[str, object]) -> None:
         self.events[event] = self.events.get(event, 0) + 1
 
-    def _record_decision(self, paddr: int, write: bool, decision: object) -> None:
-        self._observed.append((paddr, write, decision))
+    def _record_decision(
+        self, accel_id: str, paddr: int, write: bool, decision: object
+    ) -> None:
+        self._observed.append((accel_id, paddr, write, decision))
 
     # -- helpers ------------------------------------------------------------
 
@@ -405,19 +407,20 @@ class LockstepHarness:
             if self._observed:
                 self._fail("stale traffic reached the permission check", op)
         else:
-            # The decision hook saw exactly this check.
+            # The decision stream saw exactly this check.
             if len(self._observed) != 1:
                 self._fail(
                     f"expected one observed decision, saw {len(self._observed)}",
                     op,
                 )
-            seen_paddr, seen_write, seen_decision = self._observed[0]
+            seen_dev, seen_paddr, seen_write, seen_decision = self._observed[0]
             if (
-                seen_paddr != ppn << PAGE_SHIFT
+                seen_dev != dev_id
+                or seen_paddr != ppn << PAGE_SHIFT
                 or seen_write is not write
                 or seen_decision.allowed is not real_allowed  # type: ignore[attr-defined]
             ):
-                self._fail("decision hook disagrees with check outcome", op)
+                self._fail("decision stream disagrees with check outcome", op)
 
         # (b) no confidentiality/integrity escape, ever: the secret frame
         # is never granted, so an allowed access to it is an escape even

@@ -81,8 +81,8 @@ class ReferenceMonitor:
         self.epoch_fence = epoch_fence
         self.devices: Dict[str, DeviceState] = {}
         self.victim_alive = True
-        # Transition tallies, cross-checked against the kernel's
-        # on_lifecycle event stream by the harness.
+        # Transition tallies, cross-checked by the harness against the
+        # ``lifecycle`` events on the kernel's event stream.
         self.quarantines = 0
         self.storm_kills = 0
         self.readmissions = 0

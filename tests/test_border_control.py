@@ -101,7 +101,7 @@ class TestChecks:
 class TestViolations:
     def test_violation_recorded_and_handler_called(self, bc):
         seen = []
-        bc.on_violation(seen.append)
+        bc.events.subscribe("violation", seen.append)
         bc.check(0xABC000, write=True)
         assert len(bc.violations) == 1
         assert seen[0].paddr == 0xABC000

@@ -65,10 +65,16 @@ class TestFunctional:
     def test_recorder_captures_stream(self, setup):
         engine, phys, bc, port, _dram = setup
         grant_page(bc, 9)
-        port.ppn_recorder = []
+        crossings = []
+        bc.events.subscribe(
+            "decision",
+            lambda accel_id, paddr, write, decision: crossings.append(
+                (paddr >> PAGE_SHIFT, write)
+            ),
+        )
         engine.run_process(port.access(9 << PAGE_SHIFT, 8, False))
         engine.run_process(port.access(9 << PAGE_SHIFT, 8, True, b"x" * 8))
-        assert port.ppn_recorder == [(9, False), (9, True)]
+        assert crossings == [(9, False), (9, True)]
 
 
 class TestTiming:

@@ -4,8 +4,9 @@ The perf work (zero-allocation event loop, batched trace replay, hot-path
 caches, integer-picosecond bandwidth accounting) must change *wall-clock*
 time only — never simulated behavior. These tests pin that down:
 
-* ``tests/goldens/core_fastpath.json`` holds :class:`RunResult` dumps and
-  chaos/recovery signatures recorded with the pre-optimization core
+* ``tests/goldens/core_fastpath.json`` holds :class:`RunResult` dumps,
+  digests of Fig. 6's border-crossing streams and chaos/recovery
+  signatures recorded with the pre-optimization core
   (regenerate only deliberately, via ``python tools/record_goldens.py``);
 * every golden cell is re-run here and compared field-by-field;
 * a small fig4 sweep goes through :func:`repro.sweep.verify_identical`
@@ -14,6 +15,7 @@ time only — never simulated behavior. These tests pin that down:
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -48,6 +50,15 @@ FIG4_CELLS = [
     ("bfs", SafetyMode.ATS_ONLY, GPUThreading.MODERATELY, 250),
 ]
 
+#: Cells whose ``record_border=True`` crossing stream (Fig. 6's input) is
+#: pinned by length and sha256. The downgrade cell covers the flush
+#: writebacks, which also cross the border.
+BORDER_TRACE_CELLS = [
+    ("bfs", SafetyMode.BC_BCC, GPUThreading.HIGHLY, None),
+    ("bfs", SafetyMode.BC_NO_BCC, GPUThreading.MODERATELY, None),
+    ("bfs", SafetyMode.BC_BCC, GPUThreading.MODERATELY, 250),
+]
+
 FIG4_SEED = 1234
 FIG4_OPS_SCALE = 0.25
 
@@ -69,6 +80,19 @@ def run_fig4_cell(workload: str, safety: SafetyMode, threading: GPUThreading,
         workload, safety, threading, seed=FIG4_SEED, ops_scale=FIG4_OPS_SCALE,
         downgrade_interval_cycles=downgrade_interval_cycles,
     )
+
+
+def border_trace_digest(workload: str, safety: SafetyMode,
+                        threading: GPUThreading,
+                        downgrade_interval_cycles=None) -> dict:
+    """Length and sha256 of one cell's recorded (ppn, is_write) stream."""
+    trace = run_single(
+        workload, safety, threading, seed=FIG4_SEED, ops_scale=FIG4_OPS_SCALE,
+        downgrade_interval_cycles=downgrade_interval_cycles,
+        record_border=True,
+    ).border_trace
+    encoded = json.dumps(trace, separators=(",", ":")).encode()
+    return {"length": len(trace), "sha256": hashlib.sha256(encoded).hexdigest()}
 
 
 def run_chaos_cell():
@@ -103,6 +127,10 @@ def record_goldens() -> dict:
             fig4_cell_key(*cell): _result_to_dict(run_fig4_cell(*cell))
             for cell in FIG4_CELLS
         },
+        "border_trace": {
+            fig4_cell_key(*cell): border_trace_digest(*cell)
+            for cell in BORDER_TRACE_CELLS
+        },
         "chaos_signature": run_chaos_cell().signature(),
         "recovery_signature": run_recovery_cell().signature(),
     }
@@ -135,6 +163,16 @@ def test_fig4_cell_matches_pre_optimization_golden(goldens, cell):
             f"golden: {actual[field_name]!r} != {expected_value!r}"
         )
     assert set(actual) == set(expected)
+
+
+@pytest.mark.parametrize(
+    "cell", BORDER_TRACE_CELLS,
+    ids=[fig4_cell_key(*cell) for cell in BORDER_TRACE_CELLS],
+)
+def test_border_trace_matches_golden(goldens, cell):
+    """The crossing stream Fig. 6 replays is pinned bit for bit."""
+    expected = goldens["border_trace"][fig4_cell_key(*cell)]
+    assert border_trace_digest(*cell) == expected
 
 
 def test_chaos_run_matches_pre_optimization_golden(goldens):

@@ -71,37 +71,45 @@ def _cells(count=4):
     ]
 
 
-def _read_one(data: bytes, **kwargs):
+def _reader(data: bytes, eof: bool = True) -> asyncio.StreamReader:
+    """A reader already holding ``data``. Build it inside a running loop:
+    outside one the reader asks for the thread's current loop, and once
+    any earlier test has called ``asyncio.run`` the thread has none."""
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    if eof:
+        reader.feed_eof()
+    return reader
+
+
+def _run(coro):
     loop = asyncio.new_event_loop()
     try:
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return loop.run_until_complete(read_frame(reader, **kwargs))
+        return loop.run_until_complete(coro)
     finally:
         loop.close()
+
+
+def _read_one(data: bytes, **kwargs):
+    async def read():
+        return await read_frame(_reader(data), **kwargs)
+
+    return _run(read())
 
 
 def _read_all(data: bytes):
     """Every frame in ``data``, in order."""
-    loop = asyncio.new_event_loop()
-    try:
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
+
+    async def read():
+        reader = _reader(data)
         frames = []
-        frame = loop.run_until_complete(read_frame(reader))
+        frame = await read_frame(reader)
         while frame is not None:
             frames.append(frame)
-            frame = loop.run_until_complete(read_frame(reader))
+            frame = await read_frame(reader)
         return frames
-    finally:
-        loop.close()
 
-
-# ---------------------------------------------------------------------------
-# binary framing
-# ---------------------------------------------------------------------------
+    return _run(read())
 
 
 class TestFraming:
@@ -117,16 +125,21 @@ class TestFraming:
         assert _read_one(data[:-3]) is None
 
     def test_multiple_frames_in_one_stream(self):
-        loop = asyncio.new_event_loop()
-        try:
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_frame({"n": 1}) + encode_frame({"n": 2}))
-            reader.feed_eof()
-            assert loop.run_until_complete(read_frame(reader)) == {"n": 1}
-            assert loop.run_until_complete(read_frame(reader)) == {"n": 2}
-            assert loop.run_until_complete(read_frame(reader)) is None
-        finally:
-            loop.close()
+        async def read_three():
+            reader = _reader(encode_frame({"n": 1}) + encode_frame({"n": 2}))
+            return [await read_frame(reader) for _ in range(3)]
+
+        first, second, third = _run(read_three())
+        assert first == {"n": 1}
+        assert second == {"n": 2}
+        assert third is None
+
+    def test_reads_after_asyncio_run_left_no_current_loop(self):
+        """``asyncio.run`` leaves the thread with no current loop; a
+        frame read afterwards must not depend on one."""
+        asyncio.run(asyncio.sleep(0))
+        frame = protocol.heartbeat("w1", held=[], running=0)
+        assert _read_one(encode_frame(frame)) == frame
 
     def test_oversized_encode_rejected(self):
         with pytest.raises(WireError):
@@ -150,14 +163,11 @@ def test_oversized_read_guard_is_prefix_based():
     """A huge declared length raises before any body bytes arrive."""
     import struct
 
-    loop = asyncio.new_event_loop()
-    try:
-        reader = asyncio.StreamReader()
-        reader.feed_data(struct.pack(">I", 1 << 30))
-        with pytest.raises(WireError):
-            loop.run_until_complete(read_frame(reader))
-    finally:
-        loop.close()
+    async def read():
+        await read_frame(_reader(struct.pack(">I", 1 << 30), eof=False))
+
+    with pytest.raises(WireError):
+        _run(read())
 
 
 # ---------------------------------------------------------------------------
@@ -181,40 +191,36 @@ class _CaptureWriter:
 
 
 def _faulty(specs, feed=b""):
-    reader = asyncio.StreamReader()
-    if feed:
-        reader.feed_data(feed)
-    reader.feed_eof()
+    """A faulty transport over ``feed``; call it inside a running loop."""
     writer = _CaptureWriter()
-    transport = FaultyTransport(reader, writer, plan=FaultPlan(7, specs))
+    transport = FaultyTransport(_reader(feed), writer, plan=FaultPlan(7, specs))
     transport.bind("w")
     return transport, writer
 
 
 class TestFaultyTransport:
-    def _run(self, coro):
-        loop = asyncio.new_event_loop()
-        try:
-            return loop.run_until_complete(coro)
-        finally:
-            loop.close()
-
     def test_drop_swallows_one_send(self):
         specs = [FaultSpec(FaultKind.DROP, "fleet.w.out", 1.0, max_count=1)]
-        transport, writer = _faulty(specs)
 
         async def scenario():
+            transport, writer = _faulty(specs)
             await transport.send({"n": 1})  # dropped
             await transport.send({"n": 2})  # passes
+            return transport, writer
 
-        self._run(scenario())
+        transport, writer = _run(scenario())
         assert [_read_one(c) for c in writer.chunks] == [{"n": 2}]
         assert transport.counters["frames_dropped"] == 1
 
     def test_dup_frame_sends_twice(self):
         specs = [FaultSpec(FaultKind.DUP_FRAME, "fleet.w.out", 1.0, max_count=1)]
-        transport, writer = _faulty(specs)
-        self._run(transport.send({"n": 1}))
+
+        async def scenario():
+            transport, writer = _faulty(specs)
+            await transport.send({"n": 1})
+            return transport, writer
+
+        transport, writer = _run(scenario())
         assert [_read_one(c) for c in writer.chunks] == [{"n": 1}, {"n": 1}]
         assert transport.counters["frames_duplicated"] == 1
 
@@ -225,16 +231,16 @@ class TestFaultyTransport:
             )
         ]
         feed = encode_frame({"in": 1}) + encode_frame({"in": 2})
-        transport, writer = _faulty(specs, feed=feed)
 
         async def scenario():
+            transport, writer = _faulty(specs, feed=feed)
             await transport.send({"out": 1})  # opens the partition, swallowed
             await transport.send({"out": 2})  # blackout frame 1 of 2
             got = await transport.recv()  # blackout frame 2 of 2 -> {"in": 2}
             await transport.send({"out": 3})  # link restored
-            return got
+            return got, transport, writer
 
-        got = self._run(scenario())
+        got, transport, writer = _run(scenario())
         assert got == {"in": 2}
         assert [_read_one(c) for c in writer.chunks] == [{"out": 3}]
         assert transport.counters["partitions"] == 1
@@ -243,22 +249,22 @@ class TestFaultyTransport:
     def test_recv_drop_and_dup(self):
         specs = [FaultSpec(FaultKind.DROP, "fleet.w.in", 1.0, max_count=1)]
         feed = encode_frame({"n": 1}) + encode_frame({"n": 2})
-        transport, _ = _faulty(specs, feed=feed)
 
         async def scenario():
+            transport, _ = _faulty(specs, feed=feed)
             return await transport.recv()
 
-        assert self._run(scenario()) == {"n": 2}
+        assert _run(scenario()) == {"n": 2}
 
         specs = [FaultSpec(FaultKind.DUP_FRAME, "fleet.w.in", 1.0, max_count=1)]
-        transport, _ = _faulty(specs, feed=encode_frame({"n": 1}))
 
         async def scenario2():
+            transport, _ = _faulty(specs, feed=encode_frame({"n": 1}))
             first = await transport.recv()
             second = await transport.recv()
             return first, second
 
-        assert self._run(scenario2()) == ({"n": 1}, {"n": 1})
+        assert _run(scenario2()) == ({"n": 1}, {"n": 1})
 
     def test_seeded_plan_is_deterministic(self):
         def sequence():

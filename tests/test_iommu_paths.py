@@ -82,7 +82,7 @@ class TestFullIOMMU:
     def test_violation_handler_invoked(self, engine, parts):
         iommu = self._iommu(parts)
         seen = []
-        iommu.on_violation(seen.append)
+        iommu.events.subscribe("violation", seen.append)
         engine.run_process(iommu.mem_op(0, 1, 0x1000, False))
         assert len(seen) == 1
 

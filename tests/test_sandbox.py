@@ -71,7 +71,7 @@ class TestRegistry:
 
     def test_violation_handler_fans_out_to_new_sandboxes(self, manager):
         seen = []
-        manager.on_violation(seen.append)
+        manager.events.subscribe("violation", seen.append)
         manager.attach("gpu0", 1)
         manager.border_control_for("gpu0").check(0x5000, False)
         assert len(seen) == 1
@@ -79,6 +79,6 @@ class TestRegistry:
     def test_violation_handler_installed_on_existing(self, manager):
         manager.attach("gpu0", 1)
         seen = []
-        manager.on_violation(seen.append)
+        manager.events.subscribe("violation", seen.append)
         manager.border_control_for("gpu0").check(0x5000, False)
         assert len(seen) == 1

@@ -12,6 +12,7 @@ from repro.mem.address import PAGE_SHIFT
 from repro.sim import runner
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.sim.runner import run_single, runtime_overhead
+from repro.sim.tracing import EVENT_KINDS
 from repro.workloads.base import generate_trace
 
 from tests.util import make_system, tiny_spec
@@ -175,17 +176,34 @@ class TestRunner:
         assert bc.check(ppn2 << PAGE_SHIFT, True).allowed
 
 
+def _listeners(system):
+    """Who listens on ``system``'s event stream, per kind, by name (the
+    machine's own kernel as ``kernel``); holds no reference to them."""
+    named = {}
+    for kind in EVENT_KINDS:
+        for fn in system.events.subscribers(kind):
+            owner = "kernel" if getattr(fn, "__self__", None) is system.kernel else "?"
+            named.setdefault(kind, []).append(f"{owner}.{fn.__name__}")
+    return named
+
+
 def _parts_alive_after(module, monkeypatch, run_cell):
     """Run one cell with the cyclic GC off; name the parts of the
     ``module.System`` it built that are still alive afterwards, and
-    every ``module.FaultPlan`` it built (``"FaultPlan"``) if one is."""
+    every ``module.FaultPlan`` it built (``"FaultPlan"``) if one is.
+
+    Also checks that nothing listens on the hot path by default: the
+    freshly built machine's only subscriber is the kernel's violation
+    policy, and the closed one has none at all."""
     built = []
+    fresh_listeners = []
     plans = []
 
     class RecordingSystem(module.System):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             built.append(self)
+            fresh_listeners.append(_listeners(self))
 
     monkeypatch.setattr(module, "System", RecordingSystem)
     has_plans = hasattr(module, "FaultPlan")
@@ -202,6 +220,8 @@ def _parts_alive_after(module, monkeypatch, run_cell):
     try:
         run_cell()
         system = built.pop()
+        assert fresh_listeners.pop() == {"violation": ["kernel._on_violation"]}
+        assert _listeners(system) == {}
         parts = {
             "System": system,
             "Kernel": system.kernel,

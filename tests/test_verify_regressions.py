@@ -125,12 +125,15 @@ def test_storm_ban_survives_readmission_attempts(quarantine_kernel):
 
 
 def test_lifecycle_hook_reports_transitions(quarantine_kernel):
-    """The kernel's on_lifecycle observation stream (used by the
-    lockstep verifier) reports each transition exactly once, in order."""
+    """The kernel's ``lifecycle`` events (used by the lockstep
+    verifier) report each transition exactly once, in order."""
     kernel = quarantine_kernel
     kernel.violation_storm_threshold = 3
     events = []
-    kernel.on_lifecycle(lambda event, accel_id, info: events.append((event, accel_id, dict(info))))
+    kernel.events.subscribe(
+        "lifecycle",
+        lambda event, accel_id, info: events.append((event, accel_id, dict(info))),
+    )
 
     proc, accel, sandbox, ppn = _granted_setup(kernel)
     _violate(sandbox)
@@ -157,35 +160,49 @@ def test_lifecycle_hook_reports_transitions(quarantine_kernel):
 
 
 def test_decision_hook_sees_every_check(quarantine_kernel):
-    """BorderControl.on_decision fires for allowed, denied, and
-    out-of-bounds checks alike, with the decision the caller saw."""
+    """A ``decision`` event fires for allowed, denied, and out-of-bounds
+    checks alike, with the device and the decision the caller saw."""
     kernel = quarantine_kernel
     proc, accel, sandbox, ppn = _granted_setup(kernel)
     seen = []
-    sandbox.on_decision(lambda paddr, write, decision: seen.append((paddr >> PAGE_SHIFT, write, decision.allowed)))
+    kernel.events.subscribe(
+        "decision",
+        lambda accel_id, paddr, write, decision: seen.append(
+            (accel_id, paddr >> PAGE_SHIFT, write, decision.allowed)
+        ),
+    )
 
     assert sandbox.check(ppn << PAGE_SHIFT, True).allowed
     oob = sandbox.phys.num_frames + 7
     assert not sandbox.check(oob << PAGE_SHIFT, False).allowed
-    assert seen == [(ppn, True, True), (oob, False, False)]
+    assert seen == [("gpu0", ppn, True, True), ("gpu0", oob, False, False)]
 
 
 def test_recovery_observer_reports_stage_stream(tmp_path, monkeypatch):
-    """run_recovery_single(observer=...) narrates the PR 4 pipeline:
+    """A recovery run's ``recovery`` events narrate the PR 4 pipeline:
     every recovery attempt reports reset -> relaunch, and the run ends
     with exactly one outcome stage matching the result."""
+    from repro import recovery
     from repro.experiments import common
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     common.clear_cache()
     stages = []
+
+    class ObservedSystem(recovery.System):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.events.subscribe(
+                "recovery", lambda stage, info: stages.append((stage, dict(info)))
+            )
+
+    monkeypatch.setattr(recovery, "System", ObservedSystem)
     run = run_recovery_single(
         "tiny",
         "reset-replay",
         seed=5,
         workload_spec=tiny_spec(),
         config=small_config(),
-        observer=lambda stage, info: stages.append((stage, dict(info))),
     )
     common.clear_cache()
 

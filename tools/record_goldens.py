@@ -32,6 +32,9 @@ def main() -> int:
     print(f"wrote {GOLDEN_PATH}")
     for key in payload["fig4"]:
         print(f"  fig4 golden: {key}")
+    for key, digest in payload["border_trace"].items():
+        print(f"  border_trace golden: {key} "
+              f"({digest['length']} crossings, sha256 {digest['sha256'][:12]})")
     print("  chaos + recovery signatures recorded")
     return 0
 
