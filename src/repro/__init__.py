@@ -31,51 +31,61 @@ Every name below is imported on first access (PEP 562), so
 the host layers (supervisor, sweep, journal, service, fleet).
 """
 
+import sys
 from importlib import import_module
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 __version__ = "1.0.0"
 
-#: Public name -> the module that defines it; ``__getattr__`` imports
-#: the module the first time the name is read.
-_EXPORTS: Dict[str, str] = {
-    name: module
-    for module, names in (
-        ("repro.core", "AccessDecision BCCConfig BorderControl BorderControlCache "
-         "Perm ProtectionTable SandboxManager ViolationRecord"),
-        ("repro.errors", "AcceleratorDisabledError AcceleratorHangError "
-         "BorderControlViolation BorderTimeoutError ConfigurationError PageFault "
-         "ProtectionFault ReproError SimulationIncompleteError SweepError "
-         "TransientCellError UnmappedAddressError"),
-        ("repro.faults", "FaultKind FaultPlan FaultSpec FaultyPort "
-         "HangingAccelerator RecordingPort ReplayBuffer"),
-        ("repro.chaos", "ChaosReport ChaosRunResult run_chaos_campaign "
-         "run_chaos_single"),
-        ("repro.recovery", "RecoveryManager RecoveryPolicy RecoveryReport "
-         "RecoveryRunResult run_recovery_campaign run_recovery_single"),
-        ("repro.sim.config", "GPUThreading SafetyMode SystemConfig TimingParams"),
-        ("repro.sim.runner", "RunResult geometric_mean run_single runtime_overhead"),
-        ("repro.sim.system", "System"),
-        ("repro.journal", "RunJournal journal_dir list_runs new_run_id"),
-        ("repro.osmodel", "Kernel Process ViolationPolicy"),
-        ("repro.supervisor", "SupervisorPolicy SupervisorStats supervised_map"),
-        ("repro.sweep", "Cell SweepReport run_sweep verify_identical"),
-        ("repro.workloads", "WORKLOADS WorkloadSpec generate_trace"),
-    )
-    for name in names.split()
-}
+
+def _lazy(
+    package: str, table: Sequence[Tuple[str, str]]
+) -> Tuple[Dict[str, str], Callable[[str], Any], Callable[[], List[str]]]:
+    """``(exports, __getattr__, __dir__)`` for ``package`` (PEP 562).
+
+    ``table`` lists ``(module, "Name Name ...")`` rows; ``exports`` maps
+    each public name to the module that defines it, and ``__getattr__``
+    imports that module the first time the name is read, so importing
+    one submodule of the package loads none of its siblings.
+    """
+    exports = {name: module for module, names in table for name in names.split()}
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str) -> Any:
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(import_module(module), name)
+        namespace[name] = value  # later reads skip this hook
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted(set(namespace) | set(exports))
+
+    return exports, __getattr__, __dir__
+
+
+_EXPORTS, __getattr__, __dir__ = _lazy(__name__, (
+    ("repro.core", "AccessDecision BCCConfig BorderControl BorderControlCache "
+     "Perm ProtectionTable SandboxManager ViolationRecord"),
+    ("repro.errors", "AcceleratorDisabledError AcceleratorHangError "
+     "BorderControlViolation BorderTimeoutError ConfigurationError PageFault "
+     "ProtectionFault ReproError SimulationIncompleteError SweepError "
+     "TransientCellError UnmappedAddressError"),
+    ("repro.faults", "FaultKind FaultPlan FaultSpec FaultyPort "
+     "HangingAccelerator RecordingPort ReplayBuffer"),
+    ("repro.chaos", "ChaosReport ChaosRunResult run_chaos_campaign "
+     "run_chaos_single"),
+    ("repro.recovery", "RecoveryManager RecoveryPolicy RecoveryReport "
+     "RecoveryRunResult run_recovery_campaign run_recovery_single"),
+    ("repro.sim.config", "GPUThreading SafetyMode SystemConfig TimingParams"),
+    ("repro.sim.runner", "RunResult geometric_mean run_single runtime_overhead"),
+    ("repro.sim.system", "System"),
+    ("repro.journal", "RunJournal journal_dir list_runs new_run_id"),
+    ("repro.osmodel", "Kernel Process ViolationPolicy"),
+    ("repro.supervisor", "SupervisorPolicy SupervisorStats supervised_map"),
+    ("repro.sweep", "Cell SweepReport run_sweep verify_identical"),
+    ("repro.workloads", "WORKLOADS WorkloadSpec generate_trace"),
+))
 
 __all__ = sorted(_EXPORTS) + ["__version__"]
-
-
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module), name)
-    globals()[name] = value  # later reads skip this hook
-    return value
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | set(_EXPORTS))

@@ -14,26 +14,15 @@
   memory, stale-TLB bugs, wild writes, and flush-ignoring caches.
 """
 
-from repro.accel.base import AcceleratorBase
-from repro.accel.gpu import GPU, GPUGeometry, KernelTrace
-from repro.accel.paths import CachedHierarchyPath
-from repro.accel.stream import StreamAccelerator
-from repro.accel.faulty import (
-    FlushIgnoringGPU,
-    MaliciousEngine,
-    StaleTLBAccelerator,
-    WildWriteAccelerator,
-)
+from repro import _lazy
 
-__all__ = [
-    "AcceleratorBase",
-    "CachedHierarchyPath",
-    "FlushIgnoringGPU",
-    "GPU",
-    "GPUGeometry",
-    "KernelTrace",
-    "MaliciousEngine",
-    "StaleTLBAccelerator",
-    "StreamAccelerator",
-    "WildWriteAccelerator",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy(__name__, (
+    ("repro.accel.base", "AcceleratorBase"),
+    ("repro.accel.gpu", "GPU GPUGeometry KernelTrace"),
+    ("repro.accel.paths", "CachedHierarchyPath"),
+    ("repro.accel.stream", "StreamAccelerator"),
+    ("repro.accel.faulty", "FlushIgnoringGPU MaliciousEngine "
+                           "StaleTLBAccelerator WildWriteAccelerator"),
+))
+
+__all__ = sorted(_EXPORTS)

@@ -18,29 +18,16 @@ The core package implements the hardware proposed in the paper:
   helper tying accelerators, processes, and Border Control together.
 """
 
-from repro.core.permissions import PERM_NONE, PERM_R, PERM_RW, PERM_W, Perm
-from repro.core.protection_table import ProtectionTable
-from repro.core.sparse_table import SparseProtectionTable
-from repro.core.bcc import BCCConfig, BorderControlCache
-from repro.core.border_control import (
-    AccessDecision,
-    BorderControl,
-    ViolationRecord,
-)
-from repro.core.sandbox import SandboxManager
+from repro import _lazy
 
-__all__ = [
-    "AccessDecision",
-    "BCCConfig",
-    "BorderControl",
-    "BorderControlCache",
-    "PERM_NONE",
-    "PERM_R",
-    "PERM_RW",
-    "PERM_W",
-    "Perm",
-    "ProtectionTable",
-    "SandboxManager",
-    "SparseProtectionTable",
-    "ViolationRecord",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy(__name__, (
+    ("repro.core.permissions", "PERM_NONE PERM_R PERM_RW PERM_W Perm"),
+    ("repro.core.protection_table", "ProtectionTable"),
+    ("repro.core.sparse_table", "SparseProtectionTable"),
+    ("repro.core.bcc", "BCCConfig BorderControlCache"),
+    ("repro.core.border_control", "AccessDecision BorderControl "
+                                  "ViolationRecord"),
+    ("repro.core.sandbox", "SandboxManager"),
+))
+
+__all__ = sorted(_EXPORTS)

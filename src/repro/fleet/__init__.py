@@ -15,6 +15,12 @@ whole stack is built so that *node failure is the common case*:
   effectively exactly-once (duplicate results are ignored, duplicate
   appends are harmless, and re-execution of a deterministic cell is
   bit-identical anyway).
+* **Each frame carries what it needs** — an ASSIGN names its campaign
+  and each lease's recipe, so a worker has nothing to install ahead of
+  a lease; a RESULT counts only for a lease the live campaign granted
+  and only with that lease's cell key (anything else is dropped as
+  foreign); a heartbeat names the interval its worker keeps, and the
+  worker is reaped after three of them pass in silence.
 * **Heartbeat lease reconciliation** — heartbeats carry the worker's
   held lease-ids, so a *dropped* ASSIGN or RESULT frame (not just a
   dead worker) is detected: a lease old enough that the worker should

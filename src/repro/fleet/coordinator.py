@@ -14,11 +14,15 @@ fleet itself:
 ========================  =============================================
 failure                   response
 ========================  =============================================
-worker dies (SIGKILL)     TCP EOF or missed heartbeats → every lease it
-                          held expires → cells reassigned
+worker dies (SIGKILL)     TCP EOF or three of its announced heartbeat
+                          intervals of silence → every lease it held
+                          expires → cells reassigned
 network partition         heartbeats stop → same as death; a worker
                           back from the dead reconnects and its
                           duplicate results are ignored
+foreign RESULT            a lease the live campaign never granted, or a
+                          key that is not the lease's cell → dropped
+                          and counted (``foreign_results``)
 ASSIGN frame lost         lease never appears in the worker's heartbeat
                           ``held`` set → expired after a 2×heartbeat
                           grace → reassigned
@@ -79,7 +83,7 @@ class _WorkerState:
         "transport",
         "slots",
         "last_seen",
-        "welcomed",
+        "interval",
         "held",
         "reported_held",
         "report_time",
@@ -92,7 +96,8 @@ class _WorkerState:
         self.transport = transport
         self.slots = 1
         self.last_seen = 0.0
-        self.welcomed = False
+        # the heartbeat cadence it last announced
+        self.interval = protocol.DEFAULT_HEARTBEAT_SECONDS
         self.held: Set[str] = set()  # lease ids we believe it holds
         self.reported_held: Optional[Set[str]] = None
         self.report_time = 0.0
@@ -135,7 +140,8 @@ class _Campaign:
         self.journal_dir = journal_dir
         self.on_entry = on_entry
         self.pending: "deque[int]" = deque(range(len(cells)))
-        self.leases: Dict[str, _Lease] = {}
+        self.leases: Dict[str, _Lease] = {}  # live leases
+        self.granted: Dict[str, int] = {}  # every lease id granted -> index
         self.ledger = RetryLedger(
             self.cells, policy, stats, kind.label_of, kind.describe
         )
@@ -145,17 +151,6 @@ class _Campaign:
     @property
     def done(self) -> bool:
         return len(self.outcomes) >= len(self.cells)
-
-    def welcome_frame(self, heartbeat_seconds: float) -> dict:
-        return protocol.welcome(
-            self.id,
-            self.kind.name,
-            [self.kind.recipe_of(cell) for cell in self.cells],
-            self.fresh,
-            heartbeat_seconds,
-            run_id=self.run_id,
-            journal_dir=self.journal_dir,
-        )
 
 
 class FleetCoordinator:
@@ -207,6 +202,7 @@ class FleetCoordinator:
             "assigned": 0,
             "results": 0,
             "duplicate_results": 0,
+            "foreign_results": 0,
             "expired_leases": 0,
             "reassigned": 0,
             "stolen": 0,
@@ -354,7 +350,7 @@ class FleetCoordinator:
         worker_id = str(frame.get("worker_id", "")) or f"anon-{id(transport)}"
         version = frame.get("protocol")
         if version != protocol.PROTOCOL_VERSION:
-            # A worker built for another wire would misread the WELCOME
+            # A worker built for another wire would misread the ASSIGN
             # and sit on leases it never runs: tell it why, then hang up.
             reason = f"protocol {version} refused (want {protocol.PROTOCOL_VERSION})"
             self.log(f"fleet: worker {worker_id}: {reason}")
@@ -375,13 +371,10 @@ class FleetCoordinator:
         else:
             ws.transport.close()  # reconnect replaces the old stream
             ws.transport = transport
-            ws.welcomed = False
         ws.slots = max(1, int(frame.get("slots", 1)))
         ws.last_seen = now
         self._emit("worker-connect", worker=worker_id, slots=ws.slots)
         self.log(f"fleet: worker {worker_id} connected ({ws.slots} slots)")
-        if self._camp is not None:
-            await self._send_welcome(ws, self._camp)
         self._wake_up()
         try:
             while True:
@@ -391,19 +384,7 @@ class FleetCoordinator:
                 ws.last_seen = self._now()
                 ftype = frame.get("type")
                 if ftype == protocol.HEARTBEAT:
-                    ws.reported_held = set(
-                        lid for lid in frame.get("held", []) if isinstance(lid, str)
-                    )
-                    ws.report_time = ws.last_seen
-                    ws.reported_running = int(frame.get("running", 0))
-                    camp = self._camp
-                    if camp is not None and frame.get("campaign_id") != camp.id:
-                        # The worker is alive but has not installed the
-                        # active campaign — our WELCOME was lost on the
-                        # wire. Re-send it (once per heartbeat at most)
-                        # or the worker would absorb leases forever
-                        # without ever executing a cell.
-                        await self._send_welcome(ws, camp)
+                    self._on_heartbeat(ws, frame)
                 elif ftype == protocol.RESULT:
                     self._on_result(ws, frame)
                 elif ftype == protocol.REVOKED:
@@ -422,13 +403,6 @@ class FleetCoordinator:
     def _wake_up(self) -> None:
         if self._wake is not None:
             self._wake.set()
-
-    async def _send_welcome(self, ws: _WorkerState, camp: _Campaign) -> None:
-        try:
-            await ws.transport.send(camp.welcome_frame(self.heartbeat_seconds))
-            ws.welcomed = True
-        except (WireError, ConnectionError, OSError):
-            self._worker_lost(ws, "welcome failed")
 
     def _worker_lost(self, ws: _WorkerState, reason: str) -> None:
         if self._workers.get(ws.worker_id) is not ws:
@@ -505,14 +479,40 @@ class FleetCoordinator:
                 pass
         self._wake_up()
 
+    def _on_heartbeat(self, ws: _WorkerState, frame: dict) -> None:
+        ws.reported_held = set(
+            lid for lid in frame.get("held", []) if isinstance(lid, str)
+        )
+        ws.report_time = ws.last_seen
+        ws.reported_running = int(frame.get("running", 0))
+        interval = frame.get("interval")
+        if isinstance(interval, (int, float)) and interval > 0:
+            ws.interval = float(interval)
+
     def _on_result(self, ws: _WorkerState, frame: dict) -> None:
+        """Finalize (or charge) a RESULT for a lease this campaign granted.
+
+        The lease names the cell: a RESULT whose lease the live campaign
+        never granted, or whose key is not that cell's journal key (a
+        worker that finished another campaign's cell), is dropped and
+        counted as ``foreign_results``.
+        """
         camp = self._camp
-        lease_id = frame.get("lease_id")
-        index = frame.get("index")
-        entry = frame.get("entry")
-        if camp is None or not isinstance(index, int) or not isinstance(entry, dict):
+        lease_id, key, entry = frame.get("lease_id"), frame.get("key"), frame.get("entry")
+        index = (
+            camp.granted.get(lease_id)
+            if camp is not None and isinstance(lease_id, str)
+            else None
+        )
+        if (
+            index is None
+            or not isinstance(entry, dict)
+            or key != camp.kind.journal_key(camp.cells[index])
+        ):
+            self.stats["foreign_results"] += 1
+            self._emit("foreign-result", lease=lease_id, key=key, worker=ws.worker_id)
             return
-        lease = camp.leases.pop(lease_id, None) if isinstance(lease_id, str) else None
+        lease = camp.leases.pop(lease_id, None)
         if lease is not None:
             owner = self._workers.get(lease.worker_id)
             if owner is not None:
@@ -520,8 +520,6 @@ class FleetCoordinator:
         if index in camp.outcomes:
             self.stats["duplicate_results"] += 1
             self._emit("duplicate-result", index=index, worker=ws.worker_id)
-            return
-        if not (0 <= index < len(camp.cells)):
             return
         self.stats["results"] += 1
         self._emit(
@@ -651,8 +649,6 @@ class FleetCoordinator:
                     if len(self._workers) >= self.min_workers:
                         break
                     await self._sleep_or_wake(0.05)
-                for ws in list(self._workers.values()):
-                    await self._send_welcome(ws, camp)
                 tick = max(0.05, self.heartbeat_seconds / 2.0)
                 workerless_since: Optional[float] = None
                 while not camp.done and not aborted():
@@ -683,27 +679,21 @@ class FleetCoordinator:
         return camp.outcomes, leftovers
 
     def _reap_dead_workers(self) -> None:
-        """Drop workers that stopped heartbeating — welcomed or not.
+        """Drop workers silent for three of their own announced intervals.
 
-        Workers heartbeat from the moment they connect (pre-WELCOME at
-        :data:`repro.fleet.protocol.DEFAULT_HEARTBEAT_SECONDS`), so an
-        un-welcomed entry whose ``last_seen`` is older than the connect
-        grace is a half-open connection, not a live idle worker — left
-        alone it would count toward ``min_workers`` forever.
+        A worker heartbeats from the moment it connects, at
+        :data:`repro.fleet.protocol.DEFAULT_HEARTBEAT_SECONDS` until a
+        campaign's ASSIGN names another cadence, and every heartbeat
+        says which cadence it keeps; one not yet heard from is held to
+        the default. So a half-open connection is reaped too instead of
+        counting toward ``min_workers`` forever, and a worker is never
+        held to a cadence it has not heard of yet.
         """
         now = self._now()
-        dead_after = 3.0 * self.heartbeat_seconds
-        connect_grace = max(
-            dead_after, 3.0 * protocol.DEFAULT_HEARTBEAT_SECONDS
-        )
         for ws in list(self._workers.values()):
-            idle = now - ws.last_seen
-            if ws.welcomed and idle > dead_after:
+            if now - ws.last_seen > 3.0 * ws.interval:
                 ws.transport.close()
                 self._worker_lost(ws, "missed heartbeats")
-            elif not ws.welcomed and idle > connect_grace:
-                ws.transport.close()
-                self._worker_lost(ws, "silent since connect")
 
     def _check_expiries(self, camp: _Campaign) -> None:
         self._reap_dead_workers()
@@ -729,14 +719,20 @@ class FleetCoordinator:
         if not camp.pending:
             return
         now = self._now()
-        # Round-robin over welcomed workers with spare queue depth
-        # (2× slots: enough to keep pipelines full, shallow enough that
-        # stealing rarely needs to move much).
+        # Round-robin over workers with spare queue depth (2× slots:
+        # enough to keep pipelines full, shallow enough that stealing
+        # rarely needs to move much).
+        context = protocol.campaign(
+            camp.id,
+            camp.kind.name,
+            camp.fresh,
+            self.heartbeat_seconds,
+            run_id=camp.run_id,
+            journal_dir=camp.journal_dir,
+        )
         for ws in list(self._workers.values()):
             if not camp.pending:
                 return
-            if not ws.welcomed:
-                continue
             capacity = ws.slots * 2 - len(ws.held)
             grants = []
             while camp.pending and capacity > 0:
@@ -745,10 +741,11 @@ class FleetCoordinator:
                     continue
                 camp.grant_counter += 1
                 lease_id = f"{camp.id}:{index}:{camp.grant_counter}"
-                lease = _Lease(lease_id, index, ws.worker_id, now)
-                camp.leases[lease_id] = lease
+                camp.leases[lease_id] = _Lease(lease_id, index, ws.worker_id, now)
+                camp.granted[lease_id] = index
                 ws.held.add(lease_id)
-                grants.append({"lease_id": lease_id, "index": index})
+                recipe = camp.kind.recipe_of(camp.cells[index])
+                grants.append({"lease_id": lease_id, "index": index, "cell": recipe})
                 capacity -= 1
             if not grants:
                 continue
@@ -761,7 +758,7 @@ class FleetCoordinator:
                     worker=ws.worker_id,
                 )
             try:
-                await ws.transport.send(protocol.assign(grants))
+                await ws.transport.send(protocol.assign(context, grants))
             except (WireError, ConnectionError, OSError):
                 self._worker_lost(ws, "assign failed")
 
@@ -771,7 +768,7 @@ class FleetCoordinator:
         idle = [
             ws
             for ws in self._workers.values()
-            if ws.welcomed and not ws.held and not ws.steal_inflight
+            if not ws.held and not ws.steal_inflight
         ]
         if not idle:
             return
@@ -781,8 +778,7 @@ class FleetCoordinator:
             (
                 ws
                 for ws in self._workers.values()
-                if ws.welcomed
-                and not ws.steal_inflight
+                if not ws.steal_inflight
                 and ws.reported_held is not None
                 and len(ws.held) - ws.reported_running > 1
             ),

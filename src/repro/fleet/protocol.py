@@ -9,34 +9,40 @@ Conversation shape::
 
     worker                        coordinator
       | -- HELLO ------------------> |   (identity, slot count, version)
-      | <------------------ WELCOME |   (campaign: kind, recipes, ...)
-      | <------------------- ASSIGN |   (leases: cell indexes)
-      | -- HEARTBEAT --------------> |   (held lease ids + running count)
-      | -- RESULT -----------------> |   (one cell's journal entry)
+      | <------------------- ASSIGN |   (campaign context + leases with recipes)
+      | -- HEARTBEAT --------------> |   (held lease ids, running count, interval)
+      | -- RESULT -----------------> |   (one lease's journal entry)
       | <------------------- REVOKE |   (work-stealing / cleanup)
       | -- REVOKED ----------------> |   (queued leases actually released)
       | <----------------- SHUTDOWN |   (campaign over; standalone mode)
 
-A HELLO naming another :data:`PROTOCOL_VERSION` is answered with
-SHUTDOWN and the connection closed: such a worker would misread the
-WELCOME and hold leases it never runs.
+Each frame carries what it needs, so nothing is installed ahead of a
+lease: an ASSIGN names its campaign and each lease's recipe, a RESULT
+names the lease it answers, and a HEARTBEAT names the cadence its
+sender keeps. A HELLO naming another :data:`PROTOCOL_VERSION` is
+answered with SHUTDOWN and the connection closed: such a worker would
+misread the ASSIGN and hold leases it never runs.
 
 Failure taxonomy (who notices what):
 
-* dead worker — TCP EOF, or missed heartbeats: every lease it held is
-  expired and reassigned;
+* dead worker — TCP EOF, or three of its own announced heartbeat
+  intervals of silence: every lease it held is expired and reassigned;
 * dropped ASSIGN — the lease never shows up in the worker's heartbeat
   ``held`` set: expired and reassigned (the worker ignores nothing — it
   simply never knew);
 * dropped RESULT — the worker no longer reports the lease as held, so
   the coordinator reassigns; the worker remembers *successfully*
-  finished indexes and answers a duplicate ASSIGN by re-sending the
-  stored RESULT instead of recomputing (failed indexes are retried
-  for real — a duplicate ASSIGN for one re-executes the cell);
+  finished indexes of its current campaign and answers a duplicate
+  ASSIGN by re-sending the stored RESULT instead of recomputing (failed
+  indexes are retried for real — a duplicate ASSIGN for one re-executes
+  the cell);
+* foreign RESULT — a result for a lease the live campaign never
+  granted, or whose key is not that lease's cell (a worker that
+  finished a cell after its campaign ended): dropped and counted;
 * half-open connection — workers heartbeat from the moment the
-  session opens (pre-WELCOME, at :data:`DEFAULT_HEARTBEAT_SECONDS`),
-  so a peer that connected but went silent is reaped after a connect
-  grace instead of counting toward ``min_workers`` forever;
+  session opens (at :data:`DEFAULT_HEARTBEAT_SECONDS` until an ASSIGN
+  names the campaign cadence), so a peer that connected but went
+  silent is reaped instead of counting toward ``min_workers`` forever;
 * dropped REVOKED — the released leases linger in the coordinator's
   table until heartbeat reconciliation expires them;
 * duplicated anything — lease and index dedup on both ends makes a
@@ -47,7 +53,7 @@ Failure taxonomy (who notices what):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 __all__ = [
     "ASSIGN",
@@ -59,27 +65,24 @@ __all__ = [
     "REVOKE",
     "REVOKED",
     "SHUTDOWN",
-    "WELCOME",
     "assign",
+    "campaign",
     "heartbeat",
     "hello",
     "result",
     "revoke",
     "revoked",
     "shutdown",
-    "welcome",
 ]
 
-#: Version 2: WELCOME names a campaign kind and ships recipes.
-PROTOCOL_VERSION = 2
+#: Version 3: every ASSIGN carries its campaign and its cells' recipes.
+PROTOCOL_VERSION = 3
 
-#: Heartbeat cadence a worker uses before its first WELCOME tells it
-#: the campaign cadence; the coordinator's connect-grace reaping of
-#: un-welcomed workers is sized against this.
+#: Heartbeat cadence a worker keeps until an ASSIGN names the campaign
+#: cadence; the coordinator assumes it for a worker not yet heard from.
 DEFAULT_HEARTBEAT_SECONDS = 1.0
 
 HELLO = "hello"
-WELCOME = "welcome"
 ASSIGN = "assign"
 HEARTBEAT = "heartbeat"
 RESULT = "result"
@@ -97,94 +100,92 @@ def hello(worker_id: str, slots: int) -> Dict[str, object]:
     }
 
 
-def welcome(
+def campaign(
     campaign_id: str,
     kind: str,
-    cells: Sequence[Dict[str, object]],
     fresh: bool,
     heartbeat_seconds: float,
     run_id: Optional[str] = None,
     journal_dir: Optional[str] = None,
 ) -> Dict[str, object]:
-    """The whole campaign context, shipped once per (re)connection.
+    """The campaign context every ASSIGN carries.
 
-    ``campaign_id`` must be unique per ``map_cells`` call (the
-    coordinator appends a nonce to the run id): a worker keys its
-    index-addressed memory on it, and a resumed run re-indexes the
-    pending cells, so two campaigns must never share an id. Workers
-    additionally fingerprint the kind and cell list and reinstall on
-    any mismatch.
+    ``campaign_id`` is unique per ``map_cells`` call (the coordinator
+    appends a nonce to the run id): a worker keys its finished-index
+    memory on it, and a resumed run re-indexes the pending cells, so
+    two campaigns never share an id.
 
     ``kind`` names a :class:`repro.supervisor.CampaignKind` (``sweep``,
-    ``chaos`` or ``recovery``; see :func:`repro.sweep.campaign_kind`)
-    and ``cells`` are that kind's ``recipe_of`` payloads. The worker
-    rebuilds each cell with the kind's ``cell_of`` and submits it to
-    its host's shared pool as the same task ``run_campaign`` submits
-    (``fresh`` as there). ``journal_dir`` (when the campaign journals)
-    is where the worker opens its shard; ``None`` disables sharding
-    (nothing to resume into).
+    ``chaos`` or ``recovery``; see :func:`repro.sweep.campaign_kind`);
+    the worker runs each lease's cell as the same task ``run_campaign``
+    submits (``fresh`` as there). ``journal_dir`` (when the campaign
+    journals) is where the worker opens its shard; ``None`` disables
+    sharding (nothing to resume into). ``heartbeat_seconds`` is the
+    cadence the worker adopts once it joins the campaign.
     """
     return {
-        "type": WELCOME,
-        "campaign_id": campaign_id,
-        "run_id": run_id,
-        "journal_dir": journal_dir,
+        "id": campaign_id,
         "kind": kind,
-        "cells": list(cells),
         "fresh": fresh,
         "heartbeat_seconds": heartbeat_seconds,
+        "run_id": run_id,
+        "journal_dir": journal_dir,
     }
 
 
-def assign(leases: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """``leases`` is a list of ``{"lease_id": ..., "index": ...}``."""
-    return {"type": ASSIGN, "leases": list(leases)}
+def assign(
+    context: Dict[str, object], leases: Sequence[Dict[str, object]]
+) -> Dict[str, object]:
+    """Leases of the campaign ``context`` (see :func:`campaign`).
+
+    ``leases`` is a list of ``{"lease_id", "index", "cell"}``: ``cell``
+    is the kind's ``recipe_of`` payload, ``index`` the cell's place in
+    the campaign (the worker's finished-index memory key).
+    """
+    return {"type": ASSIGN, "campaign": dict(context), "leases": list(leases)}
 
 
 def heartbeat(
     worker_id: str,
     held: Sequence[str],
     running: int,
-    campaign_id: Optional[str] = None,
+    interval: float = DEFAULT_HEARTBEAT_SECONDS,
 ) -> Dict[str, object]:
     """Liveness plus the worker's view of its leases.
 
     ``held`` is every lease the worker still considers its own
     (queued or running); the coordinator reconciles it against the
     lease table to detect frames lost in either direction.
-    ``campaign_id`` is the campaign the worker has *installed* (None
-    before any WELCOME arrived) — a mismatch against the active
-    campaign tells the coordinator its WELCOME was lost and must be
-    re-sent, since a heartbeating-but-uninstalled worker would
-    otherwise absorb leases forever without executing anything.
+    ``interval`` is the cadence the worker heartbeats at: the
+    coordinator reaps it after three of them pass in silence.
     """
     return {
         "type": HEARTBEAT,
         "worker_id": worker_id,
         "held": list(held),
         "running": int(running),
-        "campaign_id": campaign_id,
+        "interval": float(interval),
     }
 
 
 def result(
     lease_id: str,
-    index: int,
     key: str,
     entry: Dict[str, object],
     seq: Optional[int] = None,
 ) -> Dict[str, object]:
-    """One finished cell: its journal entry, verbatim.
+    """One leased cell, finished: its journal key and entry, verbatim.
 
     ``entry`` is the same payload ``run_campaign`` journals locally
     (label/ok/error/wall_seconds/attempts/cacheable/cache_hit/result),
     so the coordinator can append it to the authoritative journal
-    unchanged; ``seq`` is the worker-shard sequence for provenance.
+    unchanged — once ``lease_id`` names a lease the live campaign
+    granted and ``key`` is that lease's cell's journal key. ``seq`` is
+    the worker-shard sequence for provenance.
     """
     return {
         "type": RESULT,
         "lease_id": lease_id,
-        "index": int(index),
         "key": key,
         "entry": dict(entry),
         "seq": seq,

@@ -1,12 +1,13 @@
 """``repro.fleet.worker`` — one remote host's share of a campaign.
 
 A :class:`FleetWorker` dials the coordinator, announces itself
-(HELLO), receives the campaign context (WELCOME: a campaign kind's
-name and its cells' recipes), and then executes assigned cells on this
-host's shared pool (:data:`repro.supervisor.shared_pool`, sized
-``slots``). The kind (:func:`repro.sweep.campaign_kind`) rebuilds each
-cell from its recipe (``cell_of``) and makes the *same* task
-``run_campaign`` submits (``kind.cell_fn`` on ``kind.task(cell,
+(HELLO), and executes the cells it is leased (ASSIGN) on this host's
+shared pool (:data:`repro.supervisor.shared_pool`, sized ``slots``).
+Every ASSIGN names its campaign — kind, ``fresh``, run id, journal dir,
+heartbeat cadence — and each lease's recipe, so there is nothing to
+install ahead of a lease. The kind (:func:`repro.sweep.campaign_kind`)
+rebuilds the cell from its recipe (``cell_of``) and makes the *same*
+task ``run_campaign`` submits (``kind.cell_fn`` on ``kind.task(cell,
 fresh)``, behind the :func:`repro.sweep._pin_worker` prologue), so a
 sweep, chaos or recovery cell computes identically whether it ran
 locally or across the fleet, and the pool's children exit when this
@@ -14,19 +15,25 @@ worker process dies.
 
 Robustness posture:
 
+* the first ASSIGN of a new campaign id switches the worker to that
+  campaign: the old shard is closed, the old campaign's leases and
+  finished-index memory are dropped, the new shard is opened and the
+  new cadence takes effect with an immediate heartbeat. An ASSIGN of
+  the current campaign (after a reconnect, say) keeps all of it;
 * every completed cell is appended to the worker's private journal
   shard *before* the RESULT frame is sent — a dead coordinator (or a
-  dropped frame) loses nothing, the shard merge recovers it;
+  dropped frame) loses nothing, the shard merge recovers it. A cell
+  that finishes after the worker moved to another campaign is
+  dropped: its shard is closed, and the coordinator re-leases the cell
+  if its campaign still wants it;
 * *successfully* finished indexes are remembered; a duplicate ASSIGN
   (the coordinator reassigning after a lost RESULT) is answered by
   re-sending the stored entry, never by recomputing. Failures are
   deliberately not memoized — a fresh lease for a failed index is a
   retry and re-executes the cell;
 * the connection is disposable: on any error the worker reconnects
-  with a fresh HELLO and the coordinator re-WELCOMEs it (same
-  campaign id, kind *and* cell list → shard and finished-index memory
-  are kept; anything else reinstalls from scratch, so a stale campaign
-  can never replay the wrong cell for an index);
+  with a fresh HELLO; :meth:`FleetWorker.stop` closes the live one so
+  :meth:`FleetWorker.run` returns at once;
 * each lease runs its cell once; the coordinator charges a failure to
   the campaign's :class:`repro.supervisor.RetryLedger` and decides
   whether the cell runs again. A died pool process (the cell SIGKILLed
@@ -40,8 +47,6 @@ Robustness posture:
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
 import os
 import re
 import socket
@@ -91,12 +96,11 @@ class FleetWorker:
         self.reconnect_seconds = reconnect_seconds
         self.log = log or (lambda message: None)
         self._stop = False
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._transport: Optional[FrameTransport] = None
-        # campaign state (survives reconnects within one campaign)
+        # the campaign the latest ASSIGN named (survives reconnects)
         self._campaign_id: Optional[str] = None
-        self._campaign_digest: Optional[str] = None
         self._kind: Optional[CampaignKind] = None
-        self._cells: Tuple[Any, ...] = ()
         self._fresh = False
         self._heartbeat_seconds = protocol.DEFAULT_HEARTBEAT_SECONDS
         self._shard: Optional[JournalShard] = None
@@ -115,10 +119,19 @@ class FleetWorker:
         return 0
 
     def stop(self) -> None:
+        """Stop serving, from any thread: the live connection is closed
+        on the worker's own loop, so :meth:`run` returns at once."""
         self._stop = True
+        loop, transport = self._loop, self._transport
+        if loop is not None and transport is not None:
+            try:
+                loop.call_soon_threadsafe(transport.close)
+            except RuntimeError:
+                pass  # the loop already finished
 
     async def run_async(self) -> None:
         """Connect-and-serve until told to SHUTDOWN (or :meth:`stop`)."""
+        self._loop = asyncio.get_running_loop()
         try:
             while not self._stop:
                 try:
@@ -144,9 +157,10 @@ class FleetWorker:
                 if not self._stop:
                     await asyncio.sleep(self.reconnect_seconds)
         finally:
-            self._teardown_campaign()
+            self._loop = None
+            self._close_shard()
 
-    def _teardown_campaign(self) -> None:
+    def _close_shard(self) -> None:
         if self._shard is not None:
             self._shard.close()
             self._shard = None
@@ -155,20 +169,18 @@ class FleetWorker:
 
     async def _session(self, transport: FrameTransport) -> None:
         # Heartbeat from the first moment of the session — not gated on
-        # a WELCOME — so the coordinator can distinguish a live idle
+        # an ASSIGN — so the coordinator can distinguish a live idle
         # worker (between campaigns) from a half-open connection and
         # reap the latter.
         self._hb_wake = asyncio.Event()
         heartbeat_task = asyncio.ensure_future(self._heartbeat_loop(transport))
         try:
-            while True:
+            while not self._stop:
                 frame = await transport.recv()
                 if frame is None:
                     return
                 ftype = frame.get("type")
-                if ftype == protocol.WELCOME:
-                    await self._install(frame)
-                elif ftype == protocol.ASSIGN:
+                if ftype == protocol.ASSIGN:
                     await self._on_assign(frame)
                 elif ftype == protocol.REVOKE:
                     await self._on_revoke(transport, frame)
@@ -181,11 +193,10 @@ class FleetWorker:
 
     async def _heartbeat_loop(self, transport: FrameTransport) -> None:
         # Send-first, then wait: the coordinator must hear from us well
-        # inside its 3×heartbeat death deadline even in the very first
-        # interval. The wait is interruptible (`_hb_wake`) so a WELCOME
-        # that installs a faster campaign cadence — or a campaign id we
-        # need to acknowledge — takes effect immediately instead of
-        # after one stale (possibly 1 s default) sleep.
+        # inside three announced intervals even in the very first one.
+        # The wait is interruptible (`_hb_wake`) so joining a campaign
+        # with a faster cadence announces it at once instead of after
+        # one stale (possibly 1 s default) sleep.
         try:
             while True:
                 await transport.send(
@@ -193,7 +204,7 @@ class FleetWorker:
                         self.worker_id,
                         held=list(self._leases),
                         running=len(self._running),
-                        campaign_id=self._campaign_id,
+                        interval=self._heartbeat_seconds,
                     )
                 )
                 assert self._hb_wake is not None
@@ -207,65 +218,38 @@ class FleetWorker:
         except (asyncio.CancelledError, WireError, ConnectionError, OSError):
             return
 
-    # -- campaign install --------------------------------------------------
+    # -- leases ------------------------------------------------------------
 
-    @staticmethod
-    def _campaign_fingerprint(frame: dict) -> str:
-        """Content hash of everything that defines cell-index meaning."""
-        payload = json.dumps(
-            [
-                frame.get("kind"),
-                frame.get("cells", []),
-                frame.get("fresh", False),
-                frame.get("run_id"),
-                frame.get("journal_dir"),
-            ],
-            sort_keys=True,
-            default=str,
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    async def _install(self, frame: dict) -> None:
-        campaign_id = frame.get("campaign_id")
-        digest = self._campaign_fingerprint(frame)
-        self._heartbeat_seconds = float(
-            frame.get("heartbeat_seconds", protocol.DEFAULT_HEARTBEAT_SECONDS)
-        )
-        if self._hb_wake is not None:
-            # Re-announce on the new cadence right away; the coordinator
-            # is waiting to see this campaign id in a heartbeat.
-            self._hb_wake.set()
-        if campaign_id == self._campaign_id and digest == self._campaign_digest:
-            return  # re-WELCOME after a reconnect: keep shard/memory
-        # A matching id with a *different* cell list (a resumed run
-        # reusing its id with a re-indexed pending set) must never reuse
-        # index-keyed memory — lease indexes would point at the wrong
-        # cells and the coordinator would journal wrong-cell entries.
-        self._teardown_campaign()
-        self._campaign_id = campaign_id
-        self._campaign_digest = digest
-        self._kind = kind = campaign_kind(str(frame.get("kind")))
-        self._cells = tuple(kind.cell_of(d) for d in frame.get("cells", []))
-        self._fresh = bool(frame.get("fresh", False))
-        self._leases = {}
-        self._running = set()
-        self._done = {}
+    def _join(self, context: dict) -> None:
+        """Serve the campaign ``context`` names, forgetting the last one."""
+        kind = campaign_kind(str(context.get("kind")))
+        self._close_shard()
+        self._campaign_id, self._kind = context.get("id"), kind
+        self._fresh = bool(context.get("fresh", False))
+        self._leases, self._running, self._done = {}, set(), {}
         self._sem = asyncio.Semaphore(self.slots)
-        run_id = frame.get("run_id")
-        journal_directory = frame.get("journal_dir")
+        run_id, journal_directory = context.get("run_id"), context.get("journal_dir")
         if run_id and journal_directory:
             self._shard = JournalShard.open(
                 str(run_id), self.worker_id, Path(str(journal_directory))
             )
+        self._heartbeat_seconds = float(
+            context.get("heartbeat_seconds", protocol.DEFAULT_HEARTBEAT_SECONDS)
+        )
+        if self._hb_wake is not None:
+            self._hb_wake.set()  # announce the new cadence now
         self.log(
-            f"{kind.name} campaign {campaign_id}: {len(self._cells)} cells, "
-            f"{self.slots} slot(s), shard="
-            + (str(self._shard.path) if self._shard else "off")
+            f"{kind.name} campaign {self._campaign_id}: {self.slots} slot(s), "
+            "shard=" + (str(self._shard.path) if self._shard else "off")
         )
 
-    # -- leases ------------------------------------------------------------
-
     async def _on_assign(self, frame: dict) -> None:
+        context = frame.get("campaign")
+        if not isinstance(context, dict) or not isinstance(context.get("id"), str):
+            return
+        if context["id"] != self._campaign_id:
+            self._join(context)
+        assert self._kind is not None
         for lease in frame.get("leases", []):
             lease_id = lease.get("lease_id")
             index = lease.get("index")
@@ -277,12 +261,14 @@ class FleetWorker:
                 # The coordinator lost our RESULT and reassigned; answer
                 # from memory instead of recomputing.
                 key, entry, seq = self._done[index]
-                await self._send_result(lease_id, index, key, entry, seq)
+                await self._send_result(lease_id, key, entry, seq)
                 continue
-            if not (0 <= index < len(self._cells)):
-                continue
+            try:
+                cell = self._kind.cell_of(lease.get("cell"))
+            except (KeyError, TypeError, ValueError):
+                continue  # never held, so the coordinator expires the lease
             self._leases[lease_id] = index
-            asyncio.ensure_future(self._execute(lease_id, index))
+            asyncio.ensure_future(self._execute(lease_id, index, cell))
 
     async def _on_revoke(self, transport: FrameTransport, frame: dict) -> None:
         """Release queued (never started) leases back to the coordinator."""
@@ -300,12 +286,13 @@ class FleetWorker:
             released.append({"lease_id": lease_id, "index": index})
         await transport.send(protocol.revoked(released))
 
-    async def _compute(self, index: int):
-        """Run one cell on the shared pool; ``None`` means it never ran."""
+    async def _compute(self, cell: Any):
+        """Run one cell of the current campaign on the shared pool;
+        ``None`` means it never ran."""
         kind = self._kind
         assert kind is not None
         fn = _pin(kind.cell_fn)  # to this host's cache dir, like a local campaign
-        task = kind.task(self._cells[index], self._fresh)
+        task = kind.task(cell, self._fresh)
         while True:
             try:
                 future, pool, _ = shared_pool.submit(self.slots, traced_call, fn, task)
@@ -322,22 +309,22 @@ class FleetWorker:
             except Exception as exc:  # pool plumbing failure, e.g. pickling
                 return None, pool_error(exc), 0.0, ERROR_CRASH
 
-    async def _execute(self, lease_id: str, index: int) -> None:
+    async def _execute(self, lease_id: str, index: int, cell: Any) -> None:
         assert self._sem is not None
         async with self._sem:
             if lease_id not in self._leases:
-                return  # revoked while queued
+                return  # revoked while queued, or its campaign is gone
+            campaign_id = self._campaign_id
             self._running.add(lease_id)
             try:
-                outcome = await self._compute(index)
+                outcome = await self._compute(cell)
             finally:
                 self._running.discard(lease_id)
                 self._leases.pop(lease_id, None)
-        if outcome is None:
-            return
+        if outcome is None or campaign_id != self._campaign_id:
+            return  # never ran, or the worker moved to another campaign
         assert self._kind is not None
         value, error, wall, error_kind = outcome
-        cell = self._cells[index]
         out = TaskOutcome(value, error, wall, 1, error_kind)
         entry = journal_entry(self._kind, cell, out)
         entry["worker"] = self.worker_id
@@ -354,20 +341,15 @@ class FleetWorker:
             # retrying and must actually re-execute here.
             self._done[index] = (key, entry, seq)
         self.cells_executed += 1
-        await self._send_result(lease_id, index, key, entry, seq)
+        await self._send_result(lease_id, key, entry, seq)
 
     async def _send_result(
-        self,
-        lease_id: str,
-        index: int,
-        key: str,
-        entry: dict,
-        seq: Optional[int],
+        self, lease_id: str, key: str, entry: dict, seq: Optional[int]
     ) -> None:
         transport = self._transport
         if transport is None:
             return  # between connections; the shard (or a re-ASSIGN) covers it
         try:
-            await transport.send(protocol.result(lease_id, index, key, entry, seq))
+            await transport.send(protocol.result(lease_id, key, entry, seq))
         except (WireError, ConnectionError, OSError):
             pass

@@ -7,43 +7,16 @@ coherence layer that enforces the Border Control cache-organization
 invariant (paper §3.4.3).
 """
 
-from repro.mem.address import (
-    BLOCK_SIZE,
-    PAGE_SIZE,
-    LARGE_PAGE_SIZE,
-    align_down,
-    align_up,
-    block_of,
-    is_page_aligned,
-    page_offset,
-    pages_spanned,
-    ppn_of,
-    vpn_of,
-)
-from repro.mem.cache import Cache, CacheConfig, Line
-from repro.mem.coherence import CoherenceController, CoherenceError, State
-from repro.mem.dram import DRAM, DRAMConfig
-from repro.mem.phys_memory import PhysicalMemory
+from repro import _lazy
 
-__all__ = [
-    "BLOCK_SIZE",
-    "PAGE_SIZE",
-    "LARGE_PAGE_SIZE",
-    "Cache",
-    "CacheConfig",
-    "CoherenceController",
-    "CoherenceError",
-    "DRAM",
-    "DRAMConfig",
-    "Line",
-    "PhysicalMemory",
-    "State",
-    "align_down",
-    "align_up",
-    "block_of",
-    "is_page_aligned",
-    "page_offset",
-    "pages_spanned",
-    "ppn_of",
-    "vpn_of",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy(__name__, (
+    ("repro.mem.address", "BLOCK_SIZE PAGE_SIZE LARGE_PAGE_SIZE "
+                          "align_down align_up block_of is_page_aligned "
+                          "page_offset pages_spanned ppn_of vpn_of"),
+    ("repro.mem.cache", "Cache CacheConfig Line"),
+    ("repro.mem.coherence", "CoherenceController CoherenceError State"),
+    ("repro.mem.dram", "DRAM DRAMConfig"),
+    ("repro.mem.phys_memory", "PhysicalMemory"),
+))
+
+__all__ = sorted(_EXPORTS)

@@ -8,17 +8,13 @@ accelerators, and the violation-handling policies of §3.2.3 (terminate
 the process or disable the accelerator).
 """
 
-from repro.osmodel.process import Process, ProcessState
-from repro.osmodel.kernel import Kernel, ViolationPolicy
-from repro.osmodel.scheduler import RoundRobinScheduler
-from repro.osmodel.vmm import VMM, GuestPartition
+from repro import _lazy
 
-__all__ = [
-    "GuestPartition",
-    "Kernel",
-    "Process",
-    "ProcessState",
-    "RoundRobinScheduler",
-    "VMM",
-    "ViolationPolicy",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy(__name__, (
+    ("repro.osmodel.process", "Process ProcessState"),
+    ("repro.osmodel.kernel", "Kernel ViolationPolicy"),
+    ("repro.osmodel.scheduler", "RoundRobinScheduler"),
+    ("repro.osmodel.vmm", "VMM GuestPartition"),
+))
+
+__all__ = sorted(_EXPORTS)

@@ -334,6 +334,7 @@ class SweepReport:
                 "reassigned",
                 "stolen",
                 "duplicate_results",
+                "foreign_results",
                 "dead_workers",
             )
             lines.append(
@@ -512,7 +513,7 @@ SWEEP_CAMPAIGN = CampaignKind(
 def campaign_kind(name: str) -> CampaignKind:
     """The campaign kind called ``name``: ``sweep``, ``chaos`` or ``recovery``.
 
-    Poison bundles and the fleet's WELCOME frame name a cell's kind;
+    Poison bundles and the fleet's ASSIGN frames name a cell's kind;
     this turns the name back into the kind that decodes and runs it.
     """
     from repro.chaos import CHAOS_CAMPAIGN  # local: both import this module

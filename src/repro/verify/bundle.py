@@ -11,6 +11,7 @@ from scratch and re-applies the trace op by op.
 
 from __future__ import annotations
 
+from contextlib import closing
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -66,24 +67,24 @@ def replay_counterexample(cell: Dict[str, object]) -> Dict[str, object]:
     ends in a lockstep violation (i.e. the bug is still there).
     """
     config = HarnessConfig.from_dict(dict(cell.get("harness", {})))
-    harness = LockstepHarness(config)
     ops = list(cell.get("ops", []))
-    for step, op in enumerate(ops):
-        try:
-            harness.apply(op)
-            harness.check_invariants()
-        except OpRejected as exc:
-            return {
-                "reproduced": False,
-                "steps": len(ops),
-                "step": step,
-                "error": f"op rejected on replay: {exc}",
-            }
-        except AssertionError as exc:
-            return {
-                "reproduced": True,
-                "steps": len(ops),
-                "step": step,
-                "error": str(exc),
-            }
+    with closing(LockstepHarness(config)) as harness:
+        for step, op in enumerate(ops):
+            try:
+                harness.apply(op)
+                harness.check_invariants()
+            except OpRejected as exc:
+                return {
+                    "reproduced": False,
+                    "steps": len(ops),
+                    "step": step,
+                    "error": f"op rejected on replay: {exc}",
+                }
+            except AssertionError as exc:
+                return {
+                    "reproduced": True,
+                    "steps": len(ops),
+                    "step": step,
+                    "error": str(exc),
+                }
     return {"reproduced": False, "steps": len(ops), "step": None, "error": None}

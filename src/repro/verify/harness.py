@@ -168,6 +168,16 @@ class LockstepHarness:
         self.areas: List[int] = []
         self.trace: List[Dict[str, object]] = []
 
+    def close(self) -> None:
+        """Clear the machine's event stream, as ``System.close()`` does.
+
+        The stream holds the kernel's violation policy and this
+        harness's own subscribers, so until it is cleared a finished
+        harness, with its kernel, sandboxes and physical memory, waits
+        for the cyclic GC. A closed harness observes nothing more.
+        """
+        self.kernel.events.clear()
+
     # -- observation plumbing ---------------------------------------------
 
     def _record_lifecycle(self, event: str, accel_id: str, info: Dict[str, object]) -> None:

@@ -60,6 +60,10 @@ class LockstepMachine(RuleBasedStateMachine):
         self.h = LockstepHarness(self.config or HarnessConfig())
         self.h.trace = LAST_TRACE  # shared so the final replay is captured
 
+    def teardown(self) -> None:
+        if hasattr(self, "h"):
+            self.h.close()
+
     # -- helpers -------------------------------------------------------------
 
     def _apply(self, op: Dict[str, object]) -> None:

@@ -22,6 +22,7 @@ including minimal CI images.
 from __future__ import annotations
 
 import itertools
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -136,6 +137,7 @@ def check_small_model(
     for op in prefix:
         probe.apply(op)
     alphabet = small_model_alphabet(probe)
+    probe.close()
 
     checked = 0
     for length in range(1, depth + 1):
@@ -143,26 +145,26 @@ def check_small_model(
             checked += 1
             if progress is not None and checked % 1000 == 0:
                 progress(checked)
-            harness = LockstepHarness(cfg)
-            try:
-                for op in prefix:
-                    harness.apply(op)
-                    harness.check_invariants()
-            except AssertionError as exc:
-                # A broken model can already diverge in the prologue.
-                return Counterexample(
-                    ops=list(harness.trace), step=len(harness.trace), error=str(exc)
-                )
-            try:
-                for step, op in enumerate(sequence):
-                    harness.apply(op)
-                    harness.check_invariants()
-            except OpRejected:
-                continue  # gate refused the op: prune this sequence
-            except AssertionError as exc:
-                return Counterexample(
-                    ops=list(harness.trace),
-                    step=len(harness.trace),
-                    error=str(exc),
-                )
+            with closing(LockstepHarness(cfg)) as harness:
+                try:
+                    for op in prefix:
+                        harness.apply(op)
+                        harness.check_invariants()
+                except AssertionError as exc:
+                    # A broken model can already diverge in the prologue.
+                    return Counterexample(
+                        ops=list(harness.trace), step=len(harness.trace), error=str(exc)
+                    )
+                try:
+                    for step, op in enumerate(sequence):
+                        harness.apply(op)
+                        harness.check_invariants()
+                except OpRejected:
+                    continue  # gate refused the op: prune this sequence
+                except AssertionError as exc:
+                    return Counterexample(
+                        ops=list(harness.trace),
+                        step=len(harness.trace),
+                        error=str(exc),
+                    )
     return None

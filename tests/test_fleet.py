@@ -3,7 +3,8 @@
 Covers the binary frame layer (length-prefixed JSON over the service
 wire module), the seeded network fault injection transport, lease
 bookkeeping (expiry, reassignment, the retry ledger's charges, heartbeat
-reconciliation), worker-side duplicate-ASSIGN memory and revocation,
+reconciliation, foreign RESULTs, announced heartbeat intervals),
+worker-side campaign switches, duplicate-ASSIGN memory and revocation,
 end-to-end campaigns over real sockets (clean, chaotic, and with a
 SIGKILL'd worker), and graceful degradation to the local pool when the
 fleet has no workers.
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import io
 import json
 import os
 import signal
@@ -33,7 +35,7 @@ from repro.fleet.coordinator import _Campaign, _Lease, _WorkerState
 from repro.fleet.transport import FaultyTransport
 from repro.fleet import worker as fleet_worker
 from repro.fleet.worker import sanitize_worker_id
-from repro.journal import RunJournal
+from repro.journal import RunJournal, shard_path
 from repro.service.wire import WireError, encode_frame, read_frame
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.sweep import SWEEP_CAMPAIGN
@@ -315,6 +317,15 @@ class _StubTransport:
         self.closed = True
 
 
+class _AsyncCaptureTransport(_StubTransport):
+    def __init__(self):
+        super().__init__()
+        self.frames = []
+
+    async def send(self, frame):
+        self.frames.append(frame)
+
+
 def _campaign(cells=3, policy=SupervisorPolicy()):
     return _Campaign(
         campaign_id="camp",
@@ -398,7 +409,6 @@ class TestLeaseBookkeeping:
         coord._loop.now = 10.0
         camp = _campaign()
         ws = _WorkerState("w1", _StubTransport())
-        ws.welcomed = True
         ws.last_seen = 10.0
         ws.reported_held = {"camp:1:2"}  # knows about a different lease
         ws.report_time = 10.0
@@ -418,7 +428,6 @@ class TestLeaseBookkeeping:
         coord._loop.now = 10.0
         camp = _campaign()
         ws = _WorkerState("w1", _StubTransport())
-        ws.welcomed = True
         ws.last_seen = 10.0
         ws.reported_held = {"camp:0:1"}
         ws.report_time = 10.0
@@ -438,7 +447,7 @@ class TestLeaseBookkeeping:
         camp = _campaign()
         coord._camp = camp
         ws = _WorkerState("w1", _StubTransport())
-        ws.welcomed = True
+        ws.interval = 0.1  # it announced the campaign cadence
         ws.last_seen = 9.0  # > 3x heartbeat ago
         coord._workers["w1"] = ws
         for index in range(2):
@@ -458,11 +467,75 @@ class TestLeaseBookkeeping:
         camp = _campaign()
         coord._camp = camp
         ws = _WorkerState("w1", _StubTransport())
+        key = SWEEP_CAMPAIGN.journal_key(camp.cells[0])
+        camp.granted.update({"camp:0:1": 0, "camp:0:2": 0})
         entry = {"label": "x", "ok": True, "result": None}
-        coord._on_result(ws, protocol.result("camp:0:1", 0, "k", entry))
-        coord._on_result(ws, protocol.result("camp:0:2", 0, "k", entry))
+        coord._on_result(ws, protocol.result("camp:0:1", key, entry))
+        coord._on_result(ws, protocol.result("camp:0:2", key, entry))
         assert coord.stats["results"] == 1
         assert coord.stats["duplicate_results"] == 1
+        assert coord.stats["foreign_results"] == 0
+        coord._camp = None
+
+    def test_results_for_foreign_leases_or_keys_are_dropped(self):
+        """A RESULT counts only for a lease the live campaign granted,
+        with that lease's cell key: another campaign's lease and a live
+        lease carrying another cell's key are both dropped and counted."""
+        coord = _stub_coordinator()
+        coord._telemetry_fh = telemetry = io.StringIO()
+        camp = _campaign()
+        coord._camp = camp
+        ws = _WorkerState("w1", _AsyncCaptureTransport())
+        coord._workers["w1"] = ws
+        _run(coord._assign(camp))
+        (live,) = [lease.lease_id for lease in camp.leases.values() if lease.index == 1]
+        key_of = [SWEEP_CAMPAIGN.journal_key(cell) for cell in camp.cells]
+        entry = {"label": "x", "ok": True, "result": None}
+        coord._on_result(ws, protocol.result("other-campaign:1:7", key_of[1], entry))
+        coord._on_result(ws, protocol.result(live, key_of[0], entry))
+        assert camp.outcomes == {}
+        assert coord.stats["foreign_results"] == 2
+        assert coord.stats["results"] == 0
+        events = [json.loads(line) for line in telemetry.getvalue().splitlines()]
+        assert [e["lease"] for e in events if e["event"] == "foreign-result"] == [
+            "other-campaign:1:7",
+            live,
+        ]
+        # The lease is still live, and its own cell's result lands.
+        coord._on_result(ws, protocol.result(live, key_of[1], entry))
+        assert sorted(camp.outcomes) == [1]
+        assert live not in camp.leases
+        coord._telemetry_fh = None
+        coord._camp = None
+
+    def test_assign_does_not_shorten_the_interval_a_worker_announced(self):
+        """A worker is reaped after three of the intervals *it*
+        announced: an ASSIGN naming a 0.2 s cadence does not hold a
+        worker last heard 0.8 s ago on the 1 s default to 0.6 s."""
+        coord = _stub_coordinator(heartbeat_seconds=0.2)
+        camp = _campaign()
+        coord._camp = camp
+        ws = _WorkerState("w1", _AsyncCaptureTransport())
+        coord._workers["w1"] = ws
+        ws.last_seen = 99.2
+        coord._on_heartbeat(
+            ws, protocol.heartbeat("w1", held=[], running=0, interval=1.0)
+        )
+        _run(coord._assign(camp))
+        (frame,) = ws.transport.frames
+        assert frame["campaign"]["heartbeat_seconds"] == 0.2
+        coord._reap_dead_workers()
+        assert "w1" in coord._workers
+        # Its next heartbeat announces the new cadence, and from then on
+        # three silent 0.2 s intervals are enough.
+        ws.last_seen = coord._loop.now  # as _handle stamps every frame
+        coord._on_heartbeat(
+            ws, protocol.heartbeat("w1", held=[], running=0, interval=0.2)
+        )
+        coord._loop.advance(0.7)
+        coord._reap_dead_workers()
+        assert "w1" not in coord._workers
+        assert coord.stats["dead_workers"] == 1
         coord._camp = None
 
     def test_retryable_failure_is_reassigned_not_finalized(self):
@@ -473,8 +546,10 @@ class TestLeaseBookkeeping:
         camp.pending.clear()
         coord._camp = camp
         ws = _WorkerState("w1", _StubTransport())
+        key = SWEEP_CAMPAIGN.journal_key(camp.cells[0])
+        camp.granted.update({"camp:0:1": 0, "camp:0:2": 0})
         entry = {"label": "x", "ok": False, "error_kind": ERROR_CRASH, "error": "boom"}
-        coord._on_result(ws, protocol.result("camp:0:1", 0, "k", entry))
+        coord._on_result(ws, protocol.result("camp:0:1", key, entry))
         assert 0 not in camp.outcomes
         assert camp.ledger.states[0].attempts == 1
         coord._loop.advance(0.49)
@@ -482,7 +557,7 @@ class TestLeaseBookkeeping:
         coord._loop.advance(0.02)
         assert list(camp.pending) == [0]
         ok = {"label": "x", "ok": True, "attempts": 1, "result": None}
-        coord._on_result(ws, protocol.result("camp:0:2", 0, "k", ok))
+        coord._on_result(ws, protocol.result("camp:0:2", key, ok))
         assert camp.outcomes[0]["attempts"] == 2
         coord._camp = None
 
@@ -513,9 +588,9 @@ class TestLeaseBookkeeping:
         coord._loop = _StubLoop()
         coord._loop.now = 100.0
         stale = _WorkerState("stale", _StubTransport())
-        stale.last_seen = 90.0  # silent well past the connect grace
+        stale.last_seen = 90.0  # silent well past three default intervals
         fresh = _WorkerState("fresh", _StubTransport())
-        fresh.last_seen = 99.5  # heartbeating pre-WELCOME: stays
+        fresh.last_seen = 99.5  # heartbeating before any ASSIGN: stays
         coord._workers = {"stale": stale, "fresh": fresh}
         coord._reap_dead_workers()
         assert "stale" not in coord._workers
@@ -546,12 +621,27 @@ def _crashing_traced_call(fn, task):
 _unpicklable_call = lambda fn, task: traced_call(fn, task)  # noqa: E731
 
 
-class _AsyncCaptureTransport:
-    def __init__(self):
-        self.frames = []
+def _assign_frame(cells, leases, campaign_id="camp", heartbeat_seconds=0.5, **context):
+    """An ASSIGN of sweep campaign ``campaign_id``; ``leases`` maps each
+    lease id to its index into ``cells``."""
+    return protocol.assign(
+        protocol.campaign(campaign_id, "sweep", False, heartbeat_seconds, **context),
+        [
+            {"lease_id": lease_id, "index": index, "cell": cells[index].to_dict()}
+            for lease_id, index in leases.items()
+        ],
+    )
 
-    async def send(self, frame):
-        self.frames.append(frame)
+
+def _recording_compute(cells, calls, outcome=((None, False), None, 0.01, None)):
+    """A ``_compute`` that logs each cell's index into ``cells`` and
+    returns ``outcome`` (by default: ok, no payload to encode)."""
+
+    async def compute(cell):
+        calls.append(cells.index(cell))
+        return outcome
+
+    return compute
 
 
 class TestWorkerLeases:
@@ -562,24 +652,16 @@ class TestWorkerLeases:
 
     def test_duplicate_assign_answers_from_done_memory(self):
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)
-        worker._cells = tuple(_cells(2))
+        worker._campaign_id, worker._kind = "camp", SWEEP_CAMPAIGN
         worker._transport = transport = _AsyncCaptureTransport()
         entry = {"label": "done", "ok": True}
         worker._done[1] = ("key-1", entry, 7)
 
-        loop = asyncio.new_event_loop()
-        try:
-            loop.run_until_complete(
-                worker._on_assign(
-                    protocol.assign([{"lease_id": "L1", "index": 1}])
-                )
-            )
-        finally:
-            loop.close()
+        _run(worker._on_assign(_assign_frame(_cells(2), {"L1": 1})))
         assert len(transport.frames) == 1
         frame = transport.frames[0]
         assert frame["type"] == protocol.RESULT
-        assert frame["index"] == 1
+        assert (frame["lease_id"], frame["key"]) == ("L1", "key-1")
         assert frame["entry"] == entry
         assert frame["seq"] == 7
         assert worker.cells_executed == 0  # answered from memory, no compute
@@ -606,52 +688,30 @@ class TestWorkerLeases:
 
     def test_failed_cell_is_not_memoized_and_reexecutes(self):
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)
-        worker._kind = SWEEP_CAMPAIGN
-        worker._cells = tuple(_cells(1))
-        worker._sem = asyncio.Semaphore(1)
         worker._transport = transport = _AsyncCaptureTransport()
-        calls = []
-
-        async def fake_compute(index):
-            calls.append(index)
-            return (None, "transient boom", 0.01, ERROR_TRANSIENT)
-
-        worker._compute = fake_compute
-        self._drive(
-            worker, protocol.assign([{"lease_id": "L1", "index": 0}])
+        cells, calls = _cells(1), []
+        worker._compute = _recording_compute(
+            cells, calls, (None, "transient boom", 0.01, ERROR_TRANSIENT)
         )
+        self._drive(worker, _assign_frame(cells, {"L1": 0}))
         assert calls == [0]
         assert worker._done == {}  # failures are never answered from memory
         assert transport.frames[-1]["entry"]["ok"] is False
         # A fresh lease for the failed index is the coordinator's retry:
         # it must re-execute, not replay the stored failure.
-        self._drive(
-            worker, protocol.assign([{"lease_id": "L2", "index": 0}])
-        )
+        self._drive(worker, _assign_frame(cells, {"L2": 0}))
         assert calls == [0, 0]
         assert len(transport.frames) == 2
 
     def test_successful_cell_is_memoized_for_duplicate_assigns(self):
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)
-        worker._kind = SWEEP_CAMPAIGN
-        worker._cells = tuple(_cells(1))
-        worker._sem = asyncio.Semaphore(1)
         worker._transport = transport = _AsyncCaptureTransport()
-        calls = []
-
-        async def fake_compute(index):
-            calls.append(index)
-            return ((None, False), None, 0.01, None)  # ok, no payload to encode
-
-        worker._compute = fake_compute
-        self._drive(
-            worker, protocol.assign([{"lease_id": "L1", "index": 0}])
-        )
+        cells, calls = _cells(1), []
+        worker._compute = _recording_compute(cells, calls)
+        self._drive(worker, _assign_frame(cells, {"L1": 0}))
         assert calls == [0]
         assert 0 in worker._done
-        self._drive(
-            worker, protocol.assign([{"lease_id": "L2", "index": 0}])
-        )
+        self._drive(worker, _assign_frame(cells, {"L2": 0}))
         assert calls == [0]  # answered from memory, no recompute
         assert len(transport.frames) == 2
 
@@ -661,28 +721,21 @@ class TestWorkerLeases:
         monkeypatch.setattr(fleet_worker, "traced_call", _crashing_traced_call)
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=2)
         die, slow, healthy = _cells(3)
-        worker._kind = SWEEP_CAMPAIGN
-        worker._cells = (
+        cells = [
             dataclasses.replace(die, tag="die"),
             dataclasses.replace(slow, tag="slow"),
             healthy,
-        )
-        worker._sem = asyncio.Semaphore(2)
+        ]
         worker._transport = transport = _AsyncCaptureTransport()
         before = shared_pool.replacements
-        self._drive(
-            worker,
-            protocol.assign(
-                [{"lease_id": "L0", "index": 0}, {"lease_id": "L1", "index": 1}]
-            ),
-        )
+        self._drive(worker, _assign_frame(cells, {"L0": 0, "L1": 1}))
         assert shared_pool.replacements - before == 1
-        assert sorted(frame["index"] for frame in transport.frames) == [0, 1]
+        assert sorted(frame["lease_id"] for frame in transport.frames) == ["L0", "L1"]
         assert all(
             frame["entry"]["error_kind"] == ERROR_CRASH for frame in transport.frames
         )
-        self._drive(worker, protocol.assign([{"lease_id": "L2", "index": 2}]))
-        assert transport.frames[-1]["index"] == 2
+        self._drive(worker, _assign_frame(cells, {"L2": 2}))
+        assert transport.frames[-1]["lease_id"] == "L2"
         assert transport.frames[-1]["entry"]["ok"]
         assert shared_pool.replacements - before == 1
 
@@ -691,41 +744,62 @@ class TestWorkerLeases:
         lease with a crash RESULT instead of silently dropping it."""
         monkeypatch.setattr(fleet_worker, "traced_call", _unpicklable_call)
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)
-        worker._kind = SWEEP_CAMPAIGN
-        worker._cells = tuple(_cells(1))
-        worker._sem = asyncio.Semaphore(1)
         worker._transport = transport = _AsyncCaptureTransport()
-        self._drive(worker, protocol.assign([{"lease_id": "L1", "index": 0}]))
+        self._drive(worker, _assign_frame(_cells(1), {"L1": 0}))
         assert len(transport.frames) == 1
         entry = transport.frames[0]["entry"]
         assert (entry["ok"], entry["error_kind"]) == (False, ERROR_CRASH)
         assert "PicklingError" in entry["error"]
         assert worker._leases == {}
 
-    def test_install_reinstalls_when_cells_change_under_same_id(self):
+    def test_assign_of_a_new_campaign_switches_the_worker(self, tmp_path):
+        """A worker that last ran campaign A, handed campaign B's lease on
+        the same index, runs B's recipe, reports B's cell key, journals
+        it to B's shard and adopts B's cadence: A's finished-index
+        memory cannot answer for B."""
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)
-        first = protocol.welcome(
-            "camp", "sweep", [c.to_dict() for c in _cells(2)], False, 0.5
-        )
-        second = protocol.welcome(
-            "camp", "sweep", [c.to_dict() for c in _cells(3)], False, 0.5
-        )
-        loop = asyncio.new_event_loop()
+        worker._transport = transport = _AsyncCaptureTransport()
+        a_cell, b_cell = _cells(2)
+        cells, calls = [a_cell, b_cell], []
+        worker._compute = _recording_compute(cells, calls)
         try:
-            loop.run_until_complete(worker._install(first))
-            assert len(worker._cells) == 2
-            worker._done[0] = ("k", {"ok": True}, 1)
-            # Identical re-WELCOME (a reconnect): memory is kept.
-            loop.run_until_complete(worker._install(first))
+            self._drive(
+                worker,
+                _assign_frame([a_cell], {"A:0:1": 0}, "A", 0.5,
+                              run_id="run-a", journal_dir=str(tmp_path)),
+            )
             assert 0 in worker._done
-            # Same campaign id, different cell list (a resumed run that
-            # reused its id): index memory must be rebuilt from scratch.
-            loop.run_until_complete(worker._install(second))
-            assert worker._done == {}
-            assert len(worker._cells) == 3
+            self._drive(
+                worker,
+                _assign_frame([b_cell], {"B:0:1": 0}, "B", 0.25,
+                              run_id="run-b", journal_dir=str(tmp_path)),
+            )
         finally:
-            worker._teardown_campaign()
-            loop.close()
+            worker._close_shard()
+        assert calls == [0, 1]  # B's cell ran: not answered from A's memory
+        keys = [SWEEP_CAMPAIGN.journal_key(cell) for cell in cells]
+        assert [(f["lease_id"], f["key"]) for f in transport.frames] == [
+            ("A:0:1", keys[0]),
+            ("B:0:1", keys[1]),
+        ]
+        assert worker._heartbeat_seconds == 0.25
+        for run_id, key in (("run-a", keys[0]), ("run-b", keys[1])):
+            lines = shard_path(run_id, "w1", tmp_path).read_text().splitlines()
+            assert [json.loads(line).get("key") for line in lines[1:]] == [key]
+
+    def test_assign_of_the_current_campaign_keeps_memory(self):
+        """An ASSIGN of the campaign the worker already serves (after a
+        reconnect, say) keeps its finished-index memory."""
+        worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)
+        worker._transport = _AsyncCaptureTransport()
+        cells, calls = _cells(1), []
+        worker._compute = _recording_compute(cells, calls)
+        self._drive(worker, _assign_frame(cells, {"camp:0:1": 0}))
+        worker._transport = transport = _AsyncCaptureTransport()  # reconnected
+        self._drive(worker, _assign_frame(cells, {"camp:0:2": 0}))
+        assert calls == [0]
+        assert 0 in worker._done
+        assert [frame["lease_id"] for frame in transport.frames] == ["camp:0:2"]
 
     def test_revoke_releases_only_queued_leases(self):
         worker = FleetWorker("127.0.0.1", 1, worker_id="w1", slots=1)
@@ -765,9 +839,17 @@ def _spawn_worker_thread(coord, worker_id, slots=1):
     return worker, thread
 
 
-def _join_worker(worker, thread, coord=None):
+def _join_worker(worker, thread):
     worker.stop()
     thread.join(10.0)
+    assert not thread.is_alive(), f"worker {worker.worker_id} outlived stop()"
+
+
+def _wait_connected(coord, count=1, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while coord.stats_snapshot()["workers_connected"] < count:
+        assert time.monotonic() < deadline, "worker never connected"
+        time.sleep(0.02)
 
 
 class TestFleetEndToEnd:
@@ -931,6 +1013,16 @@ class TestFleetEndToEnd:
             cell.label for cell in second
         ]
 
+    def test_stop_ends_a_connected_idle_worker(self):
+        """``stop()`` closes the live connection, so an idle worker's
+        ``run()`` returns at once instead of waiting for a frame."""
+        with FleetCoordinator(heartbeat_seconds=0.2) as coord:
+            worker, thread = _spawn_worker_thread(coord, "idle")
+            _wait_connected(coord)
+            worker.stop()
+            thread.join(2.0)
+            assert not thread.is_alive()
+
     def test_zero_workers_degrades_to_leftovers(self):
         cells = _cells(2)
         with FleetCoordinator(heartbeat_seconds=0.1, wait_seconds=0.3) as coord:
@@ -938,12 +1030,15 @@ class TestFleetEndToEnd:
         assert outcomes == {}
         assert leftovers == [0, 1]
 
-    def test_hello_of_another_protocol_version_is_closed_without_a_lease(self):
-        """A worker built for the version-1 wire is told why and hung up
-        on; the campaign it would have joined grants it nothing."""
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_hello_of_another_protocol_version_is_closed_without_a_lease(
+        self, version
+    ):
+        """A worker built for an older wire is told why and hung up on;
+        the campaign it would have joined grants it nothing."""
         with FleetCoordinator(heartbeat_seconds=0.1, wait_seconds=0.3) as coord:
             with socket.create_connection(("127.0.0.1", coord.port), 10.0) as sock:
-                hello = dict(protocol.hello("old", slots=2), protocol=1)
+                hello = dict(protocol.hello("old", slots=2), protocol=version)
                 sock.sendall(encode_frame(hello))
                 outcomes, leftovers = coord.map_cells(_cells(2), SWEEP_CAMPAIGN)
                 received = b""
@@ -953,7 +1048,7 @@ class TestFleetEndToEnd:
                     chunk = sock.recv(65536)
         frames = _read_all(received)
         assert [frame["type"] for frame in frames] == [protocol.SHUTDOWN]
-        assert frames[0]["reason"].startswith("protocol 1 refused")
+        assert frames[0]["reason"].startswith(f"protocol {version} refused")
         assert (outcomes, leftovers) == ({}, [0, 1])
         assert coord.stats["assigned"] == 0 and coord.stats["workers_seen"] == 0
 

@@ -43,6 +43,19 @@ HOST_MODULES = (
 #: The campaign kinds a threaded job layer must have loaded at import.
 JOB_LAYERS = ("repro.sweep", "repro.chaos", "repro.recovery")
 
+#: Simulator modules no GPU cell uses; only their own users load them.
+UNUSED_BY_GPU_CELLS = (
+    "repro.accel.stream",
+    "repro.accel.faulty",
+    "repro.osmodel.scheduler",
+    "repro.osmodel.vmm",
+    "repro.core.sparse_table",
+    "repro.mem.coherence",
+)
+
+#: Simulator packages that resolve their exports on first read.
+LAZY_PACKAGES = ("repro.accel", "repro.core", "repro.mem", "repro.osmodel")
+
 
 def _fresh(statement: str, probe: str = "list(sys.modules)"):
     """Run ``statement`` in a new interpreter; return ``probe`` afterwards."""
@@ -72,6 +85,11 @@ def test_simulator_imports_load_no_host_layer(statement):
     assert [name for name in HOST_MODULES if name in loaded] == []
 
 
+def test_runner_loads_no_module_a_gpu_cell_does_not_use():
+    loaded = set(_fresh("import repro.sim.runner"))
+    assert [name for name in UNUSED_BY_GPU_CELLS if name in loaded] == []
+
+
 @pytest.mark.parametrize("package", ["repro.service", "repro.fleet"])
 def test_threaded_layers_load_campaign_kinds_at_import(package):
     loaded = set(_fresh(f"import {package}"))
@@ -84,6 +102,16 @@ class TestExports:
             """
             import repro
             names = [n for n in repro.__all__ if getattr(repro, n) is None]
+            """
+        )
+        assert _fresh(statement, "names") == []
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_every_package_export_resolves(self, package):
+        statement = textwrap.dedent(
+            f"""
+            import {package} as package
+            names = [n for n in package.__all__ if getattr(package, n) is None]
             """
         )
         assert _fresh(statement, "names") == []

@@ -14,6 +14,9 @@ be caught, otherwise a green machine run means nothing.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis.stateful import run_state_machine_as_test
 
@@ -91,3 +94,30 @@ def test_machine_trace_is_replayable():
         replay.apply(op)
         replay.check_invariants()
     assert replay.trace == ops
+
+
+def test_closed_harness_leaves_nothing_to_the_cyclic_gc():
+    """``close()`` clears the event stream that makes every harness a
+    reference cycle, so with the cyclic GC off reference counting frees
+    the whole machine as soon as the harness is dropped."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        h = LockstepHarness()
+        for op in (
+            {"op": "mmap", "pages": 2, "writable": True},
+            {"op": "translate", "dev": 0, "area": 0, "page": 0},
+            {"op": "access", "dev": 1, "ppn": h.secret.ppn, "write": False},
+        ):
+            h.apply(op)
+            h.check_invariants()
+        parts = {"harness": h, "kernel": h.kernel, "memory": h.phys}
+        refs = {name: weakref.ref(obj) for name, obj in parts.items()}
+        h.close()
+        del h, parts
+        assert [name for name, ref in refs.items() if ref() is not None] == []
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -31,6 +31,11 @@ the full crash-tolerance contract checked on the way out:
    (``mode == fleet``) and its report's ``to_dict()`` must equal the
    serial run's.
 
+After each leg the smoke prints the coordinator's running totals of
+partitioned and injected frames and of ``foreign_results``: the
+RESULTs it dropped because no live campaign granted their lease with
+that cell's key.
+
 The telemetry JSONL (campaign/lease/result/worker-dead events) is left
 in the working directory for CI to upload as an artifact.
 
@@ -108,6 +113,19 @@ def reap(proc: subprocess.Popen) -> None:
     killpg(proc, signal.SIGKILL)  # any stragglers in the group
 
 
+def fault_counts(stats) -> str:
+    """The fleet totals each leg prints: partitioned and injected
+    frames, and the foreign RESULTs the coordinator dropped."""
+    injected = sum(
+        stats.get(name, 0)
+        for name in ("frames_dropped", "frames_delayed", "frames_duplicated")
+    )
+    return (
+        f"partitioned={stats.get('frames_partitioned', 0)} "
+        f"injected={injected} foreign_results={stats.get('foreign_results', 0)}"
+    )
+
+
 def campaign_leg(name: str, seed: int, coordinator) -> None:
     """Run one quick chaos or recovery grid on the fleet, then serially;
     fail unless it ran on the fleet and the two reports are equal."""
@@ -131,7 +149,7 @@ def campaign_leg(name: str, seed: int, coordinator) -> None:
     if placed != run_serial(**args).to_dict():
         fail(f"{name} leg: the fleet report differs from the serial one")
     print(f"{name} leg OK: {len(report.outcomes)} cells on the fleet, "
-          "report equals serial")
+          f"report equals serial, {fault_counts(report.fleet or {})}")
 
 
 def main() -> None:
@@ -282,8 +300,7 @@ def main() -> None:
     print(
         f"fleet sweep OK: {total} cells, "
         f"dead_workers={stats['dead_workers']} "
-        f"reassigned={stats['reassigned']} "
-        f"partitioned={stats['frames_partitioned']} injected={injected}"
+        f"reassigned={stats['reassigned']} {fault_counts(stats)}"
     )
 
     # -- act 2: restart resumes with zero re-execution -----------------
