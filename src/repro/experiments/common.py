@@ -1,9 +1,11 @@
 """Shared infrastructure for experiment drivers: caching and formatting.
 
 Simulations are deterministic given their parameters, so results are
-cached — in memory for a process's lifetime and as JSON on disk under
-``.exp_cache/`` in the working directory. Bump :data:`CACHE_VERSION`
-whenever the timing model changes in a way that invalidates old numbers.
+cached as JSON on disk under ``.exp_cache/`` in the working directory,
+and :func:`cached_run` also memoizes them for the process's lifetime
+(campaign cells skip that memo: see :func:`load_or_run`). Bump
+:data:`CACHE_VERSION` whenever the timing model changes in a way that
+invalidates old numbers.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.sim.runner import RunResult, run_single
@@ -28,6 +30,8 @@ __all__ = [
     "clear_cache",
     "fmt_percent",
     "fmt_ratio",
+    "load_or_run",
+    "publish_result",
     "store_result",
     "text_table",
 ]
@@ -135,18 +139,50 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def store_result(key: str, result: RunResult) -> None:
-    """Adopt an externally computed result into the caches.
+def publish_result(key: str, result: RunResult) -> None:
+    """Publish an externally computed result to the disk cache, if absent.
 
-    The parallel sweep uses this to publish worker results into the
-    parent process's memory cache (and the shared disk cache, in case
-    the worker died between computing and persisting).
+    The sweep publishes every result it adopts (pool-computed,
+    fleet-placed, resumed from a journal), in case its worker died
+    between computing and persisting or ran on another host.
     """
-    _memory_cache[_memory_key(key)] = result
     path = cache_path(key)
     if not path.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
         _write_atomic(path, json.dumps(_result_to_dict(result)))
+
+
+def store_result(key: str, result: RunResult) -> None:
+    """Adopt an externally computed result into both cache layers."""
+    _memory_cache[_memory_key(key)] = result
+    publish_result(key, result)
+
+
+def load_or_run(key: str, run: Callable[[], RunResult]) -> Tuple[RunResult, str]:
+    """``key``'s disk-cache entry, or ``run()``'s result published under it.
+
+    Returns ``(result, source)`` with ``source`` ``"disk"`` or
+    ``"computed"``: :func:`cached_run_ex` without the in-process memo.
+    Campaign cells run through this, so a campaign leaves no result in
+    the memo once it returns.
+    """
+    path = cache_path(key)
+    if path.exists():
+        try:
+            return _result_from_dict(json.loads(path.read_text())), "disk"
+        except FileNotFoundError:
+            pass  # another process replaced/unlinked it mid-read; recompute
+        except (ValueError, TypeError, KeyError):
+            # Stale or corrupt entry. A racing process may have detected
+            # (and unlinked) the same corruption first — that's fine.
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                pass
+    result = run()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_atomic(path, json.dumps(_result_to_dict(result)))
+    return result, "computed"
 
 
 def cached_run_ex(
@@ -180,34 +216,20 @@ def cached_run_ex(
     mem_key = _memory_key(key)
     if mem_key in _memory_cache:
         return _memory_cache[mem_key], "memory"
-    path = cache_path(key)
-    if path.exists():
-        try:
-            result = _result_from_dict(json.loads(path.read_text()))
-            _memory_cache[mem_key] = result
-            return result, "disk"
-        except FileNotFoundError:
-            pass  # another process replaced/unlinked it mid-read; recompute
-        except (ValueError, TypeError, KeyError):
-            # Stale or corrupt entry. A racing process may have detected
-            # (and unlinked) the same corruption first — that's fine.
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
-    result = run_single(
-        workload,
-        safety,
-        threading,
-        seed=seed,
-        ops_scale=ops_scale,
-        record_border=record_border,
-        downgrade_interval_cycles=downgrade_interval_cycles,
+    result, source = load_or_run(
+        key,
+        lambda: run_single(
+            workload,
+            safety,
+            threading,
+            seed=seed,
+            ops_scale=ops_scale,
+            record_border=record_border,
+            downgrade_interval_cycles=downgrade_interval_cycles,
+        ),
     )
     _memory_cache[mem_key] = result
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(path, json.dumps(_result_to_dict(result)))
-    return result, "computed"
+    return result, source
 
 
 def cached_run(

@@ -517,7 +517,11 @@ class FleetCoordinator:
             owner = self._workers.get(lease.worker_id)
             if owner is not None:
                 owner.held.discard(lease.lease_id)
-        if index in camp.outcomes:
+        # A failure is charged once, by the lease that ran it: a failed
+        # RESULT whose lease is no longer live (a duplicated frame, or a
+        # late failure from an expired lease that was already charged or
+        # re-leased) is a duplicate, like a second result for a cell.
+        if index in camp.outcomes or (lease is None and not entry.get("ok")):
             self.stats["duplicate_results"] += 1
             self._emit("duplicate-result", index=index, worker=ws.worker_id)
             return

@@ -257,12 +257,19 @@ class RunJournal:
     Use :meth:`create` for a new run and :meth:`open` to resume one.
     ``record`` appends and flushes a single entry; ``completed`` answers
     "has this key already succeeded?" for the resume path.
+
+    Entries live in the file, not in memory: the journal keeps, per key,
+    only the byte offset of its last entry's line and whether that entry
+    succeeded, and every lookup reads that one line back. A journal of
+    large entries (the job server's, whose terminal records carry whole
+    results) therefore costs a fixed few dozen bytes per key.
     """
 
     def __init__(self, path: Path, run_id: str) -> None:
         self.path = path
         self.run_id = run_id
-        self._entries: Dict[str, dict] = {}
+        #: key → (offset of its last entry's line, whether that entry is ok)
+        self._index: Dict[str, Tuple[int, bool]] = {}
         self._fh = None
         self._lock = threading.Lock()
         self._lock_fh = None
@@ -360,7 +367,7 @@ class RunJournal:
             )
         journal = cls(path, run_id)
         journal._acquire_writer_lock()
-        journal._fh = open(path, "a")
+        journal._fh = open(path, "ab")
         journal._append(
             {"schema": JOURNAL_SCHEMA, "run_id": run_id, "created": time.time()}
         )
@@ -376,7 +383,8 @@ class RunJournal:
         """Load an existing journal for resuming (optionally creating it).
 
         Duplicate keys in the file are deduped last-wins, making journal
-        replay idempotent under duplicate appends.
+        replay idempotent under duplicate appends. Loading indexes the
+        file; it keeps no entry.
         """
         directory = directory or journal_dir()
         path = directory / f"{run_id}.jsonl"
@@ -390,10 +398,11 @@ class RunJournal:
             return cls.create(run_id, directory)
         journal = cls(path, run_id)
         journal._acquire_writer_lock()
-        with open(path) as fh:
+        offset, line = 0, b"\n"
+        with open(path, "rb") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
+                start, offset = offset, offset + len(line)
+                if not line.strip():
                     continue
                 try:
                     entry = json.loads(line)
@@ -401,8 +410,12 @@ class RunJournal:
                     continue  # torn tail of a killed run — everything before it is good
                 key = entry.get("key")
                 if key is not None:
-                    journal._entries[key] = entry
-        journal._fh = open(path, "a")
+                    journal._index[key] = (start, bool(entry.get("ok")))
+        journal._fh = open(path, "ab")
+        if not line.endswith(b"\n"):
+            # A killed run's torn tail: the next entry starts a line of its own.
+            journal._fh.write(b"\n")
+            journal._fh.flush()
         return journal
 
     def close(self) -> None:
@@ -423,45 +436,54 @@ class RunJournal:
 
     # -- recording and lookup ---------------------------------------------
 
-    def _append(self, payload: dict) -> None:
+    def _append(self, payload: dict) -> int:
+        """Write one line (flushed); returns the offset it starts at."""
         assert self._fh is not None, "journal is closed"
-        self._fh.write(json.dumps(payload, default=str) + "\n")
+        offset = self._fh.tell()
+        self._fh.write(json.dumps(payload, default=str).encode() + b"\n")
         self._fh.flush()
+        return offset
+
+    def _read(self, offset: int) -> dict:
+        # A separate handle: appends may go on meanwhile (the fleet
+        # records from its own thread), and an offset is only indexed
+        # once its line is flushed.
+        with open(self.path, "rb") as fh:
+            fh.seek(offset)
+            return json.loads(fh.readline())
 
     def record(self, key: str, entry: dict) -> None:
         """Append one entry (idempotent: the latest entry per key wins)."""
         payload = {"key": key, **entry}
         with self._lock:
-            self._append(payload)
-            self._entries[key] = payload
+            self._index[key] = (self._append(payload), bool(entry.get("ok")))
 
     def lookup(self, key: str) -> Optional[dict]:
-        return self._entries.get(key)
+        """The last entry recorded for ``key``, read back from the file."""
+        slot = self._index.get(key)
+        return None if slot is None else self._read(slot[0])
 
     def completed(self, key: str) -> Optional[dict]:
         """The entry for ``key`` if it recorded a *successful* outcome."""
-        entry = self._entries.get(key)
-        if entry is not None and entry.get("ok"):
-            return entry
-        return None
+        slot = self._index.get(key)
+        return self._read(slot[0]) if slot is not None and slot[1] else None
 
     def completed_keys(self) -> Dict[str, dict]:
-        return {k: e for k, e in self._entries.items() if e.get("ok")}
+        return {k: self._read(offset) for k, (offset, ok) in self._index.items() if ok}
 
     def entries(self) -> Dict[str, dict]:
-        """Every keyed entry, deduped last-wins (success *and* failure).
+        """Every keyed entry, deduped last-wins (success *and* failure)."""
+        return {k: self._read(offset) for k, (offset, _ok) in self._index.items()}
 
-        The job server replays its durable job records through this —
-        unlike :meth:`completed_keys` it must see failed/cancelled
-        states too, not just successful ones.
-        """
-        return dict(self._entries)
+    def keys(self) -> List[str]:
+        """Every recorded key, in the order each was first recorded."""
+        return list(self._index)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._entries
+        return key in self._index
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._index)
 
     # -- shard merge --------------------------------------------------------
 
@@ -506,8 +528,7 @@ class RunJournal:
         merged = 0
         for key in sorted(winners):
             _, entry = winners[key]
-            existing = self._entries.get(key)
-            if existing is not None and existing.get("ok"):
+            if self._index.get(key, (0, False))[1]:
                 continue  # already authoritative — idempotent re-merge
             self.record(key, {k: v for k, v in entry.items() if k != "key"})
             merged += 1

@@ -35,7 +35,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, NamedTuple, Optional
 
 from repro.errors import ReproError
 from repro.journal import RunJournal, journal_dir
@@ -43,6 +43,7 @@ from repro.journal import RunJournal, journal_dir
 __all__ = [
     "JOB_KINDS",
     "TERMINAL_STATES",
+    "FinishedJob",
     "InvalidTransition",
     "Job",
     "JobSpec",
@@ -243,6 +244,24 @@ class Job:
         return job
 
 
+class FinishedJob(NamedTuple):
+    """What memory keeps of a terminal job: a fixed-size index entry.
+
+    The job's full record (result included) and its event log live in
+    the service journal, on the line the journal's index points at for
+    the job id; this holds what listing, ``/metrics`` and retention ask
+    of every job without reading that line.
+    """
+
+    state: str
+    tenant: str
+    run_id: str
+    seq: int
+    finished: Optional[float]
+
+    terminal = True
+
+
 class JobStore:
     """Durable job records over an append-only service journal.
 
@@ -253,6 +272,13 @@ class JobStore:
     a second replica pointed at the same service id fails fast with
     :class:`repro.journal.JournalLockedError` instead of corrupting job
     records.
+
+    Only live jobs stay in memory. A job's terminal entry carries its
+    final record and its event log; from then on the store keeps a
+    :class:`FinishedJob` and reads that one journal line back whenever
+    the job's record or events are asked for, so a finished job costs
+    memory for its index entries, not for its record. A restarted server
+    rebuilds the same split from the journal's last entry per job.
     """
 
     def __init__(
@@ -262,21 +288,28 @@ class JobStore:
         self._journal = RunJournal.open(
             f"service-{service_id}", directory=directory, create=True
         )
-        self.jobs: Dict[str, Job] = {}
+        self._live: Dict[str, Job] = {}
+        self._finished: Dict[str, FinishedJob] = {}
         self._seq = 0
-        for key, entry in sorted(
-            self._journal.entries().items(),
-            key=lambda item: item[1].get("job", {}).get("seq", 0),
-        ):
-            record = entry.get("job")
+        for job_id in self._journal.keys():
+            record = self._journal.lookup(job_id).get("job")
             if not record:
                 continue
             try:
                 job = Job.from_dict(record)
             except (KeyError, TypeError, ValueError):
                 continue  # unreadable record: skip, never crash the server
-            self.jobs[job.id] = job
+            self._remember(job)
             self._seq = max(self._seq, job.seq)
+
+    def _remember(self, job: Job) -> None:
+        if job.terminal:
+            self._live.pop(job.id, None)
+            self._finished[job.id] = FinishedJob(
+                job.state, job.tenant, job.run_id, job.seq, job.finished
+            )
+        else:
+            self._live[job.id] = job
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -292,12 +325,8 @@ class JobStore:
         recovered jobs in submission order.
         """
         recovered = []
-        for job in sorted(self.jobs.values(), key=lambda j: j.seq):
-            if job.terminal:
-                continue
-            if job.state == STATE_RUNNING:
-                job.transition(STATE_QUEUED)
-            elif job.state == STATE_SUBMITTED:
+        for job in sorted(self._live.values(), key=lambda j: j.seq):
+            if job.state in (STATE_RUNNING, STATE_SUBMITTED):
                 job.transition(STATE_QUEUED)
             job.recovered = True
             self.persist(job)
@@ -319,44 +348,84 @@ class JobStore:
             seq=seq,
             created=time.time(),
         )
-        self.jobs[job.id] = job
         self.persist(job)
         return job
 
-    def persist(self, job: Job) -> None:
-        self._journal.record(
-            job.id,
-            {
-                "ok": job.state in (STATE_DONE, STATE_PARTIAL),
-                "state": job.state,
-                "job": job.to_dict(),
-            },
-        )
+    def persist(self, job: Job, events: Optional[List[dict]] = None) -> None:
+        """Journal ``job``'s current record.
+
+        A terminal record is journaled with the job's ``events`` and is
+        the job's last entry: the store drops the job from memory and
+        keeps its :class:`FinishedJob`.
+        """
+        entry: Dict[str, Any] = {
+            "ok": job.state in (STATE_DONE, STATE_PARTIAL),
+            "state": job.state,
+            "job": job.to_dict(),
+        }
+        if job.terminal:
+            entry["events"] = events or []
+        self._journal.record(job.id, entry)
+        self._remember(job)
 
     # -- queries -----------------------------------------------------------
 
     def get(self, job_id: str) -> Optional[Job]:
-        return self.jobs.get(job_id)
+        """The job, rebuilt from its journal line once it is terminal."""
+        job = self._live.get(job_id)
+        if job is None and job_id in self._finished:
+            job = Job.from_dict(self._journal.lookup(job_id)["job"])
+        return job
+
+    def state_of(self, job_id: str) -> Optional[str]:
+        job = self._live.get(job_id) or self._finished.get(job_id)
+        return None if job is None else job.state
+
+    def record(
+        self, job_id: str, include_result: bool = True
+    ) -> Optional[Dict[str, Any]]:
+        """The job's wire record: a finished job's is its journal line's."""
+        job = self._live.get(job_id)
+        if job is not None:
+            return job.to_dict(include_result=include_result)
+        if job_id not in self._finished:
+            return None
+        record = self._journal.lookup(job_id)["job"]
+        if not include_result:
+            record.pop("result", None)
+        return record
+
+    def events(self, job_id: str) -> List[dict]:
+        """A finished job's event log, as journaled with its last record."""
+        if job_id not in self._finished:
+            return []
+        return self._journal.lookup(job_id).get("events") or []
+
+    def records(
+        self, tenant: Optional[str] = None, state: Optional[str] = None
+    ) -> List[Dict[str, Any]]:
+        """Every matching job's record without its result, by submission."""
+        matches = sorted(
+            (job.seq, job_id)
+            for jobs in (self._live, self._finished)
+            for job_id, job in jobs.items()
+            if (tenant is None or job.tenant == tenant)
+            and (state is None or job.state == state)
+        )
+        return [self.record(job_id, include_result=False) for _, job_id in matches]
 
     def active_by_key(self, job_key: str) -> Optional[Job]:
         """The live (non-terminal) job for an idempotency key, if any."""
-        for job in self.jobs.values():
-            if not job.terminal and job.job_key == job_key:
+        for job in self._live.values():
+            if job.job_key == job_key:
                 return job
         return None
 
-    def by_tenant(self, tenant: Optional[str] = None) -> List[Job]:
-        jobs = [
-            job
-            for job in self.jobs.values()
-            if tenant is None or job.tenant == tenant
-        ]
-        return sorted(jobs, key=lambda j: j.seq)
-
-    def counts(self, tenant: str) -> Dict[str, int]:
+    def counts(self, tenant: Optional[str] = None) -> Dict[str, int]:
+        """Queued and running jobs of ``tenant`` (of every tenant if None)."""
         queued = running = 0
-        for job in self.jobs.values():
-            if job.tenant != tenant:
+        for job in self._live.values():
+            if tenant is not None and job.tenant != tenant:
                 continue
             if job.state in (STATE_SUBMITTED, STATE_QUEUED):
                 queued += 1
@@ -366,6 +435,12 @@ class JobStore:
 
     def totals(self) -> Dict[str, int]:
         totals: Dict[str, int] = {}
-        for job in self.jobs.values():
+        for job in self.summaries():
             totals[job.state] = totals.get(job.state, 0) + 1
         return totals
+
+    def summaries(self) -> List[Any]:
+        """Every job, live ones as :class:`Job` and finished ones as
+        :class:`FinishedJob`: both carry ``state``, ``tenant``,
+        ``run_id``, ``seq``, ``finished`` and ``terminal``."""
+        return [*self._live.values(), *self._finished.values()]

@@ -255,6 +255,7 @@ class FairShareScheduler:
         self.draining = False
         self._queue: List[str] = []  # job ids, unsorted (picker sorts)
         self._running: Dict[str, _RunningJob] = {}
+        #: Event logs of live jobs; a terminal job's log is in the journal.
         self._events: Dict[str, List[dict]] = {}
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_concurrent,
@@ -291,7 +292,14 @@ class FairShareScheduler:
         return self._changed
 
     def events_of(self, job_id: str) -> List[dict]:
-        return self._events.get(job_id, [])
+        """A job's event log: the live list, or the journaled one.
+
+        A live job's list is appended to in place, so a reader holding
+        it sees the events emitted up to and including the terminal
+        one, even when the job finishes while the reader is sending.
+        """
+        log = self._events.get(job_id)
+        return log if log is not None else self.store.events(job_id)
 
     def _emit(self, job: Job, event: Dict[str, Any]) -> None:
         event = {"ts": round(time.time(), 3), "job": job.id, **event}
@@ -303,6 +311,13 @@ class FairShareScheduler:
             # May be called from the loop only (thread callbacks hop via
             # call_soon_threadsafe), so notifying directly is safe.
             asyncio.ensure_future(self._notify())
+
+    def _seal(self, job: Job, payload: Optional[Dict[str, Any]] = None) -> None:
+        """Land a job that just turned terminal: emit its last event,
+        journal its record with its event log, and forget both."""
+        self._emit_state(job)
+        self.store.persist(job, events=self._events.pop(job.id))
+        self._bump_tenant(job, payload)
 
     async def _notify(self) -> None:
         assert self._changed is not None
@@ -343,9 +358,7 @@ class FairShareScheduler:
             self._queue.remove(job.id)
             job.error = reason
             job.transition(STATE_CANCELLED)
-            self.store.persist(job)
-            self._bump_tenant(job)
-            self._emit_state(job)
+            self._seal(job)
             return True
         running = self._running.get(job_id)
         if running is not None:
@@ -356,8 +369,7 @@ class FairShareScheduler:
         # Submitted but not yet queued (shouldn't happen; be safe).
         job.error = reason
         job.transition(STATE_CANCELLED)
-        self.store.persist(job)
-        self._emit_state(job)
+        self._seal(job)
         return True
 
     async def drain(self, grace_seconds: float = 30.0) -> None:
@@ -545,10 +557,8 @@ class FairShareScheduler:
         job.result = payload
         job.error = error
         job.transition(state)
-        self.store.persist(job)
-        self._bump_tenant(job, payload)
         del self._running[job.id]
-        self._emit_state(job)
+        self._seal(job, payload)
         if self._wake is not None:
             self._wake.set()
         await self._notify()

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.service.admission import AdmissionController, AdmissionError, TenantQuota
-from repro.service.jobs import JOB_KINDS, JobSpec, JobStore
+from repro.service.jobs import JOB_KINDS, TERMINAL_STATES, JobSpec, JobStore
 from repro.service.retention import sweep_retention
 from repro.service.scheduler import FairShareScheduler
 from repro.service.wire import (
@@ -216,7 +216,7 @@ class SimulationService:
         # Job run journals live in the default journal directory (the
         # service journal's ``journal_directory`` override is separate).
         counters = sweep_retention(
-            list(self.store.jobs.values()),
+            self.store.summaries(),
             self.config.retention_hours * 3600.0,
             now=now,
             log=self._log,
@@ -327,7 +327,7 @@ class SimulationService:
         assert self.admission is not None and self.scheduler is not None
         tenants: Dict[str, Dict[str, Any]] = {}
         names = set(self.admission.counters()) | set(self.scheduler.tenant_stats)
-        names.update(job.tenant for job in self.store.jobs.values())
+        names.update(job.tenant for job in self.store.summaries())
         admission = self.admission.counters()
         for name in sorted(names):
             tenants[name] = {
@@ -409,16 +409,11 @@ class SimulationService:
             )
             return
 
-        queued_total = sum(
-            1
-            for job in self.store.jobs.values()
-            if job.state in ("submitted", "queued")
-        )
         try:
             self.admission.admit(
                 tenant,
                 tenant_queued=self.store.counts(tenant)["queued"],
-                total_queued=queued_total,
+                total_queued=self.store.counts()["queued"],
                 draining=self.state != "ready",
             )
         except AdmissionError as exc:
@@ -442,13 +437,9 @@ class SimulationService:
 
     async def _list_jobs(self, request: HttpRequest, writer) -> None:
         assert self.store is not None
-        tenant = request.query.get("tenant")
-        state = request.query.get("state")
-        jobs = [
-            job.to_dict(include_result=False)
-            for job in self.store.by_tenant(tenant)
-            if state is None or job.state == state
-        ]
+        jobs = self.store.records(
+            tenant=request.query.get("tenant"), state=request.query.get("state")
+        )
         await send_json(writer, 200, {"jobs": jobs, "count": len(jobs)})
 
     async def _job_subresource(self, request: HttpRequest, writer) -> None:
@@ -456,8 +447,8 @@ class SimulationService:
         parts = request.path.strip("/").split("/")  # v1 jobs <id> [verb]
         job_id = parts[2] if len(parts) > 2 else ""
         verb = parts[3] if len(parts) > 3 else None
-        job = self.store.get(job_id)
-        if job is None:
+        state = self.store.state_of(job_id)
+        if state is None:
             await send_json(
                 writer,
                 404,
@@ -468,18 +459,18 @@ class SimulationService:
         if verb is None and request.method == "GET":
             include_result = request.query.get("result", "1") != "0"
             await send_json(
-                writer, 200, {"job": job.to_dict(include_result=include_result)}
+                writer, 200, {"job": self.store.record(job_id, include_result)}
             )
         elif (verb is None and request.method == "DELETE") or (
             verb == "cancel" and request.method == "POST"
         ):
-            if job.terminal:
+            if state in TERMINAL_STATES:
                 await send_json(
                     writer,
                     409,
                     {
                         "error": "terminal",
-                        "message": f"job {job_id} already {job.state}",
+                        "message": f"job {job_id} already {state}",
                     },
                 )
                 return
@@ -487,7 +478,7 @@ class SimulationService:
             await send_json(
                 writer,
                 202,
-                {"job": self.store.get(job_id).to_dict(include_result=False)},
+                {"job": self.store.record(job_id, include_result=False)},
             )
         elif verb == "events" and request.method == "GET":
             await self._stream_events(job_id, writer)
@@ -512,8 +503,8 @@ class SimulationService:
             while sent < len(events):
                 await stream.send(events[sent])
                 sent += 1
-            job = self.store.get(job_id)
-            if job is None or job.terminal or self.state == "stopped":
+            state = self.store.state_of(job_id)
+            if state in TERMINAL_STATES or state is None or self.state == "stopped":
                 break
             async with self.scheduler.changed:
                 try:
@@ -522,14 +513,8 @@ class SimulationService:
                     )
                 except asyncio.TimeoutError:
                     pass  # re-check terminality even without new events
-        job = self.store.get(job_id)
-        await stream.send(
-            {
-                "event": "end",
-                "job": job_id,
-                "state": job.state if job else "unknown",
-            }
-        )
+        state = self.store.state_of(job_id) or "unknown"
+        await stream.send({"event": "end", "job": job_id, "state": state})
         await stream.close()
 
 

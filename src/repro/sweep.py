@@ -14,7 +14,7 @@ independent *cells*, each a pure function of its parameters:
   also records its border trace, which is cached and journaled with
   the rest of its result.
 * :func:`run_sweep` — :func:`run_campaign` over :class:`Cell` grids,
-  adopting the results into the parent's caches. Results are
+  publishing the results to the shared disk cache. Results are
   **bit-identical** to serial execution: workers run the same
   deterministic ``run_single`` and ship the ``RunResult`` back whole.
   Cells run on the host's one long-lived pool
@@ -40,7 +40,7 @@ independent *cells*, each a pure function of its parameters:
   snapshot the CI trajectory tracks.
 
 Cache-hit accounting is the provenance fact returned by
-:func:`repro.experiments.common.cached_run_ex` — never a separate
+:func:`repro.experiments.common.load_or_run` — never a separate
 file-existence probe, which races against concurrent publishers of the
 atomic disk cache.
 """
@@ -384,24 +384,20 @@ def resolve_workers(workers: Optional[int]) -> int:
 
 
 def _pin_worker(cache_dir: Optional[str]) -> None:
-    """The per-task prologue on a pool worker: cache pinning, cold memory.
+    """The per-task prologue on a pool worker: cache pinning.
 
-    * **Cache dir** — the worker is pinned to the parent's *resolved*
-      cache dir, unconditionally, so a worker with another working
-      directory (or an environment inherited from the campaign that
-      forked it) never caches somewhere else. ``None`` resolves the
-      default here.
-    * **Memory cache** — cleared, so hit accounting (and the actual
-      compute) never depends on what an earlier task left in this
-      worker or what it inherited by ``fork``.
-
-    Pool workers are shared by every campaign in the process, so this
-    runs before every task rather than once per worker.
+    The worker is pinned to the parent's *resolved* cache dir,
+    unconditionally, so a worker with another working directory (or an
+    environment inherited from the campaign that forked it) never
+    caches somewhere else. ``None`` resolves the default here. Pool
+    workers are shared by every campaign in the process, so this runs
+    before every task rather than once per worker. (A cell never reads
+    the in-process memo, so nothing an earlier task or ``fork`` left in
+    it can change a hit.)
     """
     if cache_dir is None:
         cache_dir = str(Path(common._cache_dir()).resolve())
     os.environ["REPRO_CACHE_DIR"] = cache_dir
-    common._memory_cache.clear()
 
 
 def _pinned(fn: Callable, cache_dir: str, task: Any) -> Any:
@@ -419,9 +415,11 @@ def _run_cell(task: Tuple[Cell, bool]) -> Tuple[RunResult, bool]:
     """Execute one ``(cell, fresh)`` task; returns ``(result, cache_hit)``.
 
     The hit flag is the provenance fact reported by
-    :func:`repro.experiments.common.cached_run_ex` — *not* a separate
+    :func:`repro.experiments.common.load_or_run` — *not* a separate
     existence probe of the cache file, which races against concurrent
-    workers publishing the same key and misreports either way.
+    workers publishing the same key and misreports either way. A cell
+    reads and fills the disk cache only, never the in-process memo, so
+    no result outlives its campaign in memory.
     """
     cell, fresh = task
     if fresh:
@@ -435,14 +433,17 @@ def _run_cell(task: Tuple[Cell, bool]) -> Tuple[RunResult, bool]:
             downgrade_interval_cycles=cell.downgrade_interval_cycles,
         )
         return result, False
-    result, source = common.cached_run_ex(
-        cell.workload,
-        cell.safety,
-        cell.threading,
-        seed=cell.seed,
-        ops_scale=cell.ops_scale,
-        downgrade_interval_cycles=cell.downgrade_interval_cycles,
-        record_border=cell.record_border,
+    result, source = common.load_or_run(
+        cell.key(),
+        lambda: common.run_single(
+            cell.workload,
+            cell.safety,
+            cell.threading,
+            seed=cell.seed,
+            ops_scale=cell.ops_scale,
+            record_border=cell.record_border,
+            downgrade_interval_cycles=cell.downgrade_interval_cycles,
+        ),
     )
     return result, source != "computed"
 
@@ -718,11 +719,11 @@ def run_sweep(
 ) -> SweepReport:
     """Run a :class:`Cell` grid through :func:`run_campaign`.
 
-    Every result — computed, fleet-placed or resumed — is adopted into
-    this process's memory cache (and the shared disk cache), so a later
-    serial consumer such as a figure driver's ``run()`` reads exactly
-    those ``RunResult`` objects. ``fresh=True`` bypasses every cache
-    layer; :func:`verify_identical` uses it for an independent serial
+    Every result — computed, fleet-placed or resumed — is published to
+    the shared disk cache, so a later run on this host hits it. None is
+    kept in this process's memo: the report holds them for as long as
+    its caller does. ``fresh=True`` bypasses every cache layer;
+    :func:`verify_identical` uses it for an independent serial
     reference.
     """
     report = run_campaign(
@@ -739,7 +740,7 @@ def run_sweep(
     if not fresh:
         for out in report.outcomes:
             if out.result is not None:
-                common.store_result(out.cell.key(), out.result)
+                common.publish_result(out.cell.key(), out.result)
     return report
 
 

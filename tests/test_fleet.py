@@ -347,6 +347,13 @@ def _stub_coordinator(**kwargs):
     return coord
 
 
+def _grant(camp, ws, lease_id, index):
+    """Make ``lease_id`` a live lease on ``index``, held by ``ws``."""
+    camp.granted[lease_id] = index
+    camp.leases[lease_id] = _Lease(lease_id, index, ws.worker_id, granted=0.0)
+    ws.held.add(lease_id)
+
+
 def _lose_lease(coord, camp, index, reason, held=1.0):
     """Expire a lease on ``index`` granted ``held`` seconds ago."""
     lease_id = f"camp:{index}:{coord.stats['expired_leases']}"
@@ -547,7 +554,7 @@ class TestLeaseBookkeeping:
         coord._camp = camp
         ws = _WorkerState("w1", _StubTransport())
         key = SWEEP_CAMPAIGN.journal_key(camp.cells[0])
-        camp.granted.update({"camp:0:1": 0, "camp:0:2": 0})
+        _grant(camp, ws, "camp:0:1", 0)
         entry = {"label": "x", "ok": False, "error_kind": ERROR_CRASH, "error": "boom"}
         coord._on_result(ws, protocol.result("camp:0:1", key, entry))
         assert 0 not in camp.outcomes
@@ -556,9 +563,35 @@ class TestLeaseBookkeeping:
         assert list(camp.pending) == []
         coord._loop.advance(0.02)
         assert list(camp.pending) == [0]
+        _grant(camp, ws, "camp:0:2", 0)
         ok = {"label": "x", "ok": True, "attempts": 1, "result": None}
         coord._on_result(ws, protocol.result("camp:0:2", key, ok))
         assert camp.outcomes[0]["attempts"] == 2
+        coord._camp = None
+
+    def test_failed_result_is_charged_once_per_lease(self):
+        """A failed RESULT delivered twice (a duplicated frame) is one
+        failed attempt: charged and re-queued once, the copy counted as
+        a duplicate."""
+        coord = _stub_coordinator()
+        camp = _campaign(policy=SupervisorPolicy(backoff_base=0.5, jitter=0.0))
+        camp.pending.clear()
+        coord._camp = camp
+        ws = _WorkerState("w1", _StubTransport())
+        coord._workers["w1"] = ws
+        key = SWEEP_CAMPAIGN.journal_key(camp.cells[0])
+        _grant(camp, ws, "camp:0:1", 0)
+        entry = {"label": "x", "ok": False, "error_kind": ERROR_CRASH, "error": "boom"}
+        for _ in range(2):
+            coord._on_result(ws, protocol.result("camp:0:1", key, entry))
+        coord._loop.advance(10.0)  # past every backoff
+        assert camp.ledger.states[0].attempts == 1
+        assert camp.ledger.stats.retries == 1
+        assert coord.stats["reassigned"] == 1
+        assert coord.stats["duplicate_results"] == 1
+        assert list(camp.pending) == [0]
+        assert 0 not in camp.outcomes
+        coord._workers.clear()
         coord._camp = None
 
     def test_revoked_leases_return_to_pending(self):

@@ -16,8 +16,11 @@ still flow.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import sys
 import time
+import types
 from typing import Any, Dict, Optional, Tuple
 
 import pytest
@@ -461,3 +464,134 @@ def test_campaign_job_reports_progress_resume_and_partial(kind):
             await svc.stop()
 
     asyncio.run(go())
+
+
+def _job_data_held(root: Any) -> list:
+    """Job results, event logs and job records reachable from ``root``.
+
+    Walks ``gc.get_referents`` from ``root`` without entering modules,
+    classes or module namespaces, so it sees what the object graph
+    under ``root`` keeps alive, not the interpreter's globals.
+    """
+    namespaces = {id(vars(m)) for m in list(sys.modules.values()) if m is not None}
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or id(obj) in namespaces:
+            continue
+        if isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict) and (
+            {"cells", "completion_rate"} <= obj.keys()  # a job result
+            or {"ts", "job", "event"} <= obj.keys()  # an event
+            or {"id", "spec", "state"} <= obj.keys()  # a job record
+        ):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+#: Jobs a long-lived server has served in the history tests.
+HISTORY_JOBS = 20
+
+
+async def read_back(port: int, job_id: str) -> Tuple[Any, Any]:
+    """A job's ``GET /v1/jobs/<id>`` body and its ``/events`` list."""
+    _, record = await http(port, "GET", f"/v1/jobs/{job_id}")
+    _, events = await http(port, "GET", f"/v1/jobs/{job_id}/events")
+    return record, events
+
+
+async def run_history(svc: SimulationService) -> Dict[str, Any]:
+    """Run ``HISTORY_JOBS`` tiny sweep jobs one after another.
+
+    The first job's ``/events`` stream is attached while it runs; its
+    record and events are read again the moment it finished. Also
+    returns how many results the result-cache memo held after each job.
+    """
+    from repro.experiments import common
+
+    out: Dict[str, Any] = {"ids": [], "memo": []}
+    for seed in range(HISTORY_JOBS):
+        status, posted = await http(
+            svc.port, "POST", "/v1/jobs", sweep_body(params={"seed": seed})
+        )
+        assert status == 201, posted
+        job_id = posted["job"]["id"]
+        out["ids"].append(job_id)
+        if seed == 0:
+            _, out["streamed"] = await http(
+                svc.port, "GET", f"/v1/jobs/{job_id}/events"
+            )
+        assert (await wait_terminal(svc.port, job_id))["state"] == "done"
+        out["memo"].append(len(common._memory_cache))
+        if seed == 0:
+            out["first"] = await read_back(svc.port, job_id)
+    return out
+
+
+def test_finished_jobs_leave_no_result_events_or_record_in_memory():
+    """A finished job's result, event log and journal record live in
+    the service journal only, and a campaign leaves no result in the
+    result-cache memo; a restarted server loads none of them either."""
+
+    async def go():
+        svc = await start_service(service_id="history")
+        try:
+            # Keep no client-side copy: under asyncio debug the loop
+            # references the running task, and so this frame.
+            memo = (await run_history(svc))["memo"]
+            assert memo == [0] * HISTORY_JOBS
+            assert _job_data_held(svc) == []
+        finally:
+            await svc.stop()
+        svc = await start_service(service_id="history")
+        try:
+            assert _job_data_held(svc) == []
+        finally:
+            await svc.stop()
+
+    asyncio.run(go())
+
+
+def test_finished_job_reads_back_unchanged_after_restart():
+    """The first of many jobs returns the record and events it returned
+    the moment it finished, later and after a restart; its stream,
+    attached while it ran, saw each event once; ``/metrics`` and
+    retention still count every finished job."""
+
+    async def first_incarnation():
+        svc = await start_service(service_id="history")
+        try:
+            history = await run_history(svc)
+            first, (_, events) = history["ids"][0], history["first"]
+            streamed = history["streamed"]
+            assert streamed == events
+            distinct = {json.dumps(event, sort_keys=True) for event in streamed}
+            assert len(distinct) == len(streamed)
+            assert [e["event"] for e in events][-2:] == ["state", "end"]
+            assert await read_back(svc.port, first) == history["first"]
+            _, metrics = await http(svc.port, "GET", "/metrics")
+            assert metrics["jobs"] == {"done": HISTORY_JOBS}
+            assert metrics["tenants"]["alice"]["terminal"]["done"] == HISTORY_JOBS
+            _, listed = await http(svc.port, "GET", "/v1/jobs?state=done")
+            assert [job["id"] for job in listed["jobs"]] == history["ids"]
+            assert all("result" not in job for job in listed["jobs"])
+            return first, history["first"]
+        finally:
+            await svc.stop()
+
+    async def second_incarnation(first, at_finish):
+        svc = await start_service(service_id="history", retention_hours=1.0)
+        try:
+            assert svc.recovered_jobs == 0
+            assert await read_back(svc.port, first) == at_finish
+            _, metrics = await http(svc.port, "GET", "/metrics")
+            assert metrics["jobs"] == {"done": HISTORY_JOBS}
+            late = svc.run_retention_pass(now=time.time() + 7200.0)
+            assert late["journals_deleted"] == HISTORY_JOBS
+        finally:
+            await svc.stop()
+
+    asyncio.run(second_incarnation(*asyncio.run(first_incarnation())))

@@ -538,6 +538,21 @@ class TestJournalResume:
         finally:
             reopened.close()
 
+    def test_entry_after_a_torn_tail_survives_the_next_reopen(self):
+        """An entry recorded after reopening a torn journal starts a
+        line of its own, so the next reopen still reads it."""
+        with RunJournal.create("torn-then-more") as journal:
+            journal.record("good", {"ok": True})
+            path = journal.path
+        with open(path, "a") as fh:
+            fh.write('{"key": "torn", "ok": tr')  # killed mid-write
+        with RunJournal.open("torn-then-more") as journal:
+            journal.record("after", {"ok": True, "label": "x"})
+        with RunJournal.open("torn-then-more") as journal:
+            after = journal.completed("after")
+            assert after == {"key": "after", "ok": True, "label": "x"}
+            assert journal.keys() == ["good", "after"]
+
 
 class TestJournalProperties:
     def test_replay_idempotent_under_duplicate_appends(self):

@@ -11,7 +11,9 @@ Three acts, one scratch cache dir:
    keeping only the journals, and restart with the same service id. The
    restarted server must recover the job, resume every checkpointed
    cell from the journal (``resumed_cells`` equals the pre-kill
-   checkpoint count, attempts stay 1), and finish the rest.
+   checkpoint count, attempts stay 1), and finish the rest. A job that
+   finished before the kill must return the same ``GET /v1/jobs/<id>``
+   record and the same ``/events`` list after the restart as before.
 2. **Serial parity.** Re-run the same grid serially, in a fresh cache,
    in a fresh process, and require bit-identical per-cell results to
    what the service returned.
@@ -61,6 +63,15 @@ RESUME_PARAMS = {
     "workloads": ["bfs", "hotspot"],
     "seed": 1234,
     "ops_scale": 0.25,
+}
+
+#: A job that finishes before act 1's kill (its cells differ from the
+#: killed job's, so they leave that job nothing to hit in the cache).
+FINISHED_PARAMS = {
+    "grids": ["fig4"],
+    "workloads": ["bfs"],
+    "seed": 7,
+    "ops_scale": 0.05,
 }
 
 SERVER_ARGS = [
@@ -126,6 +137,12 @@ class Server:
         except urllib.error.HTTPError as exc:
             return exc.code, json.loads(exc.read())
 
+    def events(self, job_id: str) -> list:
+        """The job's ``/events`` stream, read to its end."""
+        url = f"http://127.0.0.1:{self.port}/v1/jobs/{job_id}/events"
+        with urllib.request.urlopen(url, timeout=TIMEOUT) as resp:
+            return [json.loads(line) for line in resp.read().splitlines() if line]
+
     def wait_state(self, job_id: str, states, timeout: float = TIMEOUT):
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
@@ -183,6 +200,12 @@ def submit(
 def act1_kill_and_resume(env: dict, cache_dir: Path) -> list:
     """SIGKILL mid-sweep, restart, assert zero recompute. Returns cells."""
     server = Server(env)
+    finished_id = submit(server, "alice", FINISHED_PARAMS)["job"]["id"]
+    finished = server.wait_state(finished_id, TERMINAL)
+    if finished["state"] != "done":
+        fail(f"job {finished_id} ended {finished['state']}: {finished['error']}")
+    before_kill = (finished, server.events(finished_id))
+
     out = submit(server, "alice", RESUME_PARAMS, workers=WORKERS)
     job_id = out["job"]["id"]
     run_id = out["job"]["run_id"]
@@ -218,6 +241,20 @@ def act1_kill_and_resume(env: dict, cache_dir: Path) -> list:
         entry.unlink()
 
     server = Server(env)
+    after_restart = (
+        server.request("GET", f"/v1/jobs/{finished_id}")[1]["job"],
+        server.events(finished_id),
+    )
+    if after_restart != before_kill:
+        fail(
+            f"job {finished_id}, finished before the kill, reads back "
+            f"differently after the restart:\nbefore: {before_kill}\n"
+            f"after:  {after_restart}"
+        )
+    print(
+        f"act 1: job {finished_id}, finished before the kill, returns the "
+        f"same record and {len(after_restart[1])} events after the restart"
+    )
     if not any("recovered job" in line for line in server.stderr_lines):
         fail(
             "restarted server did not report recovering the job; stderr:\n"
