@@ -142,6 +142,25 @@ def test_full_small_simulation(benchmark):
     assert result.mem_ops > 0
 
 
+def test_translation_path_small_simulation(benchmark):
+    """The trusted-side translation path: a small BC-BCC cell with a
+    permission downgrade every 250 GPU cycles, so every shootdown makes
+    the next ops walk or hit the ATS's L2 TLB again (the ``downgrades``
+    shape of ``bench/run.py``)."""
+    from repro.sim.config import GPUThreading, SafetyMode
+    from repro.sim.runner import run_single
+
+    def run():
+        return run_single(
+            "bfs", SafetyMode.BC_BCC, GPUThreading.MODERATELY, ops_scale=0.05,
+            downgrade_interval_cycles=250,
+        )
+
+    result = benchmark.pedantic(run, rounds=3, iterations=1)
+    assert result.downgrades > 0
+    assert result.ats_translations > result.ats_walks > 0
+
+
 def test_cache_hit_service_throughput(benchmark):
     """L1-hit servicing through the engine (the per-access fast path)."""
     from repro.mem.cache import Cache, CacheConfig

@@ -118,12 +118,11 @@ class StaleTLBAccelerator(AcceleratorBase):
         vpn = vaddr >> PAGE_SHIFT
         entry = self._stale_tlb.get((asid, vpn))
         if entry is None:
-            result = self.engine.run_process(
+            entry = self.engine.run_process(
                 self.ats.translate(self.accel_id, asid, vpn), name="buggy-xlate"
             )
-            if result is None:
+            if entry is None:
                 return None
-            entry = TLBEntry(asid=asid, vpn=vpn, ppn=result.ppn, perms=result.perms)
             self._stale_tlb[(asid, vpn)] = entry
         paddr = (entry.ppn << PAGE_SHIFT) | (vaddr & 0xFFF)
         size = len(data) if (write and data is not None) else BLOCK_SIZE
@@ -164,12 +163,12 @@ class WildWriteAccelerator(AcceleratorBase):
     def store_virtual(self, asid: int, vaddr: int, data: bytes) -> Optional[bool]:
         """Issue one store; returns True if it committed, None if blocked."""
         vpn = vaddr >> PAGE_SHIFT
-        result = self.engine.run_process(
+        entry = self.engine.run_process(
             self.ats.translate(self.accel_id, asid, vpn), name="wild-xlate"
         )
-        if result is None:
+        if entry is None:
             return None
-        paddr = (result.ppn << PAGE_SHIFT) | (vaddr & 0xFFF)
+        paddr = (entry.ppn << PAGE_SHIFT) | (vaddr & 0xFFF)
         self._store_count += 1
         if self._store_count % self.wild_period == 0:
             # The bug: a corrupted physical page number.

@@ -77,18 +77,12 @@ class CachedHierarchyPath:
     def _translate_and_access(
         self, cu_index: int, asid: int, vaddr: int, write: bool, data: Optional[bytes]
     ) -> Generator:
-        """L1 TLB miss: translate through the ATS, fill the TLB, access."""
-        result = yield from self.ats.translate(self.accel_id, asid, vaddr >> PAGE_SHIFT)
-        if result is None:
+        """L1 TLB miss: translate through the ATS, cache the ATS's own
+        (immutable) entry in the L1 TLB, access."""
+        entry = yield from self.ats.translate(self.accel_id, asid, vaddr >> PAGE_SHIFT)
+        if entry is None:
             self._translation_faults.inc()
             return None
-        entry = TLBEntry(
-            asid=asid,
-            vpn=result.vpn,
-            ppn=result.ppn,
-            perms=result.perms,
-            pages=result.pages_covered,
-        )
         self.l1_tlbs[cu_index].insert(entry)
         return (yield from self._l1_access(cu_index, entry, vaddr, write, data))
 

@@ -28,7 +28,7 @@ from repro.mem.port import MemoryPort
 from repro.sim.clock import Clock
 from repro.sim.engine import Engine, Process
 from repro.sim.stats import StatDomain
-from repro.vm.tlb import TLB, TLBEntry
+from repro.vm.tlb import TLB
 
 __all__ = ["StreamAccelerator"]
 
@@ -70,17 +70,10 @@ class StreamAccelerator(AcceleratorBase):
         vpn = vaddr >> PAGE_SHIFT
         entry = self.tlb.lookup(asid, vpn)
         if entry is None:
-            result = yield from self.ats.translate(self.accel_id, asid, vpn)
-            if result is None:
+            entry = yield from self.ats.translate(self.accel_id, asid, vpn)
+            if entry is None:
                 self._faults.inc()
                 return None
-            entry = TLBEntry(
-                asid=asid,
-                vpn=result.vpn,
-                ppn=result.ppn,
-                perms=result.perms,
-                pages=result.pages_covered,
-            )
             self.tlb.insert(entry)
         return (entry.ppn_for(vpn) << PAGE_SHIFT) | (vaddr & 0xFFF)
 

@@ -168,11 +168,11 @@ class BorderControlCache:
         """
         changed = table.grant(ppn, perms)
         if changed:
-            self._writethroughs.inc()
+            self._writethroughs.value += 1
         group = self.group_of(ppn)
         packed = self._entries.get(group)
         if packed is None:
-            self._misses.inc()
+            self._misses.value += 1
             self._fill(group, table)
         else:
             slot = self._slot_of(ppn)
@@ -185,7 +185,7 @@ class BorderControlCache:
             self._entries.move_to_end(group)
             self._mru_group = group
             self._mru_packed = packed
-            self._hits.inc()
+            self._hits.value += 1
         return changed
 
     def _fill(self, group: int, table: ProtectionTable) -> int:

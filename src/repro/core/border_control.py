@@ -209,7 +209,7 @@ class BorderControl:
         actually changed (0 when the BCC/table already had the bits).
         """
         table = self._require_table()
-        self._insertions.inc()
+        self._insertions.value += 1
         changed = 0
         for offset in range(page_count):
             page = ppn + offset
@@ -218,11 +218,11 @@ class BorderControl:
             if self.bcc is not None:
                 if self.bcc.insert_permission(page, perms, table):
                     changed += 1
-                    self._pt_accesses.inc()
+                    self._pt_accesses.value += 1
             else:
                 if table.grant(page, perms):
                     changed += 1
-                    self._pt_accesses.inc()
+                    self._pt_accesses.value += 1
         return changed
 
     # -- (c) accelerator memory request ---------------------------------------------

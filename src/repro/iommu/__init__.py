@@ -16,7 +16,7 @@ This package implements:
   trusted hardware, at the cost of cache proximity.
 """
 
-from repro.iommu.ats import ATS, ATSConfig, TranslationResult
+from repro.iommu.ats import ATS, ATSConfig
 from repro.iommu.iommu import FullIOMMUPath, IOMMUViolation
 from repro.iommu.capi import CAPILikePath
 
@@ -26,5 +26,4 @@ __all__ = [
     "CAPILikePath",
     "FullIOMMUPath",
     "IOMMUViolation",
-    "TranslationResult",
 ]

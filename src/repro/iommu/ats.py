@@ -24,15 +24,14 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional, Set, Tuple
 
 from repro.core.border_control import BorderControl
-from repro.core.permissions import Perm
-from repro.mem.address import PAGE_SHIFT, PAGE_SIZE, PAGES_PER_LARGE_PAGE
+from repro.mem.address import PAGE_SHIFT
 from repro.mem.dram import DRAM
 from repro.sim.engine import Engine
 from repro.sim.stats import StatDomain
 from repro.vm.page_table import PageTable
 from repro.vm.tlb import TLB, TLBEntry
 
-__all__ = ["ATS", "ATSConfig", "TranslationResult"]
+__all__ = ["ATS", "ATSConfig"]
 
 _NO_ASIDS = frozenset()  # for accelerators allowed no address space
 
@@ -50,20 +49,6 @@ class ATSConfig:
     # exercised when a fault injector is installed — see ``ATS.fault_injector``.
     max_retries: int = 0
     retry_backoff_ticks: int = 0
-
-
-@dataclass(frozen=True)
-class TranslationResult:
-    """What the ATS hands back to the accelerator (and Border Control)."""
-
-    vpn: int
-    ppn: int
-    perms: Perm
-    page_size: int = PAGE_SIZE
-
-    @property
-    def pages_covered(self) -> int:
-        return self.page_size // PAGE_SIZE
 
 
 class ATS:
@@ -144,11 +129,13 @@ class ATS:
     ) -> Generator:
         """Service one translation request (simulation generator).
 
-        Returns a :class:`TranslationResult` or ``None`` when the VPN is
-        unmapped or the accelerator is not entitled to the address space.
-        An injected transient fault (see ``fault_injector``) is replayed
-        up to ``config.max_retries`` times with exponential backoff
-        before it surfaces as a failed (``None``) translation.
+        Returns the L2 TLB's :class:`~repro.vm.tlb.TLBEntry` for the
+        mapping, or ``None`` when the VPN is unmapped or the accelerator
+        is not entitled to the address space. The entry is immutable and
+        shared: accelerator TLBs cache the same object. An injected
+        transient fault (see ``fault_injector``) is replayed up to
+        ``config.max_retries`` times with exponential backoff before it
+        surfaces as a failed (``None``) translation.
         """
         attempt = 0
         while self.fault_injector is not None and self.fault_injector():
@@ -164,7 +151,7 @@ class ATS:
                     yield backoff
 
         # The attempt that goes through (the pre-resilience service path).
-        self._translations.inc()
+        self._translations.value += 1
         if timed and self.config.request_latency_ticks:
             yield self.config.request_latency_ticks
         if asid not in self._accel_asids.get(accel_id, _NO_ASIDS):
@@ -183,11 +170,8 @@ class ATS:
         if entry is not None:
             if timed and self.config.l2_tlb_latency_ticks:
                 yield self.config.l2_tlb_latency_ticks
-            result = TranslationResult(
-                entry.vpn, entry.ppn, entry.perms, entry.pages * PAGE_SIZE
-            )
-            self._insert_into_border_control(accel_id, result)
-            return result
+            self._insert_into_border_control(accel_id, entry)
+            return entry
 
         table = self._page_tables.get(asid)
         if table is None:
@@ -199,23 +183,20 @@ class ATS:
         walk_key = (asid, vpn)
         pending = self._pending_walks.get(walk_key)
         if pending is not None and timed:
-            self._coalesced.inc()
+            self._coalesced.value += 1
             yield pending
             entry = self.l2_tlb.lookup(asid, vpn)
             if entry is None:
                 self._failed.inc()
                 return None
-            result = TranslationResult(
-                entry.vpn, entry.ppn, entry.perms, entry.pages * PAGE_SIZE
-            )
-            self._insert_into_border_control(accel_id, result)
-            return result
+            self._insert_into_border_control(accel_id, entry)
+            return entry
 
         walk_done = self._engine.event() if timed else None
         if timed:
             self._pending_walks[walk_key] = walk_done
         try:
-            self._walks.inc()
+            self._walks.value += 1
             translation, footprint = table.walk(vpn)
             if timed:
                 for _pte_addr in footprint:
@@ -230,27 +211,21 @@ class ATS:
 
         # Cache the mapping at its native granularity: one TLB entry
         # covers a whole 2 MB page (§3.4.4).
-        self.l2_tlb.insert(
-            TLBEntry(
-                asid=asid,
-                vpn=translation.vpn,
-                ppn=translation.ppn,
-                perms=translation.perms,
-                pages=translation.page_size // PAGE_SIZE,
-            )
+        entry = TLBEntry(
+            asid,
+            translation.vpn,
+            translation.ppn,
+            translation.perms,
+            translation.page_size >> PAGE_SHIFT,
         )
-        result = TranslationResult(
-            translation.vpn, translation.ppn, translation.perms, translation.page_size
-        )
-        self._insert_into_border_control(accel_id, result)
-        return result
+        self.l2_tlb.insert(entry)
+        self._insert_into_border_control(accel_id, entry)
+        return entry
 
-    def _insert_into_border_control(self, accel_id: str, result: TranslationResult) -> None:
+    def _insert_into_border_control(self, accel_id: str, entry: TLBEntry) -> None:
         bc = self._border_controls.get(accel_id)
         if bc is not None and bc.active:
-            changed = bc.insert_translation(
-                result.ppn, result.perms, result.pages_covered
-            )
+            changed = bc.insert_translation(entry.ppn, entry.perms, entry.pages)
             if changed:
                 # The BCC write-through to the in-memory Protection Table
                 # consumes DRAM bandwidth (asynchronously; no stall).

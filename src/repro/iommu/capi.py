@@ -65,18 +65,18 @@ class CAPILikePath:
         ``cu_index`` is the issuing compute unit; no structure here is
         per-CU.
         """
-        self._requests.inc()
+        self._requests.value += 1
         # Cross the accelerator <-> trusted-unit link.
         if self.link_latency_ticks:
             yield self.link_latency_ticks
         vpn = vaddr >> 12
         accel_id = self.accel_id
-        result = yield from self.ats.translate(accel_id, asid, vpn)
-        if result is None:
+        entry = yield from self.ats.translate(accel_id, asid, vpn)
+        if entry is None:
             return self._block(accel_id, vaddr, write, "untranslatable request")
-        if not result.perms.allows(write):
+        if not entry.perms.allows(write):
             return self._block(accel_id, vaddr, write, "insufficient permissions")
-        ppn = result.ppn + ((vaddr >> 12) - result.vpn)  # large pages: offset
+        ppn = entry.ppn + ((vaddr >> 12) - entry.vpn)  # large pages: offset
         paddr = (ppn << 12) | (vaddr & 0xFFF)
         block_paddr = paddr & ~(BLOCK_SIZE - 1)
         offset = paddr - block_paddr

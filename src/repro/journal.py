@@ -148,12 +148,21 @@ def list_shards(run_id: str, directory: Optional[Path] = None) -> List[Path]:
 
     Name order (not mtime) so that merge tie-breaking is a pure
     function of the on-disk bytes, independent of filesystem timing.
+    Names are matched by prefix and suffix, not as a glob: a run id is
+    free-form, so ``[``, ``*`` and ``?`` in it are plain characters.
     """
     directory = directory or journal_dir()
     directory = Path(directory)
     if not directory.is_dir():
         return []
-    return sorted(directory.glob(f"{run_id}.shard-*.jsonl"))
+    prefix = f"{run_id}.shard-"
+    with os.scandir(directory) as entries:
+        names = sorted(
+            entry.name
+            for entry in entries
+            if entry.name.startswith(prefix) and entry.name.endswith(".jsonl")
+        )
+    return [directory / name for name in names]
 
 
 class JournalShard:
@@ -270,6 +279,9 @@ class RunJournal:
         self.run_id = run_id
         #: key → (offset of its last entry's line, whether that entry is ok)
         self._index: Dict[str, Tuple[int, bool]] = {}
+        #: lines past the header that the index does not point at
+        #: (superseded entries, blank lines, torn tails): what compact drops
+        self._stale = 0
         self._fh = None
         self._lock = threading.Lock()
         self._lock_fh = None
@@ -398,9 +410,10 @@ class RunJournal:
             return cls.create(run_id, directory)
         journal = cls(path, run_id)
         journal._acquire_writer_lock()
-        offset, line = 0, b"\n"
+        offset, line, lines = 0, b"\n", 0
         with open(path, "rb") as fh:
             for line in fh:
+                lines += 1
                 start, offset = offset, offset + len(line)
                 if not line.strip():
                     continue
@@ -411,12 +424,57 @@ class RunJournal:
                 key = entry.get("key")
                 if key is not None:
                     journal._index[key] = (start, bool(entry.get("ok")))
+        journal._stale = lines - 1 - len(journal._index)
         journal._fh = open(path, "ab")
         if not line.endswith(b"\n"):
             # A killed run's torn tail: the next entry starts a line of its own.
             journal._fh.write(b"\n")
             journal._fh.flush()
         return journal
+
+    def compact(self) -> None:
+        """Rewrite the file as its header plus the last entry per key.
+
+        That is all the index keeps, so a reopen reads the same entries
+        from a file that no longer grows with every superseded entry.
+        A journal with nothing to drop is left as it is.
+        The new file is written beside the journal, synced, and swapped
+        in with ``os.replace`` while the writer lock is held: a crash
+        leaves the old file or the new one, never a mix. Lookups take no
+        lock, so compact before other threads read the journal (the job
+        store does it on opening).
+        """
+        with self._lock:
+            assert self._fh is not None, "journal is closed"
+            if self._stale <= 0:
+                return
+            tmp = self.path.with_name(self.path.name + ".compact")
+            index: Dict[str, Tuple[int, bool]] = {}
+            try:
+                with open(self.path, "rb") as src, open(tmp, "wb") as out:
+                    first = src.readline()
+                    try:
+                        header = json.loads(first)
+                    except ValueError:
+                        header = None
+                    if isinstance(header, dict) and "key" not in header:
+                        out.write(first)
+                    # Every indexed line ends in a newline: ``open`` ends a
+                    # torn tail before it appends.
+                    for key, (offset, ok) in self._index.items():
+                        src.seek(offset)
+                        index[key] = (out.tell(), ok)
+                        out.write(src.readline())
+                    out.flush()
+                    os.fsync(out.fileno())
+                os.replace(tmp, self.path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
+            self._fh.close()
+            self._fh = open(self.path, "ab")
+            self._index = index
+            self._stale = 0
 
     def close(self) -> None:
         with self._lock:
@@ -456,6 +514,8 @@ class RunJournal:
         """Append one entry (idempotent: the latest entry per key wins)."""
         payload = {"key": key, **entry}
         with self._lock:
+            if key in self._index:
+                self._stale += 1
             self._index[key] = (self._append(payload), bool(entry.get("ok")))
 
     def lookup(self, key: str) -> Optional[dict]:

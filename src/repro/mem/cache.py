@@ -60,13 +60,17 @@ class CacheConfig:
 
 
 class Line:
-    """One cache line: tag state plus the block's actual bytes."""
+    """One cache line: tag state plus the block's actual bytes.
+
+    ``data`` is immutable ``bytes``: a write replaces it, so a read can
+    hand out the line's own object and a writeback can send it as is.
+    """
 
     __slots__ = ("block_addr", "data", "dirty")
 
     def __init__(self, block_addr: int, data: bytes, dirty: bool = False) -> None:
         self.block_addr = block_addr
-        self.data = bytearray(data)
+        self.data = data if data.__class__ is bytes else bytes(data)
         self.dirty = dirty
 
 
@@ -134,6 +138,8 @@ class Cache(MemoryPort):
                 f"{self.name}: access [{addr:#x}, +{size}) straddles a block"
             )
         yield self._hit_latency
+        # A set is never replaced, only emptied, so it stays valid across
+        # the yields below.
         cache_set = self._sets[(block_addr >> self._block_shift) % self._num_sets]
         line = cache_set.get(block_addr)
         if line is not None:
@@ -154,7 +160,7 @@ class Cache(MemoryPort):
             pending = self._pending.get(block_addr)
             if pending is not None:
                 yield pending
-                line = self._set_for(block_addr).get(block_addr)
+                line = cache_set.get(block_addr)
                 if line is None:
                     # The fill was blocked at a border downstream.
                     return None
@@ -175,7 +181,7 @@ class Cache(MemoryPort):
                     done.succeed(None)
                     return None
                 line = Line(block_addr, fetched)
-                victim = self._insert(line)
+                victim = self._insert(cache_set, line)
                 done.succeed(line)
                 if victim is not None and victim.dirty:
                     # Evicted dirty data drains through a writeback buffer;
@@ -186,11 +192,16 @@ class Cache(MemoryPort):
                     )
 
         if not write:
-            return bytes(line.data[offset : offset + size])
+            # A full-block slice of ``bytes`` is the object itself.
+            return line.data[offset : offset + size]
 
         if data is None:
             raise ValueError("write access requires data")
-        line.data[offset : offset + size] = data[:size]
+        if offset == 0 and size == self._block_size and data.__class__ is bytes:
+            line.data = data[:size]  # adopt the payload
+        else:
+            old = line.data
+            line.data = b"".join((old[:offset], data[:size], old[offset + size :]))
         if self.config.write_back:
             line.dirty = True
             return b""
@@ -201,15 +212,14 @@ class Cache(MemoryPort):
         if result is None:
             # The downstream border blocked the write: the line must not
             # keep bytes that memory never received as if they were clean.
-            self._invalidate_line(block_addr)
+            cache_set.pop(block_addr, None)
             return None
         return b""
 
     # -- fills and evictions ---------------------------------------------------
 
-    def _insert(self, line: Line) -> Optional[Line]:
-        """Insert a line, returning the evicted victim (if any)."""
-        cache_set = self._set_for(line.block_addr)
+    def _insert(self, cache_set: "OrderedDict[int, Line]", line: Line) -> Optional[Line]:
+        """Insert a line into its set, returning the evicted victim (if any)."""
         victim: Optional[Line] = None
         if len(cache_set) >= self.config.associativity:
             _addr, victim = cache_set.popitem(last=False)  # LRU
@@ -219,13 +229,10 @@ class Cache(MemoryPort):
     def _write_back(self, line: Line) -> Generator:
         self._writebacks.inc()
         result = yield from self.downstream.access(
-            line.block_addr, self.config.block_size, True, bytes(line.data)
+            line.block_addr, self.config.block_size, True, line.data
         )
         if result is None:
             self._blocked_writebacks.inc()
-
-    def _invalidate_line(self, block_addr: int) -> None:
-        self._set_for(block_addr).pop(block_addr, None)
 
     # -- maintenance operations --------------------------------------------------
 

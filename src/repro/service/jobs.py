@@ -278,7 +278,8 @@ class JobStore:
     :class:`FinishedJob` and reads that one journal line back whenever
     the job's record or events are asked for, so a finished job costs
     memory for its index entries, not for its record. A restarted server
-    rebuilds the same split from the journal's last entry per job.
+    compacts the journal to its last entry per job, then rebuilds the
+    same split from it.
     """
 
     def __init__(
@@ -288,6 +289,8 @@ class JobStore:
         self._journal = RunJournal.open(
             f"service-{service_id}", directory=directory, create=True
         )
+        # Each job appends a line per transition; only its last is read.
+        self._journal.compact()
         self._live: Dict[str, Job] = {}
         self._finished: Dict[str, FinishedJob] = {}
         self._seq = 0

@@ -133,18 +133,6 @@ class Event:
         else:
             ready.append((_KIND_CALL_VALUE, w, value))
 
-    def _add_waiter(self, proc: "Process") -> None:
-        if self.triggered:
-            self._engine._schedule_resume(proc, self.value)
-            return
-        w = self._waiters
-        if w is None:
-            self._waiters = proc
-        elif type(w) is list:
-            w.append(proc)
-        else:
-            self._waiters = [w, proc]
-
     def _add_callback(self, fn: Callable[[Any], None]) -> None:
         """Register ``fn(value)`` to run (via the queue) once triggered."""
         if self.triggered:
@@ -217,15 +205,6 @@ class Engine:
             )
         else:
             self._ready.append((_KIND_CALL, fn, None))
-
-    def _schedule_resume(self, proc: Process, value: Any, delay: int = 0) -> None:
-        if delay:
-            heapq.heappush(
-                self._queue,
-                (self.now + delay, next(self._seq), _KIND_RESUME, proc, value),
-            )
-        else:
-            self._ready.append((_KIND_RESUME, proc, value))
 
     def _schedule_call(self, fn: Callable[[Any], None], value: Any) -> None:
         self._ready.append((_KIND_CALL_VALUE, fn, value))
@@ -333,8 +312,9 @@ class Engine:
         for the current tick run first (they were scheduled at earlier
         ticks, so they outrank every ready-deque entry), then the ready
         deque drains FIFO, then the clock advances to the next heap entry.
-        Resuming a process is inlined in the loop: one entry dispatch is
-        the innermost operation of the whole simulator.
+        Resuming a process and parking it on an event are inlined in the
+        loop: one entry dispatch is the innermost operation of the whole
+        simulator.
         """
         if self._running:
             raise SimulationError("engine is not reentrant")
@@ -383,7 +363,18 @@ class Engine:
                                 f"negative delay {result!r} from {target.name}"
                             )
                     elif isinstance(result, Event):
-                        result._add_waiter(target)
+                        # Wait on it; an event that already fired resumes
+                        # the process at once, one hop later.
+                        if result.triggered:
+                            ready_append((_KIND_RESUME, target, result.value))
+                        else:
+                            w = result._waiters
+                            if w is None:
+                                result._waiters = target
+                            elif type(w) is list:
+                                w.append(target)
+                            else:
+                                result._waiters = [w, target]
                     elif isinstance(result, (int, float)):
                         if result < 0:
                             raise SimulationError(

@@ -142,7 +142,7 @@ class TestBorderControlInsertion:
         # The accelerator got the whole 2 MB mapping (one TLB entry)...
         assert result.vpn == PAGES_PER_LARGE_PAGE
         assert result.ppn == base
-        assert result.pages_covered == PAGES_PER_LARGE_PAGE
+        assert result.pages == PAGES_PER_LARGE_PAGE
         # ...and Border Control recorded all 512 covered pages (§3.4.4).
         assert bc.table.get(base) == Perm.RW
         assert bc.table.get(base + 511) == Perm.RW

@@ -1,13 +1,18 @@
 """Unit tests for the set-associative cache model."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.mem.cache import Cache, CacheConfig
 from repro.mem.dram import DRAM, DRAMConfig
 from repro.mem.phys_memory import PhysicalMemory
 from repro.mem.port import MemoryController, MemoryPort
+from repro.sim.engine import Engine
 from repro.sim.stats import StatDomain
+
+from tests.util import profile_settings
 
 MB = 1024 * 1024
 
@@ -192,7 +197,7 @@ class TestBlockedDownstream:
         # Manually install a line so the write hits, then gets blocked.
         from repro.mem.cache import Line
 
-        cache._insert(Line(0, bytes(128)))
+        cache._insert(cache._set_for(0), Line(0, bytes(128)))
         assert access(engine, cache, 0, 8, write=True, data=b"x" * 8) is None
         assert cache.lookup(0) is None
 
@@ -212,3 +217,160 @@ class TestMSHRCoalescing:
         engine.run()
         assert results == [b"COALESCE", b"COALESCE"]
         assert cache.misses == 1  # second access rode the first fill
+
+
+# -- one cache against a flat reference -----------------------------------------
+#
+# The reference does the same job the slow, obvious way: list-ordered LRU
+# sets and a mutable ``bytearray`` per line, writing back into a flat
+# memory. The cache under test keeps each line's data as immutable
+# ``bytes``, hands a full-block read out without a copy and adopts a
+# full-block payload; every byte that reaches a reader or memory must
+# be the reference's.
+
+BLOCK = 128
+REF_BLOCKS = 12  # over 4 sets of 2 ways: evictions and dirty writebacks
+REF_SETS = 4
+REF_WAYS = 2
+
+
+def _initial_memory():
+    return bytearray(bytes(range(7, 256)) * 7)[: REF_BLOCKS * BLOCK]
+
+
+class _FlatPort(MemoryPort):
+    """Downstream memory: a flat bytearray that refuses writes to the
+    ``blocked`` blocks and logs every write it is asked for."""
+
+    def __init__(self, blocked):
+        self.memory = _initial_memory()
+        self.blocked = blocked
+        self.writes = []
+
+    def read_now(self, addr, size):
+        return bytes(self.memory[addr : addr + size])
+
+    def write_now(self, addr, data):
+        data = bytes(data)
+        ok = addr - addr % BLOCK not in self.blocked
+        self.writes.append((addr, data, ok))
+        if not ok:
+            return None
+        self.memory[addr : addr + len(data)] = data
+        return b""
+
+    def access(self, addr, size, write, data=None):
+        yield 1
+        if write:
+            return self.write_now(addr, data)
+        return self.read_now(addr, size)
+
+
+class _ReferenceCache:
+    def __init__(self, port, write_back, write_allocate):
+        self.port = port
+        self.write_back = write_back
+        self.write_allocate = write_allocate
+        self.sets = [[] for _ in range(REF_SETS)]  # [block, bytearray, dirty], LRU first
+
+    def access(self, addr, size, write, data=None):
+        block = addr - addr % BLOCK
+        offset = addr - block
+        lines = self.sets[(block // BLOCK) % REF_SETS]
+        line = next((ln for ln in lines if ln[0] == block), None)
+        if line is not None:
+            lines.remove(line)
+            lines.append(line)
+        elif write and not self.write_allocate:
+            return b"" if self.port.write_now(addr, data[:size]) is not None else None
+        else:
+            line = [block, bytearray(self.port.read_now(block, BLOCK)), False]
+            victim = lines.pop(0) if len(lines) >= REF_WAYS else None
+            lines.append(line)
+            if victim is not None and victim[2]:
+                self.port.write_now(victim[0], victim[1])
+        if not write:
+            return bytes(line[1][offset : offset + size])
+        line[1][offset : offset + size] = data[:size]
+        if self.write_back:
+            line[2] = True
+            return b""
+        if self.port.write_now(addr, data[:size]) is None:
+            lines.remove(line)
+            return None
+        return b""
+
+    def flush_all(self):
+        for lines in self.sets:
+            for block, data, dirty in lines:
+                if dirty:
+                    self.port.write_now(block, data)
+            lines.clear()
+
+
+_span = st.one_of(
+    st.just((0, BLOCK)),  # the full block: read without a copy, adopt on write
+    st.integers(0, BLOCK - 1).flatmap(
+        lambda off: st.tuples(st.just(off), st.integers(1, BLOCK - off))
+    ),
+)
+_cache_op = st.one_of(
+    st.tuples(st.just("read"), st.integers(0, REF_BLOCKS - 1), _span),
+    st.tuples(
+        st.just("write"), st.integers(0, REF_BLOCKS - 1), _span,
+        st.sampled_from([bytes, bytearray]),
+    ),
+    st.tuples(st.just("flush_all")),
+)
+
+
+@profile_settings(scale=2)
+@given(
+    write_back=st.booleans(),
+    write_allocate=st.booleans(),
+    blocked=st.sets(st.integers(0, REF_BLOCKS - 1).map(lambda b: b * BLOCK), max_size=4),
+    ops=st.lists(_cache_op, min_size=1, max_size=50),
+)
+def test_cache_matches_flat_reference(write_back, write_allocate, blocked, ops):
+    engine = Engine()
+    port = _FlatPort(blocked)
+    cache = Cache(
+        engine,
+        CacheConfig(
+            name="ref",
+            size_bytes=REF_SETS * REF_WAYS * BLOCK,
+            associativity=REF_WAYS,
+            hit_latency_ticks=1,
+            write_back=write_back,
+            write_allocate=write_allocate,
+        ),
+        port,
+        StatDomain("ref"),
+    )
+    ref_port = _FlatPort(blocked)
+    ref = _ReferenceCache(ref_port, write_back, write_allocate)
+    for seq, (op, *args) in enumerate(ops):
+        if op == "flush_all":
+            engine.run_process(cache.flush_all())
+            ref.flush_all()
+            continue
+        block, (offset, size) = args[0], args[1]
+        addr = block * BLOCK + offset
+        if op == "read":
+            got = engine.run_process(cache.access(addr, size, False))
+            assert got == ref.access(addr, size, False), (seq, op, addr, size)
+        else:
+            payload = args[2]((seq + i) % 256 for i in range(size))
+            got = engine.run_process(cache.access(addr, size, True, payload))
+            assert got == ref.access(addr, size, True, payload), (seq, op, addr, size)
+            if isinstance(payload, bytearray):
+                payload[:] = b"\xee" * size  # the writer reuses its buffer
+    assert port.writes == ref_port.writes
+    assert port.memory == ref_port.memory
+    assert cache.resident_blocks() == sorted(
+        block for lines in ref.sets for block, _data, _dirty in lines
+    )
+    engine.run_process(cache.flush_all())
+    ref.flush_all()
+    assert port.writes == ref_port.writes
+    assert port.memory == ref_port.memory

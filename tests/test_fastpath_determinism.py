@@ -175,6 +175,48 @@ def test_border_trace_matches_golden(goldens, cell):
     assert border_trace_digest(*cell) == expected
 
 
+def test_downgrade_cell_builds_one_translation_record_per_walk(monkeypatch):
+    """On the golden downgrade cell, where every shootdown makes the next
+    ops translate again, a ``TLBEntry`` is built once per ATS page walk:
+    the ATS returns the L2 TLB's own entry (the one a walk inserted, or
+    the one an L2 hit found), and the L1 TLBs cache that same object."""
+    from repro.iommu.ats import ATS
+    from repro.vm.tlb import TLB, TLBEntry
+
+    built = []
+    l2_entries = []  # what the ATS's L2 TLB was given (kept alive: ids stay unique)
+    l1_entries = []
+    returned = []
+    entry_init = TLBEntry.__init__
+    tlb_insert = TLB.insert
+    translate = ATS.translate
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        entry_init(self, *args, **kwargs)
+
+    def logging_insert(self, entry):
+        (l2_entries if self.name == "iommu-l2-tlb" else l1_entries).append(entry)
+        tlb_insert(self, entry)
+
+    def logging_translate(self, *args, **kwargs):
+        entry = yield from translate(self, *args, **kwargs)
+        returned.append(entry)
+        return entry
+
+    monkeypatch.setattr(TLBEntry, "__init__", counting_init)
+    monkeypatch.setattr(TLB, "insert", logging_insert)
+    monkeypatch.setattr(ATS, "translate", logging_translate)
+    result = run_fig4_cell("bfs", SafetyMode.BC_BCC, GPUThreading.MODERATELY, 250)
+
+    assert result.downgrades > 0
+    assert len(built) == len(l2_entries) == result.ats_walks > 0
+    assert len(returned) == result.ats_translations > result.ats_walks
+    l2_ids = {id(entry) for entry in l2_entries}
+    assert all(id(entry) in l2_ids for entry in returned)
+    assert l1_entries and all(id(entry) in l2_ids for entry in l1_entries)
+
+
 def test_chaos_run_matches_pre_optimization_golden(goldens):
     assert _jsonify(run_chaos_cell().signature()) == goldens["chaos_signature"]
 

@@ -72,6 +72,17 @@ class TestJournalShard:
             "run1.shard-w1.jsonl"
         ]
 
+    def test_run_id_is_not_a_pattern(self, jdir):
+        """``[``, ``*`` and ``?`` in a free-form run id are literal."""
+        shards = (("a[1]", "w1"), ("a1", "w2"), ("a*", "w3"), ("ab", "w4"))
+        for run_id, worker in shards:
+            with JournalShard.open(run_id, worker, jdir):
+                pass
+        assert [p.name for p in list_shards("a[1]", jdir)] == ["a[1].shard-w1.jsonl"]
+        assert [p.name for p in list_shards("a1", jdir)] == ["a1.shard-w2.jsonl"]
+        assert [p.name for p in list_shards("a*", jdir)] == ["a*.shard-w3.jsonl"]
+        assert list_shards("a?", jdir) == []
+
 
 class TestShardMerge:
     def test_merge_recovers_shard_entries(self, jdir):

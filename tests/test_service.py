@@ -252,6 +252,41 @@ class TestJobStore:
         assert reopened.get(finished.id).state == STATE_DONE
         reopened.close()
 
+    def test_reopen_compacts_to_one_line_per_job(self, tmp_path):
+        """A restarted store rewrites its journal to the header plus each
+        job's last entry, and every job reads back as before."""
+        store = JobStore("t5", directory=tmp_path)
+        jobs = [store.create("a", spec(params={"seed": seed})) for seed in range(3)]
+        for job in jobs:
+            for state in (STATE_QUEUED, STATE_RUNNING, STATE_DONE):
+                job.transition(state)
+                store.persist(job, events=[{"event": "end", "job": job.id}])
+        live = store.create("a", spec(params={"seed": 9}))
+        ids = [job.id for job in jobs] + [live.id]
+        before = [(store.record(i), store.events(i)) for i in ids]
+        store.close()
+        path = tmp_path / "service-t5.jsonl"
+        assert len(path.read_bytes().splitlines()) == 1 + 4 * 3 + 1
+
+        inodes = []
+        for _ in range(2):  # a compacted journal reopens as it is
+            reopened = JobStore("t5", directory=tmp_path)
+            inodes.append(path.stat().st_ino)
+            lines = path.read_bytes().splitlines()
+            assert len(lines) == 1 + len(ids)
+            assert "key" not in json.loads(lines[0])
+            assert [(reopened.record(i), reopened.events(i)) for i in ids] == before
+            reopened.close()
+        assert inodes[0] == inodes[1]  # nothing to drop: not rewritten
+
+        reopened = JobStore("t5", directory=tmp_path)
+        live = reopened.get(live.id)
+        live.transition(STATE_QUEUED)
+        reopened.persist(live)  # appends after the compacted entries
+        assert reopened.get(live.id).state == STATE_QUEUED
+        assert reopened.get(ids[0]).state == STATE_DONE
+        reopened.close()
+
     def test_second_replica_is_locked_out(self, tmp_path):
         from repro.journal import JournalLockedError
 

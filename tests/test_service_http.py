@@ -494,6 +494,10 @@ def _job_data_held(root: Any) -> list:
 
 #: Jobs a long-lived server has served in the history tests.
 HISTORY_JOBS = 20
+#: A quota that admits every history job however fast the jobs finish:
+#: the default (5/s, burst 10) refuses some when 20 finish within ~2 s.
+#: These tests check memory and read-back, not admission.
+HISTORY_QUOTA = {"submit_burst": HISTORY_JOBS}
 
 
 async def read_back(port: int, job_id: str) -> Tuple[Any, Any]:
@@ -537,7 +541,7 @@ def test_finished_jobs_leave_no_result_events_or_record_in_memory():
     result-cache memo; a restarted server loads none of them either."""
 
     async def go():
-        svc = await start_service(service_id="history")
+        svc = await start_service(service_id="history", quota=HISTORY_QUOTA)
         try:
             # Keep no client-side copy: under asyncio debug the loop
             # references the running task, and so this frame.
@@ -562,7 +566,7 @@ def test_finished_job_reads_back_unchanged_after_restart():
     retention still count every finished job."""
 
     async def first_incarnation():
-        svc = await start_service(service_id="history")
+        svc = await start_service(service_id="history", quota=HISTORY_QUOTA)
         try:
             history = await run_history(svc)
             first, (_, events) = history["ids"][0], history["first"]
@@ -586,6 +590,9 @@ def test_finished_job_reads_back_unchanged_after_restart():
         svc = await start_service(service_id="history", retention_hours=1.0)
         try:
             assert svc.recovered_jobs == 0
+            # The restart compacted the journal: a header, then one line a job.
+            journal = svc.store._journal.path.read_bytes().splitlines()
+            assert len(journal) == 1 + HISTORY_JOBS
             assert await read_back(svc.port, first) == at_finish
             _, metrics = await http(svc.port, "GET", "/metrics")
             assert metrics["jobs"] == {"done": HISTORY_JOBS}

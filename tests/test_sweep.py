@@ -796,8 +796,11 @@ class TestJournalLock:
             stdout=subprocess.PIPE,
             text=True,
         )
-        assert proc.stdout.readline().strip() == "held"
-        proc.wait(timeout=30)
+        try:
+            assert proc.stdout.readline().strip() == "held"
+            proc.wait(timeout=30)
+        finally:
+            proc.stdout.close()
         assert proc.returncode == -signal.SIGKILL
         survivor = RunJournal.open("killed", tmp_path)  # must not raise
         survivor.close()

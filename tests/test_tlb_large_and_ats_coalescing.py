@@ -115,4 +115,4 @@ class TestATSWalkCoalescing:
             engine.process(requester())
         engine.run()
         assert ats.walks == 1
-        assert all(r.pages_covered == PAGES_PER_LARGE_PAGE for r in results)
+        assert all(r.pages == PAGES_PER_LARGE_PAGE for r in results)
